@@ -26,6 +26,7 @@ from .descriptors import (
 from .groups import GroupUsageError, NotEnumerableError, StructuredGroup
 from .groups.base import INFINITE
 from .manifolds import (
+    HomotopySpherePiece,
     SeifertPiece,
     TorusKnot,
     decide_icc_knot,
@@ -133,9 +134,7 @@ def _explain_trace(descriptor: Descriptor) -> list[str]:
         orientation = "orientable" if manifold.orientable else "non-orientable"
         trace.append(f"input: {orientation} manifold with {len(manifold.pieces)} piece(s)")
         normalized = poincare_variety(manifold)
-        dropped = len(manifold.pieces) - sum(
-            1 for p in manifold.pieces if p in normalized.pieces
-        )
+        dropped = sum(1 for p in manifold.pieces if isinstance(p, HomotopySpherePiece))
         trace.append(
             "Poincare variety: "
             + (

@@ -34,9 +34,6 @@ class EisensteinInt:
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

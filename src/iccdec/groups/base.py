@@ -131,6 +131,8 @@ class StructuredGroup(ABC):
     # -- derived API ------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, StructuredGroup) and self.signature() == other.signature()
 
     def __hash__(self):
@@ -227,6 +229,18 @@ def enumerate_ball(group: StructuredGroup, radius: int) -> list[GroupElement]:
     return elements
 
 
+def generator_steps(group: StructuredGroup) -> list[GroupElement]:
+    """The generators and their inverses, each inverse once and only when it
+    differs from its generator: the letters of a word of length one."""
+    steps = []
+    for _, gen in group.generators():
+        steps.append(gen)
+        inv = invert(gen)
+        if inv.payload != gen.payload:
+            steps.append(inv)
+    return steps
+
+
 _BALL_CACHES: dict[tuple, dict] = {}
 _BALL_LOCK = threading.RLock()
 
@@ -247,12 +261,7 @@ def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupEl
             cache["seen"] = {identity.payload: 0}
         levels: list[list[GroupElement]] = cache["levels"]
         seen: dict = cache["seen"]
-        step_elements = []
-        for _, gen in group.generators():
-            step_elements.append(gen)
-            inv = invert(gen)
-            if inv.payload != gen.payload:
-                step_elements.append(inv)
+        step_elements = generator_steps(group)
         while len(levels) <= radius:
             frontier = levels[-1]
             depth = len(levels)

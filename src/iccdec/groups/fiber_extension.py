@@ -118,9 +118,6 @@ class FiberExtension(StructuredGroup):
             out_k = self._append(stack, out_k, j, -e)
         return (out_k, tuple(stack))
 
-    def part_generator(self, j: int) -> GroupElement:
-        return self.element((0, ((j, 1),)))
-
     def generator_payloads(self):
         out = [(p.name, (0, ((j, 1),))) for j, p in enumerate(self.parts)]
         out.append((self.fiber_name, (1, ())))

@@ -64,10 +64,6 @@ class HnnEdge(ABC):
         """(rep, residual) with payload = rep * residual, residual in B."""
 
     @abstractmethod
-    def domain_payloads(self, base) -> list | None:
-        """All of A when finite, else None."""
-
-    @abstractmethod
     def proper_sides(self, base) -> tuple[bool, bool]:
         """(A proper in base, B proper in base)."""
 
@@ -143,9 +139,6 @@ class FiniteHnnEdge(HnnEdge):
     def range_rep(self, base, payload):
         return self._rep(base, payload, self.embed_range)
 
-    def domain_payloads(self, base):
-        return list(self.embed_domain)
-
     def proper_sides(self, base):
         total = base.order()
         if total == INFINITE:
@@ -199,9 +192,6 @@ class CyclicPowerEdge(HnnEdge):
 
     def range_rep(self, base, payload):
         return self._balanced_rep(base, payload, abs(self.n))
-
-    def domain_payloads(self, base):
-        return None
 
     def proper_sides(self, base):
         return (self.m != 1, abs(self.n) != 1)
@@ -268,9 +258,6 @@ class Hnn(StructuredGroup):
             raise GroupUsageError("element does not belong to the base group")
         return self.element(((), g.payload))
 
-    def stable_element(self) -> GroupElement:
-        return self.element(self._absorb_t(self.identity_payload(), +1))
-
     def generator_payloads(self):
         out = [(name, ((), p)) for name, p in self.base.generator_payloads()]
         out.append((self.stable_letter, self._absorb_t(self.identity_payload(), +1)))
@@ -306,9 +293,6 @@ class Hnn(StructuredGroup):
 
     def order(self):
         return INFINITE
-
-    def contains_stable_letter(self, payload) -> bool:
-        return bool(payload[0])
 
     def describe(self):
         return f"HNN({self.base.describe()})"

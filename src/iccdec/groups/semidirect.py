@@ -93,12 +93,25 @@ class SemidirectZnByZ(StructuredGroup):
         return ("semidirect_zn_by_z", self.rank, self.phi, self.exponent_name, self.basis_names)
 
     def phi_power(self, m: int) -> Matrix:
+        """phi^m: one product from a cached neighbouring power, else by
+        repeated squaring (O(log |m|) products, no recursion)."""
         cache = self._power_cache
         if m not in cache:
-            if m > 0:
-                cache[m] = mat_mul(self.phi_power(m - 1), self.phi)
+            step = self.phi if m > 0 else self.phi_inv
+            previous = m - 1 if m > 0 else m + 1
+            if previous in cache:
+                cache[m] = mat_mul(cache[previous], step)
             else:
-                cache[m] = mat_mul(self.phi_power(m + 1), self.phi_inv)
+                result = identity_matrix(self.rank)
+                n = abs(m)
+                while True:
+                    if n & 1:
+                        result = mat_mul(result, step)
+                    n >>= 1
+                    if not n:
+                        break
+                    step = mat_mul(step, step)
+                cache[m] = result
         return cache[m]
 
     def identity_payload(self):

@@ -10,6 +10,7 @@ distinct canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .groups.base import (
@@ -19,6 +20,7 @@ from .groups.base import (
     ball_with_lengths,
     commutes_with_generators,
     conjugate,
+    generator_steps,
 )
 
 
@@ -47,10 +49,42 @@ class ClassBallReport:
         )
 
 
+def _class_levels(g: GroupElement, depth: int) -> list[list[GroupElement]]:
+    """Breadth-first search of the conjugation orbit c -> s c s^-1, with s
+    over the generators and their distinct inverses.
+
+    Level r holds the conjugates of g whose shortest conjugator has length r,
+    sorted by payload key.  Every word of length r is s*w' with |w'| = r-1,
+    and a conjugate first reached at r+1 is s c s^-1 for some c first reached
+    at r, so level r+1 is built from level r alone and an empty level ends
+    the orbit.  Returns the nonempty levels among 0..depth.
+    """
+    steps = generator_steps(g.group)
+    levels = [[g]]
+    seen = {g.payload}
+    while len(levels) <= depth:
+        fresh = {}
+        for c in levels[-1]:
+            for s in steps:
+                x = conjugate(c, s)
+                if x.payload not in seen and x.payload not in fresh:
+                    fresh[x.payload] = x
+        if not fresh:
+            break
+        seen.update(fresh)
+        levels.append(sorted(fresh.values(), key=lambda e: e.key()))
+    return levels
+
+
 def conjugacy_class_ball(
     group: StructuredGroup, g: GroupElement, radius: int, window: int = 3
 ) -> ClassBallReport:
     """All distinct w g w^-1 with |w| <= radius, grouped by conjugator length.
+
+    Computed as a breadth-first search of the conjugation orbit of g (see
+    _class_levels), not by conjugating g with every element of the
+    radius ball: level r of the orbit is exactly the set of conjugates first
+    reached with a conjugator of length r.
 
     stabilized is True when the conjugate set did not change over the last
     `window` radius increments.  Deterministic output order: first radius of
@@ -60,30 +94,16 @@ def conjugacy_class_ball(
         raise GroupUsageError("element does not belong to the given group")
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
-    ball, lengths = ball_with_lengths(group, radius)
-    first_seen: dict = {}
-    order: list[GroupElement] = []
-    counts = [0] * (radius + 1)
-    for w, length in zip(ball, lengths):
-        c = conjugate(g, w)
-        if c.payload not in first_seen:
-            first_seen[c.payload] = (length, c.key())
-            order.append(c)
-    for length, _ in first_seen.values():
-        counts[length] += 1
-    counts_by_radius = []
-    running = 0
-    for r in range(radius + 1):
-        running += counts[r]
-        counts_by_radius.append(running)
-    conjugates = tuple(sorted(order, key=lambda c: first_seen[c.payload]))
+    levels = _class_levels(g, radius)
+    sizes = [len(level) for level in levels] + [0] * (radius + 1 - len(levels))
+    counts_by_radius = tuple(accumulate(sizes))
     stabilized = counts_by_radius[-1] == counts_by_radius[-1 - window]
     return ClassBallReport(
         element=g,
         radius=radius,
         window=window,
-        conjugates=conjugates,
-        counts_by_radius=tuple(counts_by_radius),
+        conjugates=tuple(c for level in levels for c in level),
+        counts_by_radius=counts_by_radius,
         stabilized=stabilized,
         central_proven=commutes_with_generators(g),
     )
@@ -94,18 +114,21 @@ def fc_center_candidates(
 ) -> list[GroupElement]:
     """Nontrivial elements of ball(radius - window) whose class ball
     stabilized by `radius`: an over-approximation of the finite-class union
-    restricted to the ball.  Evidence only, never proof of finiteness."""
+    restricted to the ball.  Evidence only, never proof of finiteness.
+
+    Orbit levels are nested (an empty level stays empty), so a class ball
+    stabilizes by `radius` exactly when its orbit level radius - window + 1
+    is empty; each orbit search stops at that depth.
+    """
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
+    depth = radius - window + 1
     candidates, _ = ball_with_lengths(group, radius - window)
-    out = []
-    for g in candidates:
-        if g.is_identity():
-            continue
-        report = conjugacy_class_ball(group, g, radius, window)
-        if report.stabilized:
-            out.append(g)
-    return out
+    return [
+        g
+        for g in candidates
+        if not g.is_identity() and len(_class_levels(g, depth)) <= depth
+    ]
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,29 @@ def test_cli_explain(corpus_dir, capsys):
     assert "cited statements:" in out
 
 
+def test_cli_explain_all_sphere_manifold_drops_the_piece(corpus_dir, capsys):
+    # the substituted trivial piece equals the dropped one by value, so the
+    # drop must be counted by piece kind
+    code = main(["explain", corpus_path(corpus_dir, "manifold_homotopy_sphere.json")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "dropped 1 homotopy-sphere piece(s)" in out
+    assert "no homotopy-sphere pieces to drop" not in out
+
+
+def test_cli_enumerate_large_monodromy_power(corpus_dir, capsys):
+    # phi^3000 once overflowed the recursion limit
+    code = main([
+        "enumerate",
+        corpus_path(corpus_dir, "group_torus_bundle_hyperbolic.json"),
+        "--element", "t^3000",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "canonical form ((0, 0), 3000)" in out
+    assert "counts_by_radius: [1, 5, 17, 45, 101, 225, 489]" in out
+
+
 def test_cli_enumerate_bad_element(corpus_dir, capsys):
     code = main([
         "enumerate",

@@ -32,6 +32,7 @@ from iccdec.groups import (
     reduce_word,
     render_word,
 )
+from iccdec.groups.semidirect import mat_mul
 from conftest import CyclicFreeProductOracle, bs12_pinch_reduce
 
 
@@ -58,6 +59,16 @@ def test_semidirect_product_law():
     lhs = g.element(((1, 0), 1)) * g.element(((0, 1), 0))
     # phi(0,1) = (1,1), so the product is ((2,1),1)
     assert lhs.payload == ((2, 1), 1)
+
+
+def test_semidirect_phi_power_by_squaring():
+    g = SemidirectZnByZ(2, [[2, 1], [1, 1]])
+    power = ((1, 0), (0, 1))
+    for _ in range(13):
+        power = mat_mul(power, g.phi)
+    assert g.phi_power(13) == power
+    assert mat_mul(g.phi_power(-13), power) == ((1, 0), (0, 1))
+    assert g.phi_power(0) == ((1, 0), (0, 1))
 
 
 def test_dihedral_sandwich(dihedral):

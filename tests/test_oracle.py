@@ -10,11 +10,53 @@ from iccdec.groups import (
     InfiniteCyclic,
     SemidirectZnByZ,
     TorsionPart,
+    ball_with_lengths,
     cyclic_table,
     enumerate_ball,
 )
+from iccdec.cli import _decide, _enumerable_group
+from iccdec.descriptors import parse_word
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates, strong_icc_witness
-from conftest import CyclicFreeProductOracle
+from conftest import CyclicFreeProductOracle, load_corpus_descriptor
+
+
+def _reference_class_ball(group, g, radius, window):
+    """The ball algorithm: conjugate g by every element of the radius ball
+    and order the distinct conjugates by first conjugator length, then key."""
+    ball, lengths = ball_with_lengths(group, radius)
+    first = {}
+    for w, length in zip(ball, lengths):
+        c = w * g * ~w
+        if c.payload not in first:
+            first[c.payload] = (length, c.key())
+    payloads = sorted(first, key=first.get)
+    counts = [sum(1 for length, _ in first.values() if length <= r) for r in range(radius + 1)]
+    return counts, payloads, counts[-1] == counts[-1 - window]
+
+
+def _enumerable_corpus(manifest, corpus_dir):
+    """(file, group, words) for every corpus file `iccdec enumerate` accepts:
+    the first generator and the manifest word (icc_sample or NotICC witness)."""
+    out = []
+    for section in sorted(manifest):
+        for entry in manifest[section]:
+            descriptor = load_corpus_descriptor(corpus_dir, entry["file"])
+            try:
+                group, _ = _enumerable_group(descriptor)
+            except GroupUsageError:
+                continue
+            generators = group.generators()
+            if not generators:
+                continue
+            words = [generators[0][1]]
+            if "icc_sample" in entry:
+                words.append(group.reduce_letters(parse_word(entry["icc_sample"])))
+            else:
+                witness = _decide(descriptor).witness
+                if witness is not None and witness.element is not None and witness.element.group == group:
+                    words.append(witness.element)
+            out.append((entry["file"], group, words))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +123,18 @@ def test_class_counts_match_independent_oracle(z2_star_z3):
     assert list(report.counts_by_radius) == expected
 
 
+def test_orbit_search_matches_ball_reference(manifest, corpus_dir):
+    corpus = _enumerable_corpus(manifest, corpus_dir)
+    assert len(corpus) == 31
+    for name, group, words in corpus:
+        for g in words:
+            report = conjugacy_class_ball(group, g, 4, 2)
+            counts, payloads, stabilized = _reference_class_ball(group, g, 4, 2)
+            assert list(report.counts_by_radius) == counts, (name, g)
+            assert [c.payload for c in report.conjugates] == payloads, (name, g)
+            assert report.stabilized == stabilized, (name, g)
+
+
 # ---------------------------------------------------------------------------
 # fc_center_candidates
 
@@ -106,6 +160,33 @@ def test_fc_abelian_whole_punctured_ball():
     candidates = fc_center_candidates(z2, 4, 3)
     punctured = [g for g in enumerate_ball(z2, 1) if not g.is_identity()]
     assert {c.payload for c in candidates} == {g.payload for g in punctured}
+
+
+@pytest.mark.parametrize(
+    "name, radius, window",
+    [
+        ("dihedral", 5, 2),
+        ("f2_x_z2", 5, 2),
+        ("group_torus_bundle_parabolic.json", 5, 2),
+        # lattice vectors have orbit depth 2: they stabilize at (5, 3) and not
+        # at (4, 3), so the early stop must look at level radius - window + 1
+        ("group_torus_bundle_elliptic.json", 5, 3),
+        ("group_torus_bundle_elliptic.json", 4, 3),
+    ],
+)
+def test_fc_early_stop_matches_full_class_balls(name, radius, window, dihedral, f2, corpus_dir):
+    if name == "dihedral":
+        group = dihedral
+    elif name == "f2_x_z2":
+        group = DirectWithFinite(f2, cyclic_table(2, names=["1", "z"]))
+    else:
+        group = load_corpus_descriptor(corpus_dir, name).group
+    expected = [
+        g
+        for g in enumerate_ball(group, radius - window)
+        if not g.is_identity() and conjugacy_class_ball(group, g, radius, window).stabilized
+    ]
+    assert fc_center_candidates(group, radius, window) == expected
 
 
 # ---------------------------------------------------------------------------
