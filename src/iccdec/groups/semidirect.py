@@ -93,25 +93,20 @@ class SemidirectZnByZ(StructuredGroup):
         return ("semidirect_zn_by_z", self.rank, self.phi, self.exponent_name, self.basis_names)
 
     def phi_power(self, m: int) -> Matrix:
-        """phi^m: one product from a cached neighbouring power, else by
-        repeated squaring (O(log |m|) products, no recursion)."""
+        """phi^m, cached; a missing power by repeated squaring (O(log |m|)
+        products, no recursion)."""
         cache = self._power_cache
         if m not in cache:
             step = self.phi if m > 0 else self.phi_inv
-            previous = m - 1 if m > 0 else m + 1
-            if previous in cache:
-                cache[m] = mat_mul(cache[previous], step)
-            else:
-                result = identity_matrix(self.rank)
-                n = abs(m)
-                while True:
-                    if n & 1:
-                        result = mat_mul(result, step)
-                    n >>= 1
-                    if not n:
-                        break
+            result = None
+            n = abs(m)
+            while n:
+                if n & 1:
+                    result = step if result is None else mat_mul(result, step)
+                n >>= 1
+                if n:
                     step = mat_mul(step, step)
-                cache[m] = result
+            cache[m] = result
         return cache[m]
 
     def identity_payload(self):
