@@ -3,7 +3,6 @@
 from .base import (
     INFINITE,
     FiniteGroupTable,
-    GeneratorSymbol,
     GroupElement,
     GroupUsageError,
     NotEnumerableError,
@@ -30,7 +29,6 @@ from .surface import SurfaceGroup
 __all__ = [
     "INFINITE",
     "FiniteGroupTable",
-    "GeneratorSymbol",
     "GroupElement",
     "GroupUsageError",
     "NotEnumerableError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 
@@ -26,14 +25,6 @@ class NotEnumerableError(GroupUsageError):
 INFINITE = math.inf
 
 Letter = tuple[str, int]  # generator name, exponent
-
-
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    """A named generator together with the construction block it lives in."""
-
-    name: str
-    factor_index: int = 0
 
 
 class GroupElement:
@@ -144,14 +135,11 @@ class StructuredGroup(ABC):
     def element(self, payload) -> GroupElement:
         return GroupElement(self, payload)
 
-    def generators(self) -> list[tuple[GeneratorSymbol, GroupElement]]:
-        out = []
-        for index, (name, payload) in enumerate(self.generator_payloads()):
-            out.append((GeneratorSymbol(name, index), GroupElement(self, payload)))
-        return out
+    def generators(self) -> list[tuple[str, GroupElement]]:
+        return [(name, GroupElement(self, p)) for name, p in self.generator_payloads()]
 
     def generator_map(self) -> dict[str, GroupElement]:
-        return {sym.name: g for sym, g in self.generators()}
+        return dict(self.generators())
 
     def generator_element(self, name: str) -> GroupElement:
         table = self.generator_map()
@@ -229,59 +217,73 @@ def enumerate_ball(group: StructuredGroup, radius: int) -> list[GroupElement]:
     return elements
 
 
-def generator_steps(group: StructuredGroup) -> list[GroupElement]:
-    """The generators and their inverses, each inverse once and only when it
-    differs from its generator: the letters of a word of length one."""
+def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
+    """The letters of a word of length one, as (payload, inverse payload)
+    pairs: the generators and their inverses, each inverse once and only
+    when it differs from its generator."""
     steps = []
-    for _, gen in group.generators():
-        steps.append(gen)
-        inv = invert(gen)
-        if inv.payload != gen.payload:
-            steps.append(inv)
+    for _, payload in group.generator_payloads():
+        inverse = group.invert_payload(payload)
+        steps.append((payload, inverse))
+        if inverse != payload:
+            steps.append((inverse, payload))
     return steps
 
 
-_BALL_CACHES: dict[tuple, dict] = {}
+_BALL_CACHES: dict[tuple, list[list[GroupElement]]] = {}
 _BALL_LOCK = threading.RLock()
 
 
-def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:
-    """enumerate_ball plus word length per element (same order).
+def _ball_levels(group: StructuredGroup, radius: int) -> list[list[GroupElement]]:
+    """The cached ball levels, extended to at least radius + 1 levels unless
+    the group is exhausted first, in which case the last level is empty.
 
-    Ball levels are cached per group signature; the lock keeps concurrent
-    callers on the same group consistent.
+    Level r holds the elements of word length r in payload-key order.  Levels
+    are cached per group signature; the lock keeps concurrent callers on the
+    same group consistent.  The returned lists are shared: do not mutate.
     """
+    with _BALL_LOCK:
+        levels = _BALL_CACHES.setdefault(group.signature(), [[group.identity()]])
+        if len(levels) <= radius and levels[-1]:
+            mul = group.multiply_payloads
+            key = group.payload_key
+            steps = [s for s, _ in generator_steps(group)]
+            # the steps are closed under inverses, so a neighbour of level r
+            # lies in level r - 1, r or r + 1: only two levels are looked up
+            older = {e.payload for e in levels[-2]} if len(levels) > 1 else set()
+            newer = {e.payload for e in levels[-1]}
+            while len(levels) <= radius and levels[-1]:
+                fresh = {}
+                for e in levels[-1]:
+                    g = e.payload
+                    for s in steps:
+                        x = mul(g, s)
+                        if x not in newer and x not in older and x not in fresh:
+                            fresh[x] = None
+                older, newer = newer, fresh
+                levels.append([GroupElement(group, p) for p in sorted(fresh, key=key)])
+    return levels
+
+
+def ball_level(group: StructuredGroup, depth: int) -> list[GroupElement]:
+    """The elements of word length exactly depth, in ball order (empty past
+    the end of a finite group).  The list is shared with the cache: do not
+    mutate it."""
+    if depth < 0:
+        raise GroupUsageError("depth must be nonnegative")
+    levels = _ball_levels(group, depth)
+    return levels[depth] if depth < len(levels) else []
+
+
+def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:
+    """enumerate_ball plus word length per element (same order)."""
     if radius < 0:
         raise GroupUsageError("radius must be nonnegative")
-    with _BALL_LOCK:
-        cache = _BALL_CACHES.setdefault(group.signature(), {})
-        if "levels" not in cache:
-            identity = group.identity()
-            cache["levels"] = [[identity]]
-            cache["seen"] = {identity.payload: 0}
-        levels: list[list[GroupElement]] = cache["levels"]
-        seen: dict = cache["seen"]
-        step_elements = generator_steps(group)
-        while len(levels) <= radius:
-            frontier = levels[-1]
-            depth = len(levels)
-            fresh = {}
-            for g in frontier:
-                for s in step_elements:
-                    candidate = multiply(g, s)
-                    if candidate.payload not in seen and candidate.payload not in fresh:
-                        fresh[candidate.payload] = candidate
-            level = sorted(fresh.values(), key=lambda e: e.key())
-            for e in level:
-                seen[e.payload] = depth
-            levels.append(level)
-            if not level:
-                break  # the whole group has been enumerated
-        elements: list[GroupElement] = []
-        lengths: list[int] = []
-        for depth, level in enumerate(levels[: radius + 1]):
-            elements.extend(level)
-            lengths.extend([depth] * len(level))
+    elements: list[GroupElement] = []
+    lengths: list[int] = []
+    for depth, level in enumerate(_ball_levels(group, radius)[: radius + 1]):
+        elements.extend(level)
+        lengths.extend([depth] * len(level))
     return elements, lengths
 
 

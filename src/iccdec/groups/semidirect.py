@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .base import INFINITE, GroupUsageError, StructuredGroup
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -15,8 +17,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -115,13 +116,15 @@ class SemidirectZnByZ(StructuredGroup):
     def multiply_payloads(self, a, b):
         v, m = a
         w, k = b
-        moved = mat_vec(self.phi_power(m), w)
-        return (tuple(x + y for x, y in zip(v, moved)), m + k)
+        if m:
+            w = mat_vec(self.phi_power(m), w)
+        return (tuple(map(add, v, w)), m + k)
 
     def invert_payload(self, a):
         v, m = a
-        moved = mat_vec(self.phi_power(-m), v)
-        return (tuple(-x for x in moved), -m)
+        if m:
+            v = mat_vec(self.phi_power(-m), v)
+        return (tuple([-x for x in v]), -m)
 
     def generator_payloads(self):
         out = []

@@ -542,7 +542,7 @@ def _drop_trivial(pieces: Sequence[PrimePiece], infos: Sequence[PieceGroupInfo])
     return kept
 
 
-def _multi_piece_verdict(kept, orientable: bool) -> Verdict:
+def _multi_piece_verdict(kept) -> Verdict:
     """Free-product rule over the nontrivial piece groups (Kneser-Milnor)."""
     classes = [info.order_class for _, info in kept]
     if len(kept) == 2 and classes == [2, 2]:
@@ -623,8 +623,7 @@ def decide_icc_orientable(m: ManifoldDescriptor) -> Verdict:
             Citation("ICC definition"),
         )
     if len(kept) > 1:
-        verdict = _multi_piece_verdict(kept, orientable=True)
-        return verdict
+        return _multi_piece_verdict(kept)
     piece, info = kept[0]
     if isinstance(piece, SeifertPiece):
         return _seifert_piece_verdict(seifert_group(piece.invariants), True)
@@ -720,7 +719,7 @@ def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
             )
         )
     if len(kept) > 1:
-        return _multi_piece_verdict(kept, orientable=False)
+        return _multi_piece_verdict(kept)
     piece, info = kept[0]
     if isinstance(piece, SeifertPiece):
         return _seifert_piece_verdict(seifert_group(piece.invariants), False)

@@ -17,9 +17,9 @@ from .groups.base import (
     GroupElement,
     GroupUsageError,
     StructuredGroup,
+    ball_level,
     ball_with_lengths,
     commutes_with_generators,
-    conjugate,
     generator_steps,
 )
 
@@ -49,30 +49,32 @@ class ClassBallReport:
         )
 
 
-def _class_levels(g: GroupElement, depth: int) -> list[list[GroupElement]]:
-    """Breadth-first search of the conjugation orbit c -> s c s^-1, with s
-    over the generators and their distinct inverses.
+def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
+    """Breadth-first search of the conjugation orbit c -> s c s^-1 of the
+    payload g, with s over the generators and their distinct inverses.
 
-    Level r holds the conjugates of g whose shortest conjugator has length r,
-    sorted by payload key.  Every word of length r is s*w' with |w'| = r-1,
-    and a conjugate first reached at r+1 is s c s^-1 for some c first reached
-    at r, so level r+1 is built from level r alone and an empty level ends
-    the orbit.  Returns the nonempty levels among 0..depth.
+    Level r holds the payloads of the conjugates whose shortest conjugator
+    has length r, sorted by payload key.  Every word of length r is s*w' with
+    |w'| = r-1, and a conjugate first reached at r+1 is s c s^-1 for some c
+    first reached at r, so level r+1 is built from level r alone and an empty
+    level ends the orbit.  Returns the nonempty levels among 0..depth.
     """
-    steps = generator_steps(g.group)
+    mul = group.multiply_payloads
+    key = group.payload_key
+    steps = generator_steps(group)
     levels = [[g]]
-    seen = {g.payload}
+    seen = {g}
     while len(levels) <= depth:
         fresh = {}
         for c in levels[-1]:
-            for s in steps:
-                x = conjugate(c, s)
-                if x.payload not in seen and x.payload not in fresh:
-                    fresh[x.payload] = x
+            for s, s_inv in steps:
+                x = mul(mul(s, c), s_inv)
+                if x not in seen and x not in fresh:
+                    fresh[x] = None
         if not fresh:
             break
         seen.update(fresh)
-        levels.append(sorted(fresh.values(), key=lambda e: e.key()))
+        levels.append(sorted(fresh, key=key))
     return levels
 
 
@@ -94,7 +96,7 @@ def conjugacy_class_ball(
         raise GroupUsageError("element does not belong to the given group")
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
-    levels = _class_levels(g, radius)
+    levels = _class_levels(g.group, g.payload, radius)
     sizes = [len(level) for level in levels] + [0] * (radius + 1 - len(levels))
     counts_by_radius = tuple(accumulate(sizes))
     stabilized = counts_by_radius[-1] == counts_by_radius[-1 - window]
@@ -102,7 +104,7 @@ def conjugacy_class_ball(
         element=g,
         radius=radius,
         window=window,
-        conjugates=tuple(c for level in levels for c in level),
+        conjugates=tuple(GroupElement(g.group, c) for level in levels for c in level),
         counts_by_radius=counts_by_radius,
         stabilized=stabilized,
         central_proven=commutes_with_generators(g),
@@ -127,7 +129,7 @@ def fc_center_candidates(
     return [
         g
         for g in candidates
-        if not g.is_identity() and len(_class_levels(g, depth)) <= depth
+        if not g.is_identity() and len(_class_levels(group, g.payload, depth)) <= depth
     ]
 
 
@@ -137,8 +139,10 @@ class WitnessSequence:
 
     verified is True when the sequence has the requested length and, for
     every f in the target set, the conjugates gamma_j f gamma_j^-1 are
-    pairwise distinct.  A verified=False result is an exhaustion report: the
-    ball was scanned completely and only len(gammas) conjugators were found.
+    pairwise distinct.  A verified=False result is an exhaustion report: no
+    element of the search ball extends the len(gammas) conjugators found,
+    either because the ball was scanned completely or because a target's
+    conjugation orbit closed with every conjugate already taken.
     """
 
     target_set: tuple[GroupElement, ...]
@@ -168,11 +172,19 @@ def strong_icc_witness(
 ) -> WitnessSequence:
     """Greedy breadth-first realization of the strong-ICC property.
 
-    Scans ball elements in the deterministic ball order and keeps gamma
-    whenever, for every f in the target set, gamma f gamma^-1 differs from
-    all previously kept conjugates of f.  This is the coset-avoidance step
-    gamma_(m+1) not in the union of Z(f) gamma_j, tested through the
-    defining inequalities rather than through explicit centralizers.
+    Scans ball elements level by level in the deterministic ball order and
+    keeps gamma whenever, for every f in the target set, gamma f gamma^-1
+    differs from all previously kept conjugates of f.  This is the
+    coset-avoidance step gamma_(m+1) not in the union of Z(f) gamma_j, tested
+    through the defining inequalities rather than through explicit
+    centralizers.
+
+    The scan stops early, with the same result as a full scan, when a level
+    gives some target no new conjugate while every conjugate of it reached
+    so far is kept.  Conjugates reached by words of length <= r are closed
+    under the generators once level r adds none (the argument of
+    _class_levels), so they are the whole class of that target, and every
+    later candidate would repeat a kept conjugate of it.
     """
     if k < 1:
         raise GroupUsageError("sequence length k must be >= 1")
@@ -183,23 +195,27 @@ def strong_icc_witness(
             raise GroupUsageError("target elements must belong to the given group")
         if f.is_identity():
             raise GroupUsageError("target elements must be nontrivial")
+    mul = group.multiply_payloads
+    inv = group.invert_payload
+    payloads = [f.payload for f in targets]
+    kept = [set() for _ in targets]  # conjugates by the gammas, per target
+    reached = [set() for _ in targets]  # conjugates by every scanned element
     gammas: list[GroupElement] = []
-    seen_per_target: list[set] = [set() for _ in targets]
     used_radius = 0
-    # scan level by level so a successful search never enumerates deeper
-    # levels; only an exhaustion report pays for the whole ball
     for depth in range(search_radius + 1):
-        ball, lengths = ball_with_lengths(group, depth)
-        for w, length in zip(ball, lengths):
-            if length != depth:
-                continue
-            conjugates = [conjugate(f, w) for f in targets]
-            if any(c.payload in seen for c, seen in zip(conjugates, seen_per_target)):
+        sizes = [len(r) for r in reached]
+        for w in ball_level(group, depth):
+            p = w.payload
+            p_inv = inv(p)
+            conjugates = [mul(mul(p, f), p_inv) for f in payloads]
+            for c, r in zip(conjugates, reached):
+                r.add(c)
+            if any(c in taken for c, taken in zip(conjugates, kept)):
                 continue
             gammas.append(w)
-            used_radius = max(used_radius, length)
-            for c, seen in zip(conjugates, seen_per_target):
-                seen.add(c.payload)
+            used_radius = depth
+            for c, taken in zip(conjugates, kept):
+                taken.add(c)
             if len(gammas) == k:
                 return WitnessSequence(
                     target_set=tuple(targets),
@@ -208,6 +224,8 @@ def strong_icc_witness(
                     search_radius=search_radius,
                     used_radius=used_radius,
                 )
+        if any(len(r) == size == len(taken) for r, size, taken in zip(reached, sizes, kept)):
+            break
     return WitnessSequence(
         target_set=tuple(targets),
         gammas=tuple(gammas),

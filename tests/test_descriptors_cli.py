@@ -235,6 +235,22 @@ def test_cli_witness_figure_eight(corpus_dir, capsys):
     assert "verified sequence of length 5" in out
 
 
+def test_cli_witness_closed_orbit_stops_early(corpus_dir, capsys):
+    # the class of the central z is {z}: the search stops once level 1 adds
+    # no conjugate; without that stop it enumerates the radius-14 ball
+    code = main([
+        "witness",
+        corpus_path(corpus_dir, "group_f2_x_z2.json"),
+        "--set", "z", "--length", "3", "--radius", "14", "--json",
+    ])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["gammas"] == ["(1, 1)"]  # the identity of F2 x Z/2
+    assert data["verified"] is False
+    assert data["used_radius"] == 0
+    assert data["search_radius"] == 14
+
+
 def test_cli_explain(corpus_dir, capsys):
     code = main(["explain", corpus_path(corpus_dir, "manifold_trefoil_complement.json")])
     out = capsys.readouterr().out

@@ -193,6 +193,48 @@ def test_fc_early_stop_matches_full_class_balls(name, radius, window, dihedral, 
 # strong_icc_witness
 
 
+def _reference_witness(group, targets, radius):
+    """The full scan: flatten the radius ball, conjugate every element, and
+    keep it when each target's conjugate is new; no early stop.  Returns
+    every kept (payload, word length): the greedy sequence for a given k is
+    its prefix of length k."""
+    ball, lengths = ball_with_lengths(group, radius)
+    seen = [set() for _ in targets]
+    kept = []
+    for w, length in zip(ball, lengths):
+        conjugates = [(w * f * ~w).payload for f in targets]
+        if any(c in s for c, s in zip(conjugates, seen)):
+            continue
+        kept.append((w.payload, length))
+        for c, s in zip(conjugates, seen):
+            s.add(c)
+    return kept
+
+
+def test_witness_scan_matches_full_ball_reference(manifest, corpus_dir):
+    costly = ("group_hnn_icc_base.json", "group_figure_eight_matrix.json")
+    for name, group, words in _enumerable_corpus(manifest, corpus_dir):
+        radius = 4 if name in costly else 5
+        gens = [g for _, g in group.generators()]
+        first, last = gens[0], gens[-1]
+        singles = gens + [first * last, first * ~last] + words[1:]
+        singles = [f for f in singles if not f.is_identity()]
+        sets = [[f] for f in singles]
+        sets += [[f, h] for f, h in zip(singles, singles[1:])]
+        # on the infinite dihedral group (a, b, ab) is a target set whose
+        # third orbit closes at level 2 before every conjugate in it is kept
+        sets.append(singles[:3])
+        for targets in sets:
+            full = _reference_witness(group, targets, radius)
+            for k in (1, 2, 3, 7, 40):
+                result = strong_icc_witness(group, targets, k, radius)
+                prefix = full[:k]
+                case = (name, targets, k)
+                assert [g.payload for g in result.gammas] == [p for p, _ in prefix], case
+                assert result.verified == (len(full) >= k), case
+                assert result.used_radius == prefix[-1][1], case
+
+
 def test_witness_free_group_first_hit(f2):
     x = f2.generator_element("x")
     result = strong_icc_witness(f2, [x], 3, 10)
