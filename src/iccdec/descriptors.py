@@ -2,8 +2,10 @@
 
 Schema version 1.  Top level: {"schema_version": 1, "type": ..., ...} with
 type one of "group", "manifold", "knot", "link".  Unknown fields are
-rejected; all numbers must be exact integers.  Error messages carry the
-JSON path of the offending value.
+rejected; all numbers must be exact integers; null in an optional field
+means the field is absent.  A group descriptor holds at most
+MAX_CONSTRUCTIONS constructions.  Error messages carry the JSON path of the
+offending value.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .groups import (
@@ -49,6 +52,10 @@ from .manifolds import (
 )
 
 SCHEMA_VERSION = 1
+# Nested constructions are parsed recursively, and every FreeProduct of a
+# chain re-derives the generators of the whole chain, so the parse cost
+# grows faster than linearly in this count.
+MAX_CONSTRUCTIONS = 64
 
 
 class DescriptorError(ValueError):
@@ -112,52 +119,94 @@ def format_word(letters: list[Letter]) -> str:
 # ---------------------------------------------------------------------------
 # strict field access
 
+_REQUIRED = object()
+_EXPECTED = {
+    dict: "an object",
+    list: "an array",
+    int: "an exact integer",
+    bool: "a boolean",
+    str: "a string",
+}
 
-def _expect_object(value, path) -> dict:
-    if not isinstance(value, dict):
-        raise DescriptorError(path, f"expected an object, got {type(value).__name__}")
-    return value
+
+def _is(value, kind) -> bool:
+    """isinstance, except that an exact integer is never a boolean."""
+    return type(value) is kind or (kind is not int and isinstance(value, kind))
 
 
-def _expect_list(value, path) -> list:
+def _type_error(path: str, value, kind) -> DescriptorError:
+    got = f", got {type(value).__name__}" if kind is dict or kind is list else ""
+    return DescriptorError(path, f"expected {_EXPECTED[kind]}{got}")
+
+
+def _at(path: str, make, *args):
+    """make(*args), with a model's GroupUsageError reported as a
+    DescriptorError at path.  A call rather than a context manager: entering
+    a with-block costs about ten times a try, and the parser wraps every
+    construction, piece and word."""
+    try:
+        return make(*args)
+    except GroupUsageError as exc:
+        raise DescriptorError(path, str(exc)) from None
+
+
+def _array(value, path: str, shape: tuple, kind):
+    """A nested JSON array, checked level by level from the outside in.
+
+    shape has one entry per level: None for any length, or (length, message)
+    for a fixed length.  The innermost level holds values of kind.
+    """
     if not isinstance(value, list):
-        raise DescriptorError(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path) -> int:
-    if type(value) is not int:
-        raise DescriptorError(path, "expected an exact integer")
-    return value
-
-
-def _expect_bool(value, path) -> bool:
-    if type(value) is not bool:
-        raise DescriptorError(path, "expected a boolean")
-    return value
-
-
-def _expect_str(value, path) -> str:
-    if not isinstance(value, str):
-        raise DescriptorError(path, "expected a string")
+        raise _type_error(path, value, list)
+    if shape[0] is not None and len(value) != shape[0][0]:
+        raise DescriptorError(path, shape[0][1])
+    if len(shape) > 1:
+        for i, item in enumerate(value):
+            _array(item, f"{path}[{i}]", shape[1:], kind)
+    else:
+        for i, x in enumerate(value):
+            if type(x) is not kind and not _is(x, kind):
+                raise _type_error(f"{path}[{i}]", x, kind)
     return value
 
 
 class _Fields:
-    """Tracks consumed keys so unknown fields are rejected."""
+    """One JSON object being read.  Each read names its key and the kind it
+    expects; finish() rejects the keys that no read asked for."""
 
-    def __init__(self, data: dict, path: str):
-        self.data = _expect_object(data, path)
+    __slots__ = ("data", "path", "used")
+
+    def __init__(self, data, path: str):
+        if not isinstance(data, dict):
+            raise _type_error(path, data, dict)
+        self.data = data
         self.path = path
         self.used: set[str] = set()
 
-    def take(self, key: str, required: bool = True):
+    def get(self, key: str, kind=object, default=_REQUIRED):
+        """The value under key, of kind dict, list, int, bool, str, or
+        object for any.  An optional field that is absent or null gives
+        default."""
         self.used.add(key)
-        if key not in self.data:
-            if required:
+        value = self.data.get(key)
+        if value is None:
+            if default is not _REQUIRED:
+                return default
+            if key not in self.data:
                 raise DescriptorError(self.path, f"missing required field {key!r}")
-            return None
-        return self.data[key]
+        if kind is object or type(value) is kind or _is(value, kind):
+            return value
+        raise _type_error(f"{self.path}.{key}", value, kind)
+
+    def nested(self, key: str) -> "_Fields":
+        return _Fields(self.get(key), f"{self.path}.{key}")
+
+    def array(self, key: str, shape: tuple, kind=int, default=_REQUIRED):
+        value = self.get(key, object, default)
+        return value if value is default else _array(value, f"{self.path}.{key}", shape, kind)
+
+    def construction(self, key: str, build: "_GroupBuild") -> StructuredGroup:
+        return _parse_construction(self.get(key), f"{self.path}.{key}", build)
 
     def finish(self):
         unknown = set(self.data) - self.used
@@ -167,6 +216,10 @@ class _Fields:
             )
 
 
+_ROWS = (None, None)
+_LIST = (None,)
+
+
 # ---------------------------------------------------------------------------
 # group constructions
 
@@ -174,16 +227,24 @@ class _Fields:
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-class _NamePool:
+class _GroupBuild:
+    """What the constructions of one group descriptor share: the generator
+    names claimed so far and the number of constructions parsed."""
+
     def __init__(self):
         self.used: set[str] = set()
         self.cursor = 0
+        self.constructions = 0
 
     def claim(self, name: str, path: str) -> str:
         if name in self.used:
             raise DescriptorError(path, f"generator name {name!r} is not unique")
         self.used.add(name)
         return name
+
+    def claim_all(self, group: StructuredGroup, path: str) -> None:
+        for name, _ in group.generator_payloads():
+            self.claim(name, path)
 
     def fresh(self, path: str) -> str:
         while self.cursor < len(_DEFAULT_NAMES):
@@ -195,391 +256,261 @@ class _NamePool:
         raise DescriptorError(path, "ran out of default generator names; name them explicitly")
 
 
-def _parse_table(fields: _Fields, path: str) -> FiniteGroupTable:
-    order = _expect_int(fields.take("order"), f"{path}.order")
-    rows = _expect_list(fields.take("table"), f"{path}.table")
-    table = [
-        [_expect_int(x, f"{path}.table[{i}][{j}]") for j, x in enumerate(_expect_list(row, f"{path}.table[{i}]"))]
-        for i, row in enumerate(rows)
-    ]
+def _parse_table(fields: _Fields) -> FiniteGroupTable:
+    order = fields.get("order", int)
+    table = fields.array("table", _ROWS)
     if len(table) != order:
-        raise DescriptorError(f"{path}.table", f"table must have {order} rows")
-    names_raw = fields.take("names", required=False)
-    names = None
-    if names_raw is not None:
-        names = [_expect_str(n, f"{path}.names[{i}]") for i, n in enumerate(_expect_list(names_raw, f"{path}.names"))]
-    try:
-        return FiniteGroupTable(table, names)
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
+        raise DescriptorError(f"{fields.path}.table", f"table must have {order} rows")
+    names = fields.array("names", _LIST, str, None)
+    return _at(fields.path, FiniteGroupTable, table, names)
 
 
-def _embed_words(group: StructuredGroup, words, path: str) -> list:
+def _embed_words(group: StructuredGroup, fields: _Fields, key: str) -> list:
+    path = f"{fields.path}.{key}"
     payloads = []
-    for i, text in enumerate(_expect_list(words, path)):
-        word = parse_word(_expect_str(text, f"{path}[{i}]"))
-        try:
-            payloads.append(group.reduce_letters(word).payload)
-        except GroupUsageError as exc:
-            raise DescriptorError(f"{path}[{i}]", str(exc)) from None
+    for i, text in enumerate(fields.array(key, _LIST, str)):
+        word = parse_word(text)
+        payloads.append(_at(f"{path}[{i}]", group.reduce_letters, word).payload)
     return payloads
 
 
-def _parse_construction(data, path: str, pool: _NamePool) -> StructuredGroup:
-    fields = _Fields(data, path)
-    keys = [
-        k
-        for k in (
-            "cyclic",
-            "infinite_cyclic",
-            "free_product",
-            "amalgam",
-            "hnn",
-            "semidirect_zn_by_z",
-            "direct_with_finite",
-            "surface_group",
-            "matrix_group_sl2_eisenstein",
-            "figure_eight_matrix_group",
-        )
-        if k in fields.data
+# Each builder reads the fields of one construction and returns its group.
+# The fields of "cyclic" and "free_product" sit beside the construction key;
+# every other construction nests them in an object under its key.
+
+
+def _cyclic(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    order = fields.get("cyclic", int)
+    name = fields.get("name", str, None)
+    name = build.claim(name, f"{path}.name") if name is not None else build.fresh(path)
+    return FiniteCyclic(order, name)
+
+
+def _infinite_cyclic(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    name = body.get("name", str, None)
+    return InfiniteCyclic(build.claim(name, path) if name is not None else build.fresh(path))
+
+
+def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    factors = fields.get("free_product", list)
+    if len(factors) < 2:
+        raise DescriptorError(f"{path}.free_product", "needs at least two factors")
+    groups = [
+        _parse_construction(f, f"{path}.free_product[{i}]", build)
+        for i, f in enumerate(factors)
     ]
+    return reduce(FreeProduct, groups)
+
+
+def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    left = body.construction("left", build)
+    right = body.construction("right", build)
+    edge = body.nested("edge")
+    table = _parse_table(edge)
+    embed_left = _embed_words(left, edge, "embed_left")
+    embed_right = _embed_words(right, edge, "embed_right")
+    edge.finish()
+    return Amalgam(left, right, AmalgamEdge(table, embed_left, embed_right))
+
+
+def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    base = body.construction("base", build)
+    letter = body.get("stable_letter", str, None)
+    if letter is None and "t" not in build.used:
+        letter = "t"
+    letter = build.claim(letter, path) if letter is not None else build.fresh(path)
+    edge = body.nested("edge")
+    edge_kind = edge.get("kind", str)
+    if edge_kind == "cyclic_power":
+        hnn_edge = CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
+    elif edge_kind == "finite":
+        table = _parse_table(edge)
+        hnn_edge = FiniteHnnEdge(
+            table,
+            _embed_words(base, edge, "embed_domain"),
+            _embed_words(base, edge, "embed_range"),
+            edge.array("iso", _LIST, int, None),
+        )
+    else:
+        raise DescriptorError(f"{edge.path}.kind", f"unknown edge kind {edge_kind!r}")
+    edge.finish()
+    return Hnn(base, hnn_edge, stable_letter=letter)
+
+
+def _semidirect(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    group = SemidirectZnByZ(body.get("rank", int), body.array("matrix", _ROWS))
+    build.claim_all(group, path)
+    return group
+
+
+def _direct_with_finite(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    h = body.construction("h", build)
+    f = body.nested("f")
+    table = _parse_table(f)
+    f.finish()
+    for name in table.names[1:]:
+        build.claim(name, path)
+    return DirectWithFinite(h, table)
+
+
+def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    return SurfaceGroup(
+        body.get("genus", int), body.get("orientable", bool), body.get("boundary_components", int)
+    )
+
+
+def _eisenstein(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    shape = (
+        None,
+        (2, "expected 2 rows"),
+        (2, "expected 2 entries"),
+        (2, "expected [a, b] for a + b*w"),
+    )
+    generators = body.array("generators", shape)
+    names = body.array("names", _LIST, str, None)
+    for name in names or ():
+        build.claim(name, path)
+    group = MatrixGroupSL2Eisenstein(generators, names)
+    if names is None:
+        build.claim_all(group, path)
+    return group
+
+
+def _figure_eight(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
+    group = figure8_group()
+    build.claim_all(group, path)
+    return group
+
+
+_CONSTRUCTIONS = {
+    "cyclic": _cyclic,
+    "infinite_cyclic": _infinite_cyclic,
+    "free_product": _free_product,
+    "amalgam": _amalgam,
+    "hnn": _hnn,
+    "semidirect_zn_by_z": _semidirect,
+    "direct_with_finite": _direct_with_finite,
+    "surface_group": _surface,
+    "matrix_group_sl2_eisenstein": _eisenstein,
+    "figure_eight_matrix_group": _figure_eight,
+}
+
+
+def _parse_construction(data, path: str, build: _GroupBuild) -> StructuredGroup:
+    build.constructions += 1
+    if build.constructions > MAX_CONSTRUCTIONS:
+        raise DescriptorError(
+            path, f"more than {MAX_CONSTRUCTIONS} constructions in one descriptor"
+        )
+    fields = _Fields(data, path)
+    keys = [k for k in _CONSTRUCTIONS if k in fields.data]
     if len(keys) != 1:
         raise DescriptorError(
             path, f"expected exactly one construction key, found {keys or sorted(fields.data)}"
         )
     kind = keys[0]
-    try:
-        if kind == "cyclic":
-            order = _expect_int(fields.take("cyclic"), f"{path}.cyclic")
-            name_raw = fields.take("name", required=False)
-            name = (
-                pool.claim(_expect_str(name_raw, f"{path}.name"), f"{path}.name")
-                if name_raw is not None
-                else pool.fresh(path)
-            )
-            fields.finish()
-            return FiniteCyclic(order, name)
-        if kind == "infinite_cyclic":
-            body = _Fields(fields.take("infinite_cyclic"), f"{path}.infinite_cyclic")
-            name_raw = body.take("name", required=False)
-            name = (
-                pool.claim(_expect_str(name_raw, f"{path}.infinite_cyclic.name"), path)
-                if name_raw is not None
-                else pool.fresh(path)
-            )
-            body.finish()
-            fields.finish()
-            return InfiniteCyclic(name)
-        if kind == "free_product":
-            factors_raw = _expect_list(fields.take("free_product"), f"{path}.free_product")
-            fields.finish()
-            if len(factors_raw) < 2:
-                raise DescriptorError(f"{path}.free_product", "needs at least two factors")
-            factors = [
-                _parse_construction(f, f"{path}.free_product[{i}]", pool)
-                for i, f in enumerate(factors_raw)
-            ]
-            acc = factors[0]
-            for factor in factors[1:]:
-                acc = FreeProduct(acc, factor)
-            return acc
-        if kind == "amalgam":
-            body = _Fields(fields.take("amalgam"), f"{path}.amalgam")
-            fields.finish()
-            left = _parse_construction(body.take("left"), f"{path}.amalgam.left", pool)
-            right = _parse_construction(body.take("right"), f"{path}.amalgam.right", pool)
-            edge_fields = _Fields(body.take("edge"), f"{path}.amalgam.edge")
-            table = _parse_table(edge_fields, f"{path}.amalgam.edge")
-            embed_left = _embed_words(
-                left, edge_fields.take("embed_left"), f"{path}.amalgam.edge.embed_left"
-            )
-            embed_right = _embed_words(
-                right, edge_fields.take("embed_right"), f"{path}.amalgam.edge.embed_right"
-            )
-            edge_fields.finish()
-            body.finish()
-            return Amalgam(left, right, AmalgamEdge(table, embed_left, embed_right))
-        if kind == "hnn":
-            body = _Fields(fields.take("hnn"), f"{path}.hnn")
-            fields.finish()
-            base = _parse_construction(body.take("base"), f"{path}.hnn.base", pool)
-            letter_raw = body.take("stable_letter", required=False)
-            letter = (
-                pool.claim(_expect_str(letter_raw, f"{path}.hnn.stable_letter"), path)
-                if letter_raw is not None
-                else ("t" if "t" not in pool.used else pool.fresh(path))
-            )
-            if letter == "t":
-                pool.used.add("t")
-            edge_fields = _Fields(body.take("edge"), f"{path}.hnn.edge")
-            body.finish()
-            edge_kind = _expect_str(edge_fields.take("kind"), f"{path}.hnn.edge.kind")
-            if edge_kind == "cyclic_power":
-                m = _expect_int(edge_fields.take("domain_power"), f"{path}.hnn.edge.domain_power")
-                n = _expect_int(edge_fields.take("range_power"), f"{path}.hnn.edge.range_power")
-                edge_fields.finish()
-                return Hnn(base, CyclicPowerEdge(m, n), stable_letter=letter)
-            if edge_kind == "finite":
-                table = _parse_table(edge_fields, f"{path}.hnn.edge")
-                embed_domain = _embed_words(
-                    base, edge_fields.take("embed_domain"), f"{path}.hnn.edge.embed_domain"
-                )
-                embed_range = _embed_words(
-                    base, edge_fields.take("embed_range"), f"{path}.hnn.edge.embed_range"
-                )
-                iso_raw = edge_fields.take("iso", required=False)
-                iso = None
-                if iso_raw is not None:
-                    iso = [
-                        _expect_int(x, f"{path}.hnn.edge.iso[{i}]")
-                        for i, x in enumerate(_expect_list(iso_raw, f"{path}.hnn.edge.iso"))
-                    ]
-                edge_fields.finish()
-                return Hnn(base, FiniteHnnEdge(table, embed_domain, embed_range, iso), stable_letter=letter)
-            raise DescriptorError(f"{path}.hnn.edge.kind", f"unknown edge kind {edge_kind!r}")
-        if kind == "semidirect_zn_by_z":
-            body = _Fields(fields.take("semidirect_zn_by_z"), f"{path}.semidirect_zn_by_z")
-            fields.finish()
-            rank = _expect_int(body.take("rank"), f"{path}.semidirect_zn_by_z.rank")
-            rows = _expect_list(body.take("matrix"), f"{path}.semidirect_zn_by_z.matrix")
-            matrix = [
-                [_expect_int(x, f"{path}.semidirect_zn_by_z.matrix[{i}][{j}]") for j, x in enumerate(_expect_list(row, f"{path}.semidirect_zn_by_z.matrix[{i}]"))]
-                for i, row in enumerate(rows)
-            ]
-            body.finish()
-            group = SemidirectZnByZ(rank, matrix)
-            for name, _ in group.generator_payloads():
-                pool.claim(name, path)
-            return group
-        if kind == "direct_with_finite":
-            body = _Fields(fields.take("direct_with_finite"), f"{path}.direct_with_finite")
-            fields.finish()
-            h = _parse_construction(body.take("h"), f"{path}.direct_with_finite.h", pool)
-            f_fields = _Fields(body.take("f"), f"{path}.direct_with_finite.f")
-            table = _parse_table(f_fields, f"{path}.direct_with_finite.f")
-            f_fields.finish()
-            body.finish()
-            for name in table.names[1:]:
-                pool.claim(name, path)
-            return DirectWithFinite(h, table)
-        if kind == "surface_group":
-            body = _Fields(fields.take("surface_group"), f"{path}.surface_group")
-            fields.finish()
-            genus = _expect_int(body.take("genus"), f"{path}.surface_group.genus")
-            orientable = _expect_bool(body.take("orientable"), f"{path}.surface_group.orientable")
-            boundary = _expect_int(
-                body.take("boundary_components"), f"{path}.surface_group.boundary_components"
-            )
-            body.finish()
-            return SurfaceGroup(genus, orientable, boundary)
-        if kind == "figure_eight_matrix_group":
-            body = _Fields(fields.take("figure_eight_matrix_group"), f"{path}.figure_eight_matrix_group")
-            body.finish()
-            fields.finish()
-            group = figure8_group()
-            for name in group.gen_names:
-                pool.claim(name, path)
-            return group
-        body = _Fields(
-            fields.take("matrix_group_sl2_eisenstein"), f"{path}.matrix_group_sl2_eisenstein"
-        )
+    body = fields if kind in ("cyclic", "free_product") else fields.nested(kind)
+    group = _at(path, _CONSTRUCTIONS[kind], body, path, build)
+    body.finish()
+    if body is not fields:
         fields.finish()
-        gens_raw = _expect_list(
-            body.take("generators"), f"{path}.matrix_group_sl2_eisenstein.generators"
-        )
-        generators = []
-        for gi, mat in enumerate(gens_raw):
-            mat_path = f"{path}.matrix_group_sl2_eisenstein.generators[{gi}]"
-            rows = _expect_list(mat, mat_path)
-            if len(rows) != 2:
-                raise DescriptorError(mat_path, "expected 2 rows")
-            parsed_rows = []
-            for ri, row in enumerate(rows):
-                cells = _expect_list(row, f"{mat_path}[{ri}]")
-                if len(cells) != 2:
-                    raise DescriptorError(f"{mat_path}[{ri}]", "expected 2 entries")
-                parsed_cells = []
-                for ci, cell in enumerate(cells):
-                    pair = _expect_list(cell, f"{mat_path}[{ri}][{ci}]")
-                    if len(pair) != 2:
-                        raise DescriptorError(
-                            f"{mat_path}[{ri}][{ci}]", "expected [a, b] for a + b*w"
-                        )
-                    parsed_cells.append(
-                        (
-                            _expect_int(pair[0], f"{mat_path}[{ri}][{ci}][0]"),
-                            _expect_int(pair[1], f"{mat_path}[{ri}][{ci}][1]"),
-                        )
-                    )
-                parsed_rows.append(tuple(parsed_cells))
-            generators.append(tuple(parsed_rows))
-        names_raw = body.take("names", required=False)
-        names = None
-        if names_raw is not None:
-            names = [
-                pool.claim(_expect_str(n, f"{path}.names[{i}]"), path)
-                for i, n in enumerate(_expect_list(names_raw, f"{path}.names"))
-            ]
-        body.finish()
-        group = MatrixGroupSL2Eisenstein(generators, names)
-        if names is None:
-            for name in group.gen_names:
-                pool.claim(name, path)
-        return group
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
+    return group
+
 
 # ---------------------------------------------------------------------------
 # manifold / knot / link parsing
 
+_PI1_FLAGS = ("normal_cyclic_infinite_subgroup", "contains_nonstandard_p2xi", "seifert_mod_p")
 
-def _parse_order(value, path) -> float:
-    if value == "infinite":
-        return INFINITE
-    return _expect_int(value, path)
+
+def _seifert(fields: _Fields) -> PrimePiece:
+    return SeifertPiece(
+        SeifertInvariants(
+            fields.get("base_genus", int),
+            fields.get("base_orientable", bool),
+            fields.get("boundary_components", int),
+            fields.array("exceptional_fibers", (None, (2, "expected [alpha, beta]")), int, ()),
+            fields.get("euler_obstruction", int, None),
+        )
+    )
+
+
+def _other_irreducible(fields: _Fields) -> PrimePiece:
+    order = INFINITE if fields.get("pi1_order") == "infinite" else fields.get("pi1_order", int)
+    return OtherIrreduciblePiece(order, *(fields.get(key, bool, None) for key in _PI1_FLAGS))
+
+
+_PIECES = {
+    "seifert": _seifert,
+    "hyperbolic": lambda fields: HyperbolicPiece(fields.get("finite_volume", bool, True)),
+    "torus_bundle": lambda fields: TorusBundlePiece(fields.array("monodromy", _ROWS)),
+    "sphere_bundle": lambda fields: SphereBundlePiece(fields.get("orientable_bundle", bool)),
+    "homotopy_sphere": lambda fields: HomotopySpherePiece(),
+    "other_irreducible": _other_irreducible,
+}
 
 
 def _parse_piece(data, path: str) -> PrimePiece:
     fields = _Fields(data, path)
-    kind = _expect_str(fields.take("kind"), f"{path}.kind")
-    try:
-        if kind == "seifert":
-            genus = _expect_int(fields.take("base_genus"), f"{path}.base_genus")
-            orientable = _expect_bool(fields.take("base_orientable"), f"{path}.base_orientable")
-            boundary = _expect_int(fields.take("boundary_components"), f"{path}.boundary_components")
-            fibers_raw = fields.take("exceptional_fibers", required=False) or []
-            fibers = []
-            for i, pair in enumerate(_expect_list(fibers_raw, f"{path}.exceptional_fibers")):
-                entries = _expect_list(pair, f"{path}.exceptional_fibers[{i}]")
-                if len(entries) != 2:
-                    raise DescriptorError(
-                        f"{path}.exceptional_fibers[{i}]", "expected [alpha, beta]"
-                    )
-                fibers.append(
-                    (
-                        _expect_int(entries[0], f"{path}.exceptional_fibers[{i}][0]"),
-                        _expect_int(entries[1], f"{path}.exceptional_fibers[{i}][1]"),
-                    )
-                )
-            euler_raw = fields.take("euler_obstruction", required=False)
-            euler = _expect_int(euler_raw, f"{path}.euler_obstruction") if euler_raw is not None else None
-            fields.finish()
-            return SeifertPiece(
-                SeifertInvariants(genus, orientable, boundary, tuple(fibers), euler)
-            )
-        if kind == "hyperbolic":
-            fv_raw = fields.take("finite_volume", required=False)
-            fv = _expect_bool(fv_raw, f"{path}.finite_volume") if fv_raw is not None else True
-            fields.finish()
-            return HyperbolicPiece(fv)
-        if kind == "torus_bundle":
-            rows = _expect_list(fields.take("monodromy"), f"{path}.monodromy")
-            matrix = tuple(
-                tuple(_expect_int(x, f"{path}.monodromy[{i}][{j}]") for j, x in enumerate(_expect_list(row, f"{path}.monodromy[{i}]")))
-                for i, row in enumerate(rows)
-            )
-            fields.finish()
-            return TorusBundlePiece(matrix)
-        if kind == "sphere_bundle":
-            orientable = _expect_bool(fields.take("orientable_bundle"), f"{path}.orientable_bundle")
-            fields.finish()
-            return SphereBundlePiece(orientable)
-        if kind == "homotopy_sphere":
-            fields.finish()
-            return HomotopySpherePiece()
-        if kind == "other_irreducible":
-            order = _parse_order(fields.take("pi1_order"), f"{path}.pi1_order")
-            flags = {}
-            for key in (
-                "normal_cyclic_infinite_subgroup",
-                "contains_nonstandard_p2xi",
-                "seifert_mod_p",
-            ):
-                raw = fields.take(key, required=False)
-                flags[key] = _expect_bool(raw, f"{path}.{key}") if raw is not None else None
-            fields.finish()
-            return OtherIrreduciblePiece(order, **flags)
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
-    raise DescriptorError(f"{path}.kind", f"unknown piece kind {kind!r}")
+    kind = fields.get("kind", str)
+    parse = _PIECES.get(kind)
+    if parse is None:
+        raise DescriptorError(f"{path}.kind", f"unknown piece kind {kind!r}")
+    piece = _at(path, parse, fields)
+    fields.finish()
+    return piece
 
 
-def _parse_manifold(fields: _Fields, path: str) -> ManifoldDescriptor:
-    orientable = _expect_bool(fields.take("orientable"), f"{path}.orientable")
-    pieces_raw = _expect_list(fields.take("pieces"), f"{path}.pieces")
+def _parse_manifold(fields: _Fields) -> ManifoldDescriptor:
+    orientable = fields.get("orientable", bool)
     pieces = tuple(
-        _parse_piece(p, f"{path}.pieces[{i}]") for i, p in enumerate(pieces_raw)
+        _parse_piece(p, f"{fields.path}.pieces[{i}]")
+        for i, p in enumerate(fields.get("pieces", list))
     )
-    capped_raw = fields.take("boundary_spheres_capped", required=False)
-    capped = (
-        _expect_bool(capped_raw, f"{path}.boundary_spheres_capped")
-        if capped_raw is not None
-        else False
-    )
-    try:
-        return ManifoldDescriptor(orientable, pieces, capped)
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
+    capped = fields.get("boundary_spheres_capped", bool, False)
+    return ManifoldDescriptor(orientable, pieces, capped)
 
 
-def _parse_knot(fields: _Fields, path: str) -> KnotDescriptor:
-    try:
-        if "torus" in fields.data:
-            pair = _expect_list(fields.take("torus"), f"{path}.torus")
-            if len(pair) != 2:
-                raise DescriptorError(f"{path}.torus", "expected [p, q]")
-            return TorusKnot(
-                _expect_int(pair[0], f"{path}.torus[0]"),
-                _expect_int(pair[1], f"{path}.torus[1]"),
-            )
-        if "hyperbolic" in fields.data:
-            if _expect_bool(fields.take("hyperbolic"), f"{path}.hyperbolic") is not True:
-                raise DescriptorError(f"{path}.hyperbolic", "must be true when present")
-            return HyperbolicKnot()
-        if "other" in fields.data:
-            body = _Fields(fields.take("other"), f"{path}.other")
-            is_torus = _expect_bool(body.take("is_torus"), f"{path}.other.is_torus")
-            body.finish()
-            return OtherKnot(is_torus)
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
-    raise DescriptorError(path, "knot needs one of: torus, hyperbolic, other")
+def _parse_knot(fields: _Fields) -> KnotDescriptor:
+    if "torus" in fields.data:
+        return TorusKnot(*fields.array("torus", ((2, "expected [p, q]"),)))
+    if "hyperbolic" in fields.data:
+        if not fields.get("hyperbolic", bool):
+            raise DescriptorError(f"{fields.path}.hyperbolic", "must be true when present")
+        return HyperbolicKnot()
+    if "other" in fields.data:
+        body = fields.nested("other")
+        knot = OtherKnot(body.get("is_torus", bool))
+        body.finish()
+        return knot
+    raise DescriptorError(fields.path, "knot needs one of: torus, hyperbolic, other")
 
 
-def _parse_link(fields: _Fields, path: str) -> LinkDescriptor:
-    components = _expect_int(fields.take("components"), f"{path}.components")
-    flag_raw = fields.take("is_seifert_fiber_union", required=False)
-    flag = _expect_bool(flag_raw, f"{path}.is_seifert_fiber_union") if flag_raw is not None else None
-    try:
-        return LinkDescriptor(components, flag)
-    except GroupUsageError as exc:
-        raise DescriptorError(path, str(exc)) from None
+def _parse_link(fields: _Fields) -> LinkDescriptor:
+    components = fields.get("components", int)
+    return LinkDescriptor(components, fields.get("is_seifert_fiber_union", bool, None))
+
+
+_TOP_LEVEL = {"manifold": _parse_manifold, "knot": _parse_knot, "link": _parse_link}
 
 
 def parse_descriptor_data(data) -> Descriptor:
     fields = _Fields(data, "$")
-    version = _expect_int(fields.take("schema_version"), "$.schema_version")
+    version = fields.get("schema_version", int)
     if version != SCHEMA_VERSION:
         raise DescriptorError("$.schema_version", f"unsupported schema version {version}")
-    kind = _expect_str(fields.take("type"), "$.type")
+    kind = fields.get("type", str)
     if kind == "group":
-        construction = fields.take("construction")
+        construction = fields.get("construction")
         fields.finish()
-        group = _parse_construction(construction, "$.construction", _NamePool())
-        return Descriptor(kind="group", group=group)
-    if kind == "manifold":
-        manifold = _parse_manifold(fields, "$")
-        fields.finish()
-        return Descriptor(kind="manifold", manifold=manifold)
-    if kind == "knot":
-        knot = _parse_knot(fields, "$")
-        fields.finish()
-        return Descriptor(kind="knot", knot=knot)
-    if kind == "link":
-        link = _parse_link(fields, "$")
-        fields.finish()
-        return Descriptor(kind="link", link=link)
-    raise DescriptorError("$.type", f"unknown descriptor type {kind!r}")
+        group = _parse_construction(construction, "$.construction", _GroupBuild())
+        return Descriptor(kind, group=group)
+    parse = _TOP_LEVEL.get(kind)
+    if parse is None:
+        raise DescriptorError("$.type", f"unknown descriptor type {kind!r}")
+    value = _at("$", parse, fields)
+    fields.finish()
+    return Descriptor(kind, **{kind: value})
 
 
 def load_descriptor(path: str) -> Descriptor:
@@ -590,11 +521,25 @@ def load_descriptor(path: str) -> Descriptor:
             raise DescriptorError(
                 f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise DescriptorError(path, "invalid JSON: nested too deeply") from None
     return parse_descriptor_data(data)
 
 
 # ---------------------------------------------------------------------------
 # serialization (model -> schema-valid document)
+
+
+def _table_data(table: FiniteGroupTable) -> dict:
+    return {
+        "order": table.size,
+        "table": [list(row) for row in table.table],
+        "names": list(table.names),
+    }
+
+
+def _words_data(group: StructuredGroup, payloads) -> list[str]:
+    return [format_word(group.render_payload(p)) for p in payloads]
 
 
 def construction_to_data(group: StructuredGroup):
@@ -603,50 +548,31 @@ def construction_to_data(group: StructuredGroup):
     if isinstance(group, InfiniteCyclic):
         return {"infinite_cyclic": {"name": group.gen_name}}
     if isinstance(group, FreeProduct):
-        return {
-            "free_product": [construction_to_data(f) for f in group.factors]
-        }
+        return {"free_product": [construction_to_data(f) for f in group.factors]}
     if isinstance(group, Amalgam):
-        table = group.edge.table
+        left, right = group.factors
+        edge = group.edge
         return {
             "amalgam": {
-                "left": construction_to_data(group.factors[0]),
-                "right": construction_to_data(group.factors[1]),
+                "left": construction_to_data(left),
+                "right": construction_to_data(right),
                 "edge": {
-                    "order": table.size,
-                    "table": [list(row) for row in table.table],
-                    "names": list(table.names),
-                    "embed_left": [
-                        format_word(group.factors[0].render_payload(p))
-                        for p in group.edge.embeds[0]
-                    ],
-                    "embed_right": [
-                        format_word(group.factors[1].render_payload(p))
-                        for p in group.edge.embeds[1]
-                    ],
+                    **_table_data(edge.table),
+                    "embed_left": _words_data(left, edge.embeds[0]),
+                    "embed_right": _words_data(right, edge.embeds[1]),
                 },
             }
         }
     if isinstance(group, Hnn):
         edge = group.edge
         if isinstance(edge, CyclicPowerEdge):
-            edge_data = {
-                "kind": "cyclic_power",
-                "domain_power": edge.m,
-                "range_power": edge.n,
-            }
+            edge_data = {"kind": "cyclic_power", "domain_power": edge.m, "range_power": edge.n}
         else:
             edge_data = {
                 "kind": "finite",
-                "order": edge.table.size,
-                "table": [list(row) for row in edge.table.table],
-                "names": list(edge.table.names),
-                "embed_domain": [
-                    format_word(group.base.render_payload(p)) for p in edge.embed_domain
-                ],
-                "embed_range": [
-                    format_word(group.base.render_payload(p)) for p in edge.embed_range
-                ],
+                **_table_data(edge.table),
+                "embed_domain": _words_data(group.base, edge.embed_domain),
+                "embed_range": _words_data(group.base, edge.embed_range),
                 "iso": list(edge.iso),
             }
         return {
@@ -658,21 +584,11 @@ def construction_to_data(group: StructuredGroup):
         }
     if isinstance(group, SemidirectZnByZ):
         return {
-            "semidirect_zn_by_z": {
-                "rank": group.rank,
-                "matrix": [list(row) for row in group.phi],
-            }
+            "semidirect_zn_by_z": {"rank": group.rank, "matrix": [list(row) for row in group.phi]}
         }
     if isinstance(group, DirectWithFinite):
         return {
-            "direct_with_finite": {
-                "h": construction_to_data(group.h),
-                "f": {
-                    "order": group.f.size,
-                    "table": [list(row) for row in group.f.table],
-                    "names": list(group.f.names),
-                },
-            }
+            "direct_with_finite": {"h": construction_to_data(group.h), "f": _table_data(group.f)}
         }
     if isinstance(group, SurfaceGroup):
         return {
@@ -723,7 +639,7 @@ def piece_to_data(piece: PrimePiece):
         "kind": "other_irreducible",
         "pi1_order": "infinite" if piece.pi1_order == INFINITE else piece.pi1_order,
     }
-    for key in ("normal_cyclic_infinite_subgroup", "contains_nonstandard_p2xi", "seifert_mod_p"):
+    for key in _PI1_FLAGS:
         value = getattr(piece, key)
         if value is not None:
             data[key] = value
@@ -731,34 +647,25 @@ def piece_to_data(piece: PrimePiece):
 
 
 def descriptor_to_data(descriptor: Descriptor) -> dict:
+    data = {"schema_version": SCHEMA_VERSION, "type": descriptor.kind}
     if descriptor.kind == "group":
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "group",
-            "construction": construction_to_data(descriptor.group),
-        }
-    if descriptor.kind == "manifold":
+        data["construction"] = construction_to_data(descriptor.group)
+    elif descriptor.kind == "manifold":
         m = descriptor.manifold
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "manifold",
-            "orientable": m.orientable,
-            "pieces": [piece_to_data(p) for p in m.pieces],
-            "boundary_spheres_capped": m.boundary_spheres_capped,
-        }
-    if descriptor.kind == "knot":
+        data["orientable"] = m.orientable
+        data["pieces"] = [piece_to_data(p) for p in m.pieces]
+        data["boundary_spheres_capped"] = m.boundary_spheres_capped
+    elif descriptor.kind == "knot":
         knot = descriptor.knot
         if isinstance(knot, TorusKnot):
-            return {"schema_version": SCHEMA_VERSION, "type": "knot", "torus": [knot.p, knot.q]}
-        if isinstance(knot, HyperbolicKnot):
-            return {"schema_version": SCHEMA_VERSION, "type": "knot", "hyperbolic": True}
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "knot",
-            "other": {"is_torus": knot.is_torus},
-        }
-    link = descriptor.link
-    data = {"schema_version": SCHEMA_VERSION, "type": "link", "components": link.components}
-    if link.is_seifert_fiber_union is not None:
-        data["is_seifert_fiber_union"] = link.is_seifert_fiber_union
+            data["torus"] = [knot.p, knot.q]
+        elif isinstance(knot, HyperbolicKnot):
+            data["hyperbolic"] = True
+        else:
+            data["other"] = {"is_torus": knot.is_torus}
+    else:
+        link = descriptor.link
+        data["components"] = link.components
+        if link.is_seifert_fiber_union is not None:
+            data["is_seifert_fiber_union"] = link.is_seifert_fiber_union
     return data

@@ -15,6 +15,7 @@ from .base import (
     GroupElement,
     GroupUsageError,
     StructuredGroup,
+    least_coset_rep,
     unique_names,
 )
 
@@ -77,32 +78,12 @@ class Amalgam(StructuredGroup):
     def identity_payload(self):
         return ((), 0)
 
-    def edge_order(self) -> int:
-        return self.edge.table.size
-
     def factor_index(self, side: int) -> float:
         """[G_side : E], or INFINITE."""
         total = self.factors[side].order()
         if total == INFINITE:
             return INFINITE
         return total // self.edge.table.size
-
-    def _coset_rep(self, side: int, payload):
-        """Canonical representative of payload*E and the residual edge index."""
-        factor = self.factors[side]
-        best = None
-        best_idx = None
-        for idx, image in enumerate(self.edge.embeds[side]):
-            candidate = factor.multiply_payloads(payload, image)
-            key = factor.payload_key(candidate)
-            if best is None or key < best[0]:
-                best = (key, candidate)
-                best_idx = idx
-        rep = best[1]
-        # payload = rep * e  with  e = (payload*e_idx) solved back out:
-        # rep = payload * images[best_idx]  =>  payload = rep * images[best_idx]^-1
-        residual = self.edge.table.inv(best_idx)
-        return rep, residual
 
     def _absorb(self, stack: list, edge_idx: int, side: int, payload) -> int:
         """Multiply the normal form (stack, edge_idx) by a factor element."""
@@ -114,9 +95,10 @@ class Amalgam(StructuredGroup):
         if stack and stack[-1][0] == side:
             _, prev = stack.pop()
             return self._absorb(stack, 0, side, factor.multiply_payloads(prev, current))
-        rep, residual = self._coset_rep(side, current)
+        rep, idx = least_coset_rep(factor, current, self.edge.embeds[side])
         stack.append((side, rep))
-        return residual
+        # rep = current * images[idx], so current = rep * images[idx]^-1
+        return self.edge.table.inv(idx)
 
     def multiply_payloads(self, a, b):
         syllables_a, edge_a = a

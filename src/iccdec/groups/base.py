@@ -379,6 +379,21 @@ def cyclic_table(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroupTa
     return FiniteGroupTable(table, names)
 
 
+def least_coset_rep(group: StructuredGroup, payload, images: Sequence) -> tuple[Any, int]:
+    """The canonical representative of the coset payload*E, where images
+    lists the payloads of the finite subgroup E: the coset member
+    payload*images[i] with the least payload key, returned with its index i."""
+    multiply = group.multiply_payloads
+    key = group.payload_key
+    best = best_key = best_idx = None
+    for idx, image in enumerate(images):
+        candidate = multiply(payload, image)
+        candidate_key = key(candidate)
+        if best_idx is None or candidate_key < best_key:
+            best, best_key, best_idx = candidate, candidate_key, idx
+    return best, best_idx
+
+
 def unique_names(groups_names: Iterable[Iterable[str]]) -> None:
     seen: set[str] = set()
     for names in groups_names:

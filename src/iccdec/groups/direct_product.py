@@ -33,11 +33,6 @@ class DirectWithFinite(StructuredGroup):
     def invert_payload(self, a):
         return (self.h.invert_payload(a[0]), self.f.inv(a[1]))
 
-    def embed_h(self, g: GroupElement) -> GroupElement:
-        if g.group != self.h:
-            raise GroupUsageError("element does not belong to the infinite factor")
-        return self.element((g.payload, 0))
-
     def finite_element(self, index: int) -> GroupElement:
         if not (0 <= index < self.f.size):
             raise GroupUsageError("finite factor index out of range")

@@ -23,6 +23,7 @@ from .base import (
     GroupElement,
     GroupUsageError,
     StructuredGroup,
+    least_coset_rep,
     unique_names,
 )
 from .cyclic import InfiniteCyclic
@@ -122,16 +123,8 @@ class FiniteHnnEdge(HnnEdge):
         return self.embed_domain[self.iso_inv[self._range_lookup[payload]]]
 
     def _rep(self, base, payload, images):
-        best = None
-        best_idx = None
-        for idx, image in enumerate(images):
-            candidate = base.multiply_payloads(payload, image)
-            key = base.payload_key(candidate)
-            if best is None or key < best[0]:
-                best = (key, candidate)
-                best_idx = idx
-        residual_idx = self.table.inv(best_idx)
-        return best[1], images[residual_idx]
+        rep, idx = least_coset_rep(base, payload, images)
+        return rep, images[self.table.inv(idx)]
 
     def domain_rep(self, base, payload):
         return self._rep(base, payload, self.embed_domain)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .groups import (
     INFINITE,
@@ -537,9 +538,17 @@ def piece_group_info(piece: PrimePiece, orientable_manifold: bool, suffix: str =
     return PieceGroupInfo(cls, True, None, None, "flagged irreducible piece")
 
 
-def _drop_trivial(pieces: Sequence[PrimePiece], infos: Sequence[PieceGroupInfo]):
-    kept = [(p, i) for p, i in zip(pieces, infos) if i.order_class != 1]
-    return kept
+def _kept_pieces(
+    m: ManifoldDescriptor, orientable: bool
+) -> list[tuple[PrimePiece, PieceGroupInfo]]:
+    """The pieces of the Poincare variety whose groups are nontrivial, each
+    with its group information."""
+    pieces = poincare_variety(m).pieces
+    multi = len(pieces) > 1
+    infos = [
+        piece_group_info(p, orientable, f"_{i}" if multi else "") for i, p in enumerate(pieces)
+    ]
+    return [(p, info) for p, info in zip(pieces, infos) if info.order_class != 1]
 
 
 def _multi_piece_verdict(kept) -> Verdict:
@@ -572,7 +581,8 @@ def _multi_piece_verdict(kept) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# the orientable decision
+# the manifold decision: Theorem 13 (orientable), Theorem 19 / Prop 18
+# (non-orientable)
 
 
 def _seifert_piece_verdict(sg: SeifertGroupResult, orientable_manifold: bool) -> Verdict:
@@ -608,159 +618,13 @@ def _seifert_piece_verdict(sg: SeifertGroupResult, orientable_manifold: bool) ->
     return not_icc(witness, *reasons)
 
 
-def decide_icc_orientable(m: ManifoldDescriptor) -> Verdict:
-    """Theorem 13 over the descriptor's decomposition tree."""
-    if not m.orientable:
-        raise GroupUsageError("decide_icc_orientable requires an orientable descriptor")
-    normalized = poincare_variety(m)
-    infos = [piece_group_info(p, True, f"_{i}" if len(normalized.pieces) > 1 else "")
-             for i, p in enumerate(normalized.pieces)]
-    kept = _drop_trivial(normalized.pieces, infos)
-    if not kept:
-        return not_icc(
-            FINITE_GROUP_WITNESS,
-            Citation("Theorem 13", "the Poincare variety has trivial group"),
-            Citation("ICC definition"),
-        )
-    if len(kept) > 1:
-        return _multi_piece_verdict(kept)
-    piece, info = kept[0]
-    if isinstance(piece, SeifertPiece):
-        return _seifert_piece_verdict(seifert_group(piece.invariants), True)
-    if isinstance(piece, HyperbolicPiece):
-        if piece.finite_volume:
-            return icc(Citation("Prop 21", "orientable hyperbolic, finite volume"))
-        return unknown(
-            Citation("Outside scope", "infinite-volume hyperbolic pieces are not covered")
-        )
-    if isinstance(piece, TorusBundlePiece):
-        if int_mat_det(piece.monodromy) != 1:
-            raise GroupUsageError(
-                "an orientable manifold cannot carry a determinant -1 torus bundle piece"
-            )
-        return icc_torus_bundle(piece.monodromy)
-    if isinstance(piece, SphereBundlePiece):
-        if not piece.orientable_bundle:
-            raise GroupUsageError(
-                "an orientable manifold cannot contain the twisted sphere bundle"
-            )
-        generator = info.distinguished
-        return not_icc(
-            Witness(
-                description=f"generator {generator!r} of the infinite cyclic group",
-                element=generator,
-                kind="element",
-            ),
-            Citation("Abelian infinite", "the group of the sphere bundle is Z"),
-        )
-    assert isinstance(piece, OtherIrreduciblePiece)
+def _other_irreducible_verdict(piece: OtherIrreduciblePiece, orientable: bool) -> Verdict:
     if piece.pi1_order != INFINITE:
         return not_icc(
             FINITE_GROUP_WITNESS,
             Citation("ICC definition", f"finite group of order {piece.pi1_order}"),
         )
-    if piece.normal_cyclic_infinite_subgroup is True:
-        return not_icc(
-            Witness(
-                description="generator z of the infinite cyclic normal subgroup "
-                "(conjugacy class within {z, z^-1})"
-            ),
-            Citation("Seifert fibration conjecture"),
-            Citation("Prop 2"),
-        )
-    if piece.normal_cyclic_infinite_subgroup is False:
-        return icc(
-            Citation(
-                "Theorem 12",
-                "irreducible, infinite group, no infinite cyclic normal subgroup: "
-                "not a Seifert manifold, so the group is ICC",
-            )
-        )
-    return unknown(
-        Citation("Hypotheses not met", "no normal-cyclic-subgroup flag on the piece")
-    )
-
-
-# ---------------------------------------------------------------------------
-# the non-orientable decision
-
-
-def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
-    """Theorem 19 / Prop 18 over the descriptor, with the refusals the
-    hypotheses require (nonstandard P2 x I blocks, infinite dihedral group)."""
-    if m.orientable:
-        raise GroupUsageError("decide_icc_nonorientable requires a non-orientable descriptor")
-    normalized = poincare_variety(m)
-    for piece in normalized.pieces:
-        if isinstance(piece, OtherIrreduciblePiece):
-            if piece.contains_nonstandard_p2xi is not False:
-                return unknown(
-                    Citation(
-                        "Hypotheses not met",
-                        "a piece may contain a nonstandard P2 x I; outside the "
-                        "hypotheses of the non-orientable classification",
-                    )
-                )
-    infos = [piece_group_info(p, False, f"_{i}" if len(normalized.pieces) > 1 else "")
-             for i, p in enumerate(normalized.pieces)]
-    kept = _drop_trivial(normalized.pieces, infos)
-    if not kept:
-        return not_icc(
-            FINITE_GROUP_WITNESS,
-            Citation("Theorem 19", "the Poincare variety has trivial group"),
-            Citation("ICC definition"),
-        )
-    if len(kept) == 2 and [i.order_class for _, i in kept] == [2, 2]:
-        return unknown(
-            Citation(
-                "Hypotheses not met",
-                "the group is infinite dihedral, excluded by the hypotheses of "
-                "the non-orientable classification",
-            )
-        )
-    if len(kept) > 1:
-        return _multi_piece_verdict(kept)
-    piece, info = kept[0]
-    if isinstance(piece, SeifertPiece):
-        return _seifert_piece_verdict(seifert_group(piece.invariants), False)
-    if isinstance(piece, HyperbolicPiece):
-        if piece.finite_volume:
-            # orientation double cover is orientable hyperbolic of finite
-            # volume; hyperbolic manifold groups are torsion-free
-            return icc(
-                Citation("Prop 21", "the orientation double cover's group is ICC"),
-                Citation("Lemma 5", "the group is torsion-free with an ICC finite-index subgroup"),
-            )
-        return unknown(
-            Citation("Outside scope", "infinite-volume hyperbolic pieces are not covered")
-        )
-    if isinstance(piece, TorusBundlePiece):
-        if int_mat_det(piece.monodromy) != 1:
-            return unknown(
-                Citation(
-                    "Outside scope",
-                    "torus bundles with determinant -1 monodromy are outside the "
-                    "orientable-bundle trichotomy",
-                )
-            )
-        return icc_torus_bundle(piece.monodromy)
-    if isinstance(piece, SphereBundlePiece):
-        generator = info.distinguished
-        return not_icc(
-            Witness(
-                description=f"generator {generator!r} of the infinite cyclic group",
-                element=generator,
-                kind="element",
-            ),
-            Citation("Abelian infinite", "the group of the sphere bundle is Z"),
-        )
-    assert isinstance(piece, OtherIrreduciblePiece)
-    if piece.pi1_order != INFINITE:
-        return not_icc(
-            FINITE_GROUP_WITNESS,
-            Citation("ICC definition", f"finite group of order {piece.pi1_order}"),
-        )
-    if piece.seifert_mod_p is True:
+    if not orientable and piece.seifert_mod_p is True:
         return not_icc(
             Witness(
                 description="generator z of the nontrivial cyclic normal subgroup "
@@ -770,7 +634,7 @@ def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
             Citation("Theorem 15", "Seifert modulo P"),
             Citation("Prop 2"),
         )
-    if piece.seifert_mod_p is False:
+    if not orientable and piece.seifert_mod_p is False:
         return icc(
             Citation(
                 "Prop 18",
@@ -784,12 +648,123 @@ def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
                 description="generator z of the infinite cyclic normal subgroup "
                 "(conjugacy class within {z, z^-1})"
             ),
-            Citation("Theorem 19", "property (ii) holds"),
+            Citation("Seifert fibration conjecture")
+            if orientable
+            else Citation("Theorem 19", "property (ii) holds"),
             Citation("Prop 2"),
         )
+    if not orientable:
+        return unknown(Citation("Hypotheses not met", "no Seifert-modulo-P flag on the piece"))
+    if piece.normal_cyclic_infinite_subgroup is False:
+        return icc(
+            Citation(
+                "Theorem 12",
+                "irreducible, infinite group, no infinite cyclic normal subgroup: "
+                "not a Seifert manifold, so the group is ICC",
+            )
+        )
     return unknown(
-        Citation("Hypotheses not met", "no Seifert-modulo-P flag on the piece")
+        Citation("Hypotheses not met", "no normal-cyclic-subgroup flag on the piece")
     )
+
+
+def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
+    """One procedure for both orientations; the orientation selects the
+    citations and the refusals the non-orientable hypotheses require
+    (nonstandard P2 x I blocks, infinite dihedral group)."""
+    orientable = m.orientable
+    if not orientable and any(
+        isinstance(p, OtherIrreduciblePiece) and p.contains_nonstandard_p2xi is not False
+        for p in m.pieces
+    ):
+        return unknown(
+            Citation(
+                "Hypotheses not met",
+                "a piece may contain a nonstandard P2 x I; outside the "
+                "hypotheses of the non-orientable classification",
+            )
+        )
+    kept = _kept_pieces(m, orientable)
+    if not kept:
+        return not_icc(
+            FINITE_GROUP_WITNESS,
+            Citation(
+                "Theorem 13" if orientable else "Theorem 19",
+                "the Poincare variety has trivial group",
+            ),
+            Citation("ICC definition"),
+        )
+    if not orientable and [info.order_class for _, info in kept] == [2, 2]:
+        return unknown(
+            Citation(
+                "Hypotheses not met",
+                "the group is infinite dihedral, excluded by the hypotheses of "
+                "the non-orientable classification",
+            )
+        )
+    if len(kept) > 1:
+        return _multi_piece_verdict(kept)
+    piece, info = kept[0]
+    if isinstance(piece, SeifertPiece):
+        return _seifert_piece_verdict(seifert_group(piece.invariants), orientable)
+    if isinstance(piece, HyperbolicPiece):
+        if not piece.finite_volume:
+            return unknown(
+                Citation("Outside scope", "infinite-volume hyperbolic pieces are not covered")
+            )
+        if orientable:
+            return icc(Citation("Prop 21", "orientable hyperbolic, finite volume"))
+        # the orientation double cover is orientable hyperbolic of finite
+        # volume; hyperbolic manifold groups are torsion-free
+        return icc(
+            Citation("Prop 21", "the orientation double cover's group is ICC"),
+            Citation("Lemma 5", "the group is torsion-free with an ICC finite-index subgroup"),
+        )
+    if isinstance(piece, TorusBundlePiece):
+        if int_mat_det(piece.monodromy) == 1:
+            return icc_torus_bundle(piece.monodromy)
+        if orientable:
+            raise GroupUsageError(
+                "an orientable manifold cannot carry a determinant -1 torus bundle piece"
+            )
+        return unknown(
+            Citation(
+                "Outside scope",
+                "torus bundles with determinant -1 monodromy are outside the "
+                "orientable-bundle trichotomy",
+            )
+        )
+    if isinstance(piece, SphereBundlePiece):
+        if orientable and not piece.orientable_bundle:
+            raise GroupUsageError(
+                "an orientable manifold cannot contain the twisted sphere bundle"
+            )
+        generator = info.distinguished
+        return not_icc(
+            Witness(
+                description=f"generator {generator!r} of the infinite cyclic group",
+                element=generator,
+                kind="element",
+            ),
+            Citation("Abelian infinite", "the group of the sphere bundle is Z"),
+        )
+    assert isinstance(piece, OtherIrreduciblePiece)
+    return _other_irreducible_verdict(piece, orientable)
+
+
+def decide_icc_orientable(m: ManifoldDescriptor) -> Verdict:
+    """Theorem 13 over the descriptor's decomposition tree."""
+    if not m.orientable:
+        raise GroupUsageError("decide_icc_orientable requires an orientable descriptor")
+    return _decide_manifold(m)
+
+
+def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
+    """Theorem 19 / Prop 18 over the descriptor, with the refusals the
+    hypotheses require (nonstandard P2 x I blocks, infinite dihedral group)."""
+    if m.orientable:
+        raise GroupUsageError("decide_icc_nonorientable requires a non-orientable descriptor")
+    return _decide_manifold(m)
 
 
 # ---------------------------------------------------------------------------
@@ -869,25 +844,17 @@ def manifold_group(m: ManifoldDescriptor) -> tuple[StructuredGroup, str]:
             "non-orientable descriptors do not determine fiber-inversion data; "
             "no enumerable realization is emitted"
         )
-    normalized = poincare_variety(m)
-    multi = len(normalized.pieces) > 1
-    infos = [
-        piece_group_info(p, True, f"_{i}" if multi else "")
-        for i, p in enumerate(normalized.pieces)
-    ]
-    kept = _drop_trivial(normalized.pieces, infos)
+    kept = _kept_pieces(m, True)
     if not kept:
         return FiniteCyclic(1, "u"), "trivial group (all pieces simply connected)"
-    realizations = []
     for piece, info in kept:
         if info.realization is None:
             raise GroupUsageError(
                 f"piece {type(piece).__name__} has no enumerable realization"
             )
-        realizations.append(info.realization)
-    if len(realizations) == 1:
-        return realizations[0], kept[0][1].note
-    acc = realizations[0]
-    for group in realizations[1:]:
-        acc = FreeProduct(acc, group)
-    return acc, f"free product of {len(realizations)} piece groups"
+    if len(kept) == 1:
+        return kept[0][1].realization, kept[0][1].note
+    return (
+        reduce(FreeProduct, [info.realization for _, info in kept]),
+        f"free product of {len(kept)} piece groups",
+    )

@@ -25,9 +25,6 @@ class Citation:
         if self.label not in CITATIONS:
             raise GroupUsageError(f"citation label {self.label!r} is not in the fixed enumeration")
 
-    def statement(self) -> str:
-        return CITATIONS[self.label]
-
     def __str__(self):
         return f"{self.label} ({self.detail})" if self.detail else self.label
 
@@ -69,9 +66,6 @@ class Verdict:
             raise GroupUsageError("a verdict requires a nonempty reason chain")
         if self.status is Status.NOT_ICC and self.witness is None:
             raise GroupUsageError("a NotICC verdict requires a witness")
-
-    def with_reason(self, citation: Citation) -> "Verdict":
-        return Verdict(self.status, self.reasons + (citation,), self.witness)
 
     def labels(self) -> list[str]:
         return [c.label for c in self.reasons]

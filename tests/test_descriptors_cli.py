@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from iccdec import descriptors
 from iccdec.cli import main
 from iccdec.descriptors import (
+    MAX_CONSTRUCTIONS,
     DescriptorError,
     descriptor_to_data,
     format_word,
@@ -110,6 +112,114 @@ def test_round_trip_whole_corpus(corpus_dir, manifest):
             reparsed = parse_descriptor_data(data)
             assert descriptor_to_data(reparsed) == data, entry["file"]
             assert _decide(reparsed).status == _decide(descriptor).status
+
+
+def _seifert_piece(**fields):
+    return {
+        "schema_version": 1,
+        "type": "manifold",
+        "orientable": True,
+        "pieces": [
+            {
+                "kind": "seifert",
+                "base_genus": 0,
+                "base_orientable": True,
+                "boundary_components": 0,
+                "euler_obstruction": 1,
+                **fields,
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize("value", [0, False, {}, ""])
+def test_exceptional_fibers_must_be_an_array(value):
+    with pytest.raises(DescriptorError) as err:
+        parse_descriptor_data(_seifert_piece(exceptional_fibers=value))
+    assert str(err.value).startswith("$.pieces[0].exceptional_fibers: expected an array")
+
+
+def test_null_optional_field_means_absent():
+    absent = parse_descriptor_data(_seifert_piece())
+    assert parse_descriptor_data(_seifert_piece(exceptional_fibers=None)) == absent
+    assert absent.manifold.pieces[0].invariants.exceptional_fibers == ()
+
+
+def test_eisenstein_name_errors_carry_the_construction_path():
+    generator = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+    with pytest.raises(DescriptorError) as err:
+        parse_descriptor_data(
+            {
+                "schema_version": 1,
+                "type": "group",
+                "construction": {
+                    "matrix_group_sl2_eisenstein": {"generators": [generator], "names": [7]}
+                },
+            }
+        )
+    assert str(err.value) == (
+        "$.construction.matrix_group_sl2_eisenstein.names[0]: expected a string"
+    )
+
+
+# ---------------------------------------------------------------------------
+# construction limit
+
+
+def _flat_free_product(factors):
+    construction = {"free_product": [{"cyclic": 2, "name": f"g{i}"} for i in range(factors)]}
+    return {"schema_version": 1, "type": "group", "construction": construction}
+
+
+def _nested_free_product(depth):
+    construction = {"cyclic": 2, "name": "g0"}
+    for i in range(depth):
+        construction = {"free_product": [construction, {"cyclic": 2, "name": f"g{i + 1}"}]}
+    return {"schema_version": 1, "type": "group", "construction": construction}
+
+
+def test_construction_limit_admits_64(tmp_path, capsys):
+    # the free product plus 63 factors: 64 constructions
+    data = _flat_free_product(MAX_CONSTRUCTIONS - 1)
+    assert len(parse_descriptor_data(data).group.generator_payloads()) == 63
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(data))
+    assert main(["decide", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ICC"
+    enumerate_args = ["--element", "g0", "--radius", "2", "--window", "1", "--json"]
+    assert main(["enumerate", str(path), *enumerate_args]) == 0
+    assert json.loads(capsys.readouterr().out)["counts_by_radius"] == [1, 63, 3907]
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        (_flat_free_product(MAX_CONSTRUCTIONS), "$.construction.free_product[63]"),
+        (_flat_free_product(2000), "$.construction.free_product[63]"),
+        (_nested_free_product(600), "$.construction" + ".free_product[0]" * 64),
+    ],
+    ids=["65", "2000 factors", "600 deep"],
+)
+def test_construction_limit_rejects_before_building(monkeypatch, data, path):
+    def build(*factors):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(descriptors, "FreeProduct", build)
+    with pytest.raises(DescriptorError) as err:
+        parse_descriptor_data(data)
+    assert err.value.path == path
+    assert "more than 64 constructions" in str(err.value)
+
+
+def test_cli_rejects_deep_nesting_with_one_line(tmp_path, capsys):
+    text = '{"cyclic": 2, "name": "g0"}'
+    for i in range(600):
+        text = f'{{"free_product": [{text}, {{"cyclic": 2, "name": "g{i + 1}"}}]}}'
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"schema_version": 1, "type": "group", "construction": {text}}}')
+    assert main(["decide", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
