@@ -269,9 +269,12 @@ def _embed_words(group: StructuredGroup, fields: _Fields, key: str) -> list:
     path = f"{fields.path}.{key}"
     payloads = []
     for i, text in enumerate(fields.array(key, _LIST, str)):
-        word = parse_word(text)
-        payloads.append(_at(f"{path}[{i}]", group.reduce_letters, word).payload)
+        payloads.append(_at(f"{path}[{i}]", _word_payload, group, text))
     return payloads
+
+
+def _word_payload(group: StructuredGroup, text: str):
+    return group.reduce_letters(parse_word(text)).payload
 
 
 # Each builder reads the fields of one construction and returns its group.

@@ -66,6 +66,10 @@ class Amalgam(StructuredGroup):
             {p: i for i, p in enumerate(edge.embeds[0])},
             {p: i for i, p in enumerate(edge.embeds[1])},
         )
+        # payload -> (coset representative, edge index), per finite factor;
+        # filled on first use, so it never holds more than |factor| entries
+        # and a large finite factor costs nothing until it is multiplied
+        self._coset_tables = tuple(None if f.order() == INFINITE else {} for f in self.factors)
 
     def signature(self):
         return (
@@ -85,28 +89,44 @@ class Amalgam(StructuredGroup):
             return INFINITE
         return total // self.edge.table.size
 
+    def _coset_rep(self, side: int, payload):
+        table = self._coset_tables[side]
+        if table is None:
+            return least_coset_rep(self.factors[side], payload, self.edge.embeds[side])
+        if payload not in table:
+            table[payload] = least_coset_rep(self.factors[side], payload, self.edge.embeds[side])
+        return table[payload]
+
     def _absorb(self, stack: list, edge_idx: int, side: int, payload) -> int:
         """Multiply the normal form (stack, edge_idx) by a factor element."""
         factor = self.factors[side]
+        lookup = self._edge_lookup[side]
         current = factor.multiply_payloads(self.edge.embeds[side][edge_idx], payload)
-        found = self._edge_lookup[side].get(current)
-        if found is not None:
-            return found
+        if current in lookup:
+            return lookup[current]
         if stack and stack[-1][0] == side:
-            _, prev = stack.pop()
-            return self._absorb(stack, 0, side, factor.multiply_payloads(prev, current))
-        rep, idx = least_coset_rep(factor, current, self.edge.embeds[side])
+            current = factor.multiply_payloads(stack.pop()[1], current)
+            if current in lookup:
+                return lookup[current]
+        rep, idx = self._coset_rep(side, current)
         stack.append((side, rep))
         # rep = current * images[idx], so current = rep * images[idx]^-1
         return self.edge.table.inv(idx)
 
     def multiply_payloads(self, a, b):
-        syllables_a, edge_a = a
+        syllables_a, edge_idx = a
         syllables_b, edge_b = b
         stack = list(syllables_a)
-        edge_idx = edge_a
-        for side, rep in syllables_b:
+        for i, (side, rep) in enumerate(syllables_b):
+            count = len(stack)
             edge_idx = self._absorb(stack, edge_idx, side, rep)
+            if edge_idx == 0 and len(stack) >= count:
+                # The syllable stayed on the stack (appended or merged, not
+                # cancelled into the edge) and carries the identity edge
+                # element on.  b's next syllable lies in the other factor and
+                # is a canonical representative outside E, so it is appended
+                # unchanged with edge index 0, and so on to the end.
+                return (tuple(stack) + syllables_b[i + 1 :], edge_b)
         return (tuple(stack), self.edge.table.mul(edge_idx, edge_b))
 
     def invert_payload(self, a):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence
 
 
@@ -121,13 +122,24 @@ class StructuredGroup(ABC):
 
     # -- derived API ------------------------------------------------------
 
+    @cached_property
+    def _hashed_signature(self) -> tuple:
+        """(hash, signature), computed once, on first use: groups are
+        immutable, so equality and hashing never rebuild the recursive
+        signature, and a group only ever decided never builds it."""
+        signature = self.signature()
+        return hash(signature), signature
+
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, StructuredGroup) and self.signature() == other.signature()
+        return (
+            isinstance(other, StructuredGroup)
+            and self._hashed_signature == other._hashed_signature
+        )
 
     def __hash__(self):
-        return hash(self.signature())
+        return self._hashed_signature[0]
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_payload())
@@ -230,7 +242,7 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
     return steps
 
 
-_BALL_CACHES: dict[tuple, list[list[GroupElement]]] = {}
+_BALL_CACHES: dict[StructuredGroup, list[list[GroupElement]]] = {}
 _BALL_LOCK = threading.RLock()
 
 
@@ -239,11 +251,12 @@ def _ball_levels(group: StructuredGroup, radius: int) -> list[list[GroupElement]
     the group is exhausted first, in which case the last level is empty.
 
     Level r holds the elements of word length r in payload-key order.  Levels
-    are cached per group signature; the lock keeps concurrent callers on the
-    same group consistent.  The returned lists are shared: do not mutate.
+    are cached per group, so equal groups built apart share them; the lock
+    keeps concurrent callers on the same group consistent.  The returned
+    lists are shared: do not mutate.
     """
     with _BALL_LOCK:
-        levels = _BALL_CACHES.setdefault(group.signature(), [[group.identity()]])
+        levels = _BALL_CACHES.setdefault(group, [[group.identity()]])
         if len(levels) <= radius and levels[-1]:
             mul = group.multiply_payloads
             key = group.payload_key

@@ -85,38 +85,50 @@ class FiberExtension(StructuredGroup):
             sign *= self._syllable_sign(j, e)
         return sign
 
-    def _append(self, stack: list, k: int, j: int, e: int) -> int:
-        """Append syllable x_j^e to the lifted word; returns the updated
-        fiber exponent (carries from torsion relations migrate to the front,
-        picking up the sign character of the prefix they cross)."""
-        if stack and stack[-1][0] == j:
-            e = stack[-1][1] + e
-            stack.pop()
-        part = self.parts[j]
-        if isinstance(part, TorsionPart):
-            carry, e = divmod(e, part.order)
-            if carry:
-                k += part.fiber_carry * carry * self._chi(stack)
-        if e != 0:
-            stack.append((j, e))
-        return k
-
     def multiply_payloads(self, a, b):
         k1, w1 = a
         k2, w2 = b
-        k = k1 + self._chi(w1) * k2
-        stack = list(w1)
-        for j, e in w2:
-            k = self._append(stack, k, j, e)
-        return (k, tuple(stack))
+        # h^k2 moves to the front across w1, picking up its sign character
+        # chi(w1); the carry h^c of a torsion relation crosses only w1[:end],
+        # whose character is chi(w1) * sign, sign being the character of the
+        # syllables taken off w1's end.  shift collects both, so chi(w1) is
+        # computed once, and only if something crosses.
+        shift, sign, end = k2, 1, len(w1)
+        for i, (j, e) in enumerate(w2):
+            if end and w1[end - 1][0] == j:
+                end -= 1
+                sign *= self._syllable_sign(j, w1[end][1])
+                e += w1[end][1]
+            part = self.parts[j]
+            if isinstance(part, TorsionPart):
+                carry, e = divmod(e, part.order)
+                shift += part.fiber_carry * carry * sign
+            if e:
+                # w2's next syllable is another part's, already reduced: the
+                # rest of w2 is appended unchanged
+                word = w1[:end] + ((j, e),) + w2[i + 1 :]
+                break
+        else:
+            word = w1[:end]
+        return (k1 + self._chi(w1) * shift if shift else k1, word)
 
     def invert_payload(self, a):
         k, w = a
-        out_k = -k * self._chi(w)
-        stack: list = []
+        # (h^k x1^e1 ... xm^em)^-1 = xm^-em ... x1^-e1 h^-k.  Neighbouring
+        # syllables belong to different parts, so none merge.  A torsion
+        # syllable x^-e is x^(order - e) x^-order, and x^-order = h^-c moves
+        # to the front across the syllables already written; h^-k crosses
+        # all of them.
+        shift, sign, out = 0, 1, []
         for j, e in reversed(w):
-            out_k = self._append(stack, out_k, j, -e)
-        return (out_k, tuple(stack))
+            part = self.parts[j]
+            e = -e
+            if isinstance(part, TorsionPart):
+                carry, e = divmod(e, part.order)
+                shift += part.fiber_carry * carry * sign
+            sign *= self._syllable_sign(j, e)
+            out.append((j, e))
+        return (shift - k * sign, tuple(out))
 
     def generator_payloads(self):
         out = [(p.name, (0, ((j, 1),))) for j, p in enumerate(self.parts)]

@@ -19,23 +19,18 @@ class FreeProduct(StructuredGroup):
     def identity_payload(self):
         return ()
 
-    def _append(self, stack: list, side: int, payload) -> None:
-        factor = self.factors[side]
-        if payload == factor.identity_payload():
-            return
-        if stack and stack[-1][0] == side:
-            merged = factor.multiply_payloads(stack[-1][1], payload)
-            stack.pop()
-            if merged != factor.identity_payload():
-                stack.append((side, merged))
-        else:
-            stack.append((side, payload))
-
     def multiply_payloads(self, a, b):
-        stack = list(a)
-        for side, payload in b:
-            self._append(stack, side, payload)
-        return tuple(stack)
+        # Only the junction can change: a's last syllable meets b's first,
+        # and only when they cancel do the next two meet.
+        i, j = 0, len(a)
+        while j and i < len(b) and a[j - 1][0] == b[i][0]:
+            side = b[i][0]
+            factor = self.factors[side]
+            merged = factor.multiply_payloads(a[j - 1][1], b[i][1])
+            if merged != factor.identity_payload():
+                return a[: j - 1] + ((side, merged),) + b[i + 1 :]
+            i, j = i + 1, j - 1
+        return a[:j] + b[i:]
 
     def invert_payload(self, a):
         return tuple((side, self.factors[side].invert_payload(p)) for side, p in reversed(a))
@@ -52,7 +47,8 @@ class FreeProduct(StructuredGroup):
         out = []
         for side, factor in enumerate(self.factors):
             for name, payload in factor.generator_payloads():
-                out.append((name, ((side, payload),)))
+                trivial = payload == factor.identity_payload()
+                out.append((name, () if trivial else ((side, payload),)))
         return out
 
     def payload_key(self, payload):

@@ -207,43 +207,46 @@ class Hnn(StructuredGroup):
     def identity_payload(self):
         return ((), self.base.identity_payload())
 
-    def _absorb_base(self, payload, g):
-        syllables, tail = payload
-        return (syllables, self.base.multiply_payloads(tail, g))
-
     def _absorb_t(self, payload, eps: int):
         syllables, tail = payload
-        stack = list(syllables)
+        base, edge = self.base, self.edge
         if eps == +1:
-            if stack and stack[-1][1] == -1 and self.edge.range_contains(self.base, tail):
-                rep, _ = stack.pop()
-                new_tail = self.base.multiply_payloads(rep, self.edge.iso_preimage(self.base, tail))
-                return (tuple(stack), new_tail)
-            rep, residual = self.edge.range_rep(self.base, tail)
-            stack.append((rep, +1))
-            return (tuple(stack), self.edge.iso_preimage(self.base, residual))
-        if stack and stack[-1][1] == +1 and self.edge.domain_contains(self.base, tail):
-            rep, _ = stack.pop()
-            new_tail = self.base.multiply_payloads(rep, self.edge.iso_image(self.base, tail))
-            return (tuple(stack), new_tail)
-        rep, residual = self.edge.domain_rep(self.base, tail)
-        stack.append((rep, -1))
-        return (tuple(stack), self.edge.iso_image(self.base, residual))
+            if syllables and syllables[-1][1] == -1 and edge.range_contains(base, tail):
+                rep = syllables[-1][0]
+                return (syllables[:-1], base.multiply_payloads(rep, edge.iso_preimage(base, tail)))
+            rep, residual = edge.range_rep(base, tail)
+            return (syllables + ((rep, +1),), edge.iso_preimage(base, residual))
+        if syllables and syllables[-1][1] == +1 and edge.domain_contains(base, tail):
+            rep = syllables[-1][0]
+            return (syllables[:-1], base.multiply_payloads(rep, edge.iso_image(base, tail)))
+        rep, residual = edge.domain_rep(base, tail)
+        return (syllables + ((rep, -1),), edge.iso_image(base, residual))
 
     def multiply_payloads(self, a, b):
-        acc = a
+        mul = self.base.multiply_payloads
+        identity = self.base.identity_payload()
+        syllables, tail = a
         syllables_b, tail_b = b
-        for rep, eps in syllables_b:
-            acc = self._absorb_base(acc, rep)
-            acc = self._absorb_t(acc, eps)
-        return self._absorb_base(acc, tail_b)
+        for i, (rep, eps) in enumerate(syllables_b):
+            count = len(syllables)
+            syllables, tail = self._absorb_t((syllables, mul(tail, rep)), eps)
+            if tail == identity and len(syllables) > count:
+                # The syllable was appended, not pinched, and carries nothing
+                # on.  b is Britton-reduced (Britton's lemma: a reduced word
+                # has no pinch), so its next representative is canonical for
+                # its coset and forms no pinch with the t-letter just
+                # appended, which is b's own: it is appended unchanged with
+                # an identity residual, and so on to the end.
+                return (syllables + syllables_b[i + 1 :], tail_b)
+        return (syllables, mul(tail, tail_b))
 
     def invert_payload(self, a):
         syllables, tail = a
-        acc = ((), self.base.invert_payload(tail))
+        base = self.base
+        acc = ((), base.invert_payload(tail))
         for rep, eps in reversed(syllables):
-            acc = self._absorb_t(acc, -eps)
-            acc = self._absorb_base(acc, self.base.invert_payload(rep))
+            acc_syllables, acc_tail = self._absorb_t(acc, -eps)
+            acc = (acc_syllables, base.multiply_payloads(acc_tail, base.invert_payload(rep)))
         return acc
 
     def embed_base(self, g: GroupElement) -> GroupElement:

@@ -188,7 +188,7 @@ CASES = {
     ),
     "words: bad token": (
         amalgam(embed_left=["1", "a^"]),
-        "$.construction: bad word token 'a^': expected NAME, NAME', or NAME^k",
+        "$.construction.amalgam.edge.embed_left[1]: bad word token 'a^': expected NAME, NAME', or NAME^k",
     ),
     "words: unknown generator": (
         amalgam(embed_left=["1", "q"]),

@@ -162,6 +162,18 @@ def test_eisenstein_name_errors_carry_the_construction_path():
     )
 
 
+def test_bad_embed_word_token_reported_at_the_word(corpus_dir, tmp_path, capsys):
+    raw = json.loads((corpus_dir / "group_psl2z_amalgam.json").read_text())
+    raw["construction"]["amalgam"]["edge"]["embed_left"][1] = "p^"
+    path = tmp_path / "bad_embed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["decide", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.construction.amalgam.edge.embed_left[1]: "
+        "bad word token 'p^': expected NAME, NAME', or NAME^k\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # construction limit
 

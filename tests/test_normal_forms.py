@@ -1,0 +1,400 @@
+"""Normal-form products of the syllable constructions: free products,
+amalgams, HNN extensions and fiber extensions.
+
+The constructions multiply two normal forms by reducing only where they
+meet.  The reference below is the per-syllable multiply they replaced: it
+absorbs every syllable of the right factor, one at a time, into the left.
+"""
+
+import os
+import random
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iccdec.cli import _enumerable_group
+from iccdec.groups import (
+    Amalgam,
+    AmalgamEdge,
+    DirectWithFinite,
+    FiberExtension,
+    FiniteCyclic,
+    FreePart,
+    FreeProduct,
+    Hnn,
+    InfiniteCyclic,
+    SurfaceGroup,
+    TorsionPart,
+    conjugate,
+    cyclic_table,
+    enumerate_ball,
+    free_group,
+)
+from iccdec.groups.base import least_coset_rep
+from iccdec.manifolds import SeifertInvariants, seifert_group
+from conftest import load_corpus_descriptor
+
+# ---------------------------------------------------------------------------
+# reference: the per-syllable multiply, applied at every level
+
+
+def ref_mul(group, a, b):
+    kind = type(group)
+    if kind is FreeProduct:
+        return _ref_free_product_mul(group, a, b)
+    if kind is Amalgam:
+        return _ref_amalgam_mul(group, a, b)
+    if kind is Hnn:
+        return _ref_hnn_mul(group, a, b)
+    if kind is FiberExtension:
+        return _ref_fiber_mul(group, a, b)
+    if kind is DirectWithFinite:
+        return (ref_mul(group.h, a[0], b[0]), group.f.mul(a[1], b[1]))
+    if kind is SurfaceGroup:
+        return ref_mul(group.realization(), a, b)
+    return group.multiply_payloads(a, b)
+
+
+def ref_inv(group, a):
+    kind = type(group)
+    if kind is FreeProduct:
+        return tuple((side, ref_inv(group.factors[side], p)) for side, p in reversed(a))
+    if kind is Amalgam:
+        return _ref_amalgam_inv(group, a)
+    if kind is Hnn:
+        return _ref_hnn_inv(group, a)
+    if kind is FiberExtension:
+        return _ref_fiber_inv(group, a)
+    if kind is DirectWithFinite:
+        return (ref_inv(group.h, a[0]), group.f.inv(a[1]))
+    if kind is SurfaceGroup:
+        return ref_inv(group.realization(), a)
+    return group.invert_payload(a)
+
+
+def _ref_free_product_mul(group, a, b):
+    stack = list(a)
+    for side, payload in b:
+        factor = group.factors[side]
+        if payload == factor.identity_payload():
+            continue
+        if stack and stack[-1][0] == side:
+            merged = ref_mul(factor, stack.pop()[1], payload)
+            if merged != factor.identity_payload():
+                stack.append((side, merged))
+        else:
+            stack.append((side, payload))
+    return tuple(stack)
+
+
+def _ref_amalgam_absorb(group, stack, edge_idx, side, payload):
+    factor = group.factors[side]
+    images = group.edge.embeds[side]
+    current = ref_mul(factor, images[edge_idx], payload)
+    if current in images:
+        return images.index(current)
+    if stack and stack[-1][0] == side:
+        _, prev = stack.pop()
+        return _ref_amalgam_absorb(group, stack, 0, side, ref_mul(factor, prev, current))
+    rep, idx = least_coset_rep(factor, current, images)
+    stack.append((side, rep))
+    return group.edge.table.inv(idx)
+
+
+def _ref_amalgam_mul(group, a, b):
+    stack = list(a[0])
+    edge_idx = a[1]
+    for side, rep in b[0]:
+        edge_idx = _ref_amalgam_absorb(group, stack, edge_idx, side, rep)
+    return (tuple(stack), group.edge.table.mul(edge_idx, b[1]))
+
+
+def _ref_amalgam_inv(group, a):
+    stack = []
+    edge_idx = group.edge.table.inv(a[1])
+    for side, rep in reversed(a[0]):
+        edge_idx = _ref_amalgam_absorb(
+            group, stack, edge_idx, side, ref_inv(group.factors[side], rep)
+        )
+    return (tuple(stack), edge_idx)
+
+
+def _ref_absorb_t(group, payload, eps):
+    base, edge = group.base, group.edge
+    syllables, tail = payload
+    stack = list(syllables)
+    if eps == +1:
+        if stack and stack[-1][1] == -1 and edge.range_contains(base, tail):
+            rep, _ = stack.pop()
+            return (tuple(stack), ref_mul(base, rep, edge.iso_preimage(base, tail)))
+        rep, residual = edge.range_rep(base, tail)
+        stack.append((rep, +1))
+        return (tuple(stack), edge.iso_preimage(base, residual))
+    if stack and stack[-1][1] == +1 and edge.domain_contains(base, tail):
+        rep, _ = stack.pop()
+        return (tuple(stack), ref_mul(base, rep, edge.iso_image(base, tail)))
+    rep, residual = edge.domain_rep(base, tail)
+    stack.append((rep, -1))
+    return (tuple(stack), edge.iso_image(base, residual))
+
+
+def _ref_hnn_mul(group, a, b):
+    syllables, tail = a
+    for rep, eps in b[0]:
+        syllables, tail = _ref_absorb_t(group, (syllables, ref_mul(group.base, tail, rep)), eps)
+    return (syllables, ref_mul(group.base, tail, b[1]))
+
+
+def _ref_hnn_inv(group, a):
+    base = group.base
+    acc = ((), ref_inv(base, a[1]))
+    for rep, eps in reversed(a[0]):
+        syllables, tail = _ref_absorb_t(group, acc, -eps)
+        acc = (syllables, ref_mul(base, tail, ref_inv(base, rep)))
+    return acc
+
+
+def _ref_chi(group, word):
+    sign = 1
+    for j, e in word:
+        part = group.parts[j]
+        if isinstance(part, FreePart) and part.sign == -1 and e % 2:
+            sign = -sign
+    return sign
+
+
+def _ref_fiber_append(group, stack, k, j, e):
+    if stack and stack[-1][0] == j:
+        e += stack.pop()[1]
+    part = group.parts[j]
+    if isinstance(part, TorsionPart):
+        carry, e = divmod(e, part.order)
+        if carry:
+            k += part.fiber_carry * carry * _ref_chi(group, stack)
+    if e:
+        stack.append((j, e))
+    return k
+
+
+def _ref_fiber_mul(group, a, b):
+    (k1, w1), (k2, w2) = a, b
+    k = k1 + _ref_chi(group, w1) * k2
+    stack = list(w1)
+    for j, e in w2:
+        k = _ref_fiber_append(group, stack, k, j, e)
+    return (k, tuple(stack))
+
+
+def _ref_fiber_inv(group, a):
+    k, w = a
+    out_k = -k * _ref_chi(group, w)
+    stack = []
+    for j, e in reversed(w):
+        out_k = _ref_fiber_append(group, stack, out_k, j, -e)
+    return (out_k, tuple(stack))
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+
+def _corpus_group(name):
+    from importlib import resources
+
+    corpus = resources.files("iccdec") / "corpus"
+    return _enumerable_group(load_corpus_descriptor(corpus, name))[0]
+
+
+def _infinite_factor_amalgam():
+    # (Z x Z/2) *_{Z/2} (Z x Z/2): infinite factors search their cosets
+    # every time
+    left = DirectWithFinite(InfiniteCyclic("a"), cyclic_table(2, ["1", "u"]))
+    right = DirectWithFinite(InfiniteCyclic("b"), cyclic_table(2, ["1", "v"]))
+    edge = AmalgamEdge(cyclic_table(2), [(0, 0), (0, 1)], [(0, 0), (0, 1)])
+    return Amalgam(left, right, edge)
+
+
+def _nonorientable_seifert_piece():
+    # base: a Moebius band with one more boundary circle and a (3, 1) fiber;
+    # the base's orientation-reversing loop is a FreePart of sign -1
+    invariants = SeifertInvariants(1, False, 2, ((3, 1),))
+    return seifert_group(invariants).realization
+
+
+GROUPS = {
+    # free products: nested, finite factors, infinite factors
+    "free_rank2": _corpus_group("group_free_rank2.json"),
+    "free_rank3": free_group(["x", "y", "z"]),
+    "z2_star_z3": _corpus_group("group_z2_star_z3.json"),
+    "z_star_z2": _corpus_group("group_z_star_z2.json"),
+    # amalgams: nontrivial edge residuals, finite and infinite factors
+    "s3_amalgam_s3": _corpus_group("group_s3_amalgam_s3.json"),
+    "psl2z_amalgam": _corpus_group("group_psl2z_amalgam.json"),
+    "infinite_factor_amalgam": _infinite_factor_amalgam(),
+    # HNN extensions: finite edges with residuals, a cyclic-power edge
+    "hnn_z_x_z2": _corpus_group("group_hnn_z_x_z2.json"),
+    "hnn_icc_base": _corpus_group("group_hnn_icc_base.json"),
+    "bs12": _corpus_group("group_bs12.json"),
+    # fiber extensions: torus knots carry into the fiber; a sign -1 part
+    "trefoil": _corpus_group("knot_trefoil.json"),
+    "torus_knot_3_5": FiberExtension([TorsionPart("x", 3, 1), TorsionPart("y", 5, 1)]),
+    "nonorientable_seifert": _nonorientable_seifert_piece(),
+}
+
+
+def test_groups_cover_each_construction():
+    kinds = Counter(type(g).__name__ for g in GROUPS.values())
+    assert kinds == Counter(FreeProduct=4, Amalgam=3, Hnn=3, FiberExtension=3)
+    signs = [p.sign for p in GROUPS["nonorientable_seifert"].parts if isinstance(p, FreePart)]
+    assert -1 in signs
+
+
+def _steps(group):
+    """Generator payloads and their inverses, through the reference."""
+    out = []
+    for _, payload in group.generator_payloads():
+        out.extend((payload, ref_inv(group, payload)))
+    return out
+
+
+def _ref_word(group, rng, steps, length):
+    acc = group.identity_payload()
+    for _ in range(length):
+        acc = ref_mul(group, acc, rng.choice(steps))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# differential test against the reference
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_products_and_inverses_match_reference(name):
+    group = GROUPS[name]
+    rng = random.Random(f"normal-forms-{name}")
+    steps = _steps(group)
+    cascades = 0
+    for trial in range(150):
+        u, v, z = (_ref_word(group, rng, steps, rng.randrange(12)) for _ in range(3))
+        pairs = [
+            (u, z),
+            # a = u v and b = v^-1 z: v cancels across the junction
+            (ref_mul(group, u, v), ref_mul(group, ref_inv(group, v), z)),
+            # a w and w^-1: the whole of b cancels
+            (ref_mul(group, u, v), ref_inv(group, v)),
+        ]
+        for a, b in pairs:
+            assert group.multiply_payloads(a, b) == ref_mul(group, a, b), (a, b)
+            assert group.invert_payload(a) == ref_inv(group, a), a
+        if v != group.identity_payload():
+            cascades += 1
+    assert cascades > 100
+
+
+# ---------------------------------------------------------------------------
+# group laws on random generator words
+
+
+def _element(group, word):
+    names = [name for name, _ in group.generator_payloads()]
+    return group.reduce_letters([(names[i % len(names)], e) for i, e in word])
+
+
+_WORD = st.lists(st.tuples(st.integers(0, 7), st.sampled_from((1, -1))), max_size=14)
+_LAWS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@_LAWS
+@given(x=_WORD, y=_WORD, z=_WORD)
+def test_group_laws(name, x, y, z):
+    group = GROUPS[name]
+    x, y, z = (_element(group, w) for w in (x, y, z))
+    one = group.identity()
+    assert (x * y) * z == x * (y * z)
+    assert x * ~x == one and ~x * x == one
+    assert one * x == x and x * one == x
+    assert group.reduce_letters(group.render_payload(x.payload)) == x
+
+
+# ---------------------------------------------------------------------------
+# the junction property: conjugating by a generator costs the same for any
+# length of the conjugated word
+
+
+def _calls(fn):
+    """Calls of each iccdec function made while fn runs."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and "iccdec" in code.co_filename:
+            counts[f"{os.path.basename(code.co_filename)}:{code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, cycle, by, factor_kind",
+    [
+        ("free_rank2", ["x", "y"], "x", "cyclic.py:multiply_payloads"),
+        ("hnn_icc_base", ["a", "t", "b", "t"], "t", "free_product.py:multiply_payloads"),
+    ],
+)
+def test_conjugation_cost_does_not_grow_with_the_word(name, cycle, by, factor_kind):
+    group = GROUPS[name]
+    s = group.generator_element(by)
+    counts = []
+    for n in (10, 200):
+        c = group.reduce_letters([(cycle[i % len(cycle)], 1) for i in range(n)])
+        conjugated = conjugate(c, s)
+        assert conjugated == s * c * ~s
+        counts.append(_calls(lambda: conjugate(c, s)))
+    short, long = counts
+    # factor (F2) or base (HNN) products are among the counted calls
+    assert short[factor_kind] > 0
+    assert short == long
+
+
+# ---------------------------------------------------------------------------
+# finite amalgam factors: the coset table
+
+
+def test_large_finite_factor_is_not_enumerated():
+    # Z/10^9 *_1 Z/2: the coset table of the finite factor fills as it is
+    # used, so building and multiplying never enumerate the factor
+    p, q = FiniteCyclic(10**9, "p"), FiniteCyclic(2, "q")
+    group = Amalgam(p, q, AmalgamEdge(cyclic_table(1), [0], [0]))
+    w = group.reduce_letters([("p", 5), ("q", 1), ("p", -7), ("q", 1)])
+    assert group.render_payload(w.payload) == [("p", 5), ("q", 1), ("p", 10**9 - 7), ("q", 1)]
+    assert w * ~w == group.identity()
+    assert len(group._coset_tables[0]) < 100
+
+
+def test_coset_tables_hold_at_most_the_factor():
+    group = GROUPS["s3_amalgam_s3"]
+    enumerate_ball(group, 5)
+    for side, factor in enumerate(group.factors):
+        assert 0 < len(group._coset_tables[side]) <= factor.order()
+    assert GROUPS["infinite_factor_amalgam"]._coset_tables == (None, None)
+
+
+def test_trivial_factor_generator_is_the_identity():
+    # <I> * Z/2: the matrix generator A is the identity matrix, so its
+    # normal form is the empty word and A never leaves a syllable behind
+    from iccdec.eisenstein import MatrixGroupSL2Eisenstein
+
+    identity = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+    group = FreeProduct(MatrixGroupSL2Eisenstein([identity]), FiniteCyclic(2, "b"))
+    a, b = group.generator_element("A"), group.generator_element("b")
+    assert a == group.identity()
+    assert a * b == b * a == b
+    assert len(enumerate_ball(group, 3)) == 2
