@@ -8,6 +8,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups.base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, unique_names
 
@@ -44,7 +45,6 @@ class EisensteinInt:
         return f"{self.a}{sign}{w_part}"
 
 
-E_ZERO = EisensteinInt(0, 0)
 E_ONE = EisensteinInt(1, 0)
 E_OMEGA = EisensteinInt(0, 1)
 
@@ -68,40 +68,60 @@ def _to_payload(rows) -> MatPayload:
     return tuple(out)
 
 
-def _entry(payload: MatPayload, i: int, j: int) -> EisensteinInt:
-    a, b = payload[i][j]
-    return EisensteinInt(a, b)
+# The matrix operations below unpack the eight integers and write the entries
+# out, with (a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + b1 (a2 - b2)) w.
+
+
+def _det(payload: MatPayload) -> tuple[int, int]:
+    ((pa, pb), (qa, qb)), ((ra, rb), (sa, sb)) = payload
+    return (
+        pa * sa - pb * sb - qa * ra + qb * rb,
+        pa * sb + pb * (sa - sb) - qa * rb - qb * (ra - rb),
+    )
 
 
 def mat_det(payload: MatPayload) -> EisensteinInt:
-    return _entry(payload, 0, 0) * _entry(payload, 1, 1) - _entry(payload, 0, 1) * _entry(payload, 1, 0)
+    return EisensteinInt(*_det(payload))
 
 
 def mat_trace(payload: MatPayload) -> EisensteinInt:
-    return _entry(payload, 0, 0) + _entry(payload, 1, 1)
+    ((pa, pb), _), (_, (sa, sb)) = payload
+    return EisensteinInt(pa + sa, pb + sb)
 
 
 def mat_mul(x: MatPayload, y: MatPayload) -> MatPayload:
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = E_ZERO
-            for k in range(2):
-                acc = acc + _entry(x, i, k) * _entry(y, k, j)
-            row.append(acc)
-        rows.append(row)
-    return _to_payload(rows)
+    ((pa, pb), (qa, qb)), ((ra, rb), (sa, sb)) = x
+    ((ta, tb), (ua, ub)), ((va, vb), (za, zb)) = y
+    td, ud, vd, zd = ta - tb, ua - ub, va - vb, za - zb
+    return (
+        (
+            (pa * ta - pb * tb + qa * va - qb * vb, pa * tb + pb * td + qa * vb + qb * vd),
+            (pa * ua - pb * ub + qa * za - qb * zb, pa * ub + pb * ud + qa * zb + qb * zd),
+        ),
+        (
+            (ra * ta - rb * tb + sa * va - sb * vb, ra * tb + rb * td + sa * vb + sb * vd),
+            (ra * ua - rb * ub + sa * za - sb * zb, ra * ub + rb * ud + sa * zb + sb * zd),
+        ),
+    )
 
 
 def mat_inv(x: MatPayload) -> MatPayload:
     # determinant is 1 by construction, so the inverse is the adjugate
-    p, q = _entry(x, 0, 0), _entry(x, 0, 1)
-    r, s = _entry(x, 1, 0), _entry(x, 1, 1)
-    return _to_payload(((s, -q), (-r, p)))
+    (p, (qa, qb)), ((ra, rb), s) = x
+    return ((s, (-qa, -qb)), ((-ra, -rb), p))
+
+
+def _mat_str(payload: MatPayload) -> str:
+    return "[" + ", ".join(
+        "[" + ", ".join(str(EisensteinInt(a, b)) for a, b in row) + "]" for row in payload
+    ) + "]"
 
 
 MAT_IDENTITY: MatPayload = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+# A finite subgroup of SL2(Z[w]) has at most this many elements (see
+# MatrixGroupSL2Eisenstein.order).
+MAX_FINITE_ORDER = 24
 
 
 class Mat2E:
@@ -116,7 +136,7 @@ class Mat2E:
 
     def __init__(self, rows):
         payload = _to_payload(rows)
-        if mat_det(payload) != E_ONE:
+        if _det(payload) != (1, 0):
             raise GroupUsageError("Mat2E requires determinant 1")
         object.__setattr__(self, "payload", payload)
 
@@ -142,13 +162,10 @@ class Mat2E:
         return mat_trace(self.payload)
 
     def entry(self, i: int, j: int) -> EisensteinInt:
-        return _entry(self.payload, i, j)
+        return EisensteinInt(*self.payload[i][j])
 
     def __repr__(self):
-        rows = []
-        for i in range(2):
-            rows.append("[" + ", ".join(str(self.entry(i, j)) for j in range(2)) + "]")
-        return "[" + ", ".join(rows) + "]"
+        return _mat_str(self.payload)
 
 
 class MatrixGroupSL2Eisenstein(StructuredGroup):
@@ -161,7 +178,7 @@ class MatrixGroupSL2Eisenstein(StructuredGroup):
     def __init__(self, generators: list, names: list[str] | None = None):
         payloads = [_to_payload(g) for g in generators]
         for p in payloads:
-            if mat_det(p) != E_ONE:
+            if _det(p) != (1, 0):
                 raise GroupUsageError("every generator must have determinant 1")
         if names is None:
             names = [chr(ord("A") + i) for i in range(len(payloads))]
@@ -193,8 +210,9 @@ class MatrixGroupSL2Eisenstein(StructuredGroup):
         return self.element(matrix.payload)
 
     def payload_key(self, payload):
-        flat = tuple(c for row in payload for cell in row for c in cell)
-        return (sum(abs(c) for c in flat) - 2, flat)
+        ((a, b), (c, d)), ((e, f), (g, h)) = payload
+        size = abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f) + abs(g) + abs(h)
+        return (size - 2, (a, b, c, d, e, f, g, h))
 
     def render_payload(self, payload):
         raise GroupUsageError(
@@ -203,13 +221,45 @@ class MatrixGroupSL2Eisenstein(StructuredGroup):
         )
 
     def payload_str(self, payload):
-        rows = []
-        for i in range(2):
-            rows.append("[" + ", ".join(str(_entry(payload, i, j)) for j in range(2)) + "]")
-        return "[" + ", ".join(rows) + "]"
+        return _mat_str(payload)
 
     def order(self):
-        return INFINITE
+        return self._order
+
+    @cached_property
+    def _order(self):
+        """The exact order, computed on first use by closing the generators.
+
+        An element of finite order n in SL2(Z[w]) is diagonalizable with
+        eigenvalues z, 1/z for a primitive n-th root of unity z, so its
+        trace z + 1/z is a real algebraic integer of Z[w], that is a
+        rational integer of absolute value at most 2; hence n is 1, 2, 3, 4
+        or 6.  By Klein's classification of the finite subgroups of SL2(C)
+        (cyclic, binary dihedral, binary tetrahedral, octahedral and
+        icosahedral), a finite subgroup whose element orders lie in
+        {1, 2, 3, 4, 6} is cyclic of order at most 6, binary dihedral of
+        order 4m with an element of order 2m <= 6 (so at most 12), or binary
+        tetrahedral, of order 24; the binary octahedral and icosahedral
+        groups have elements of order 8 and 10.  So the group is finite
+        exactly when the closure of the identity under right multiplication
+        by the generators and their inverses stops within MAX_FINITE_ORDER
+        elements, and then the closure is the group.
+        """
+        steps = self.gen_payloads + tuple(mat_inv(g) for g in self.gen_payloads)
+        seen = {MAT_IDENTITY}
+        frontier = [MAT_IDENTITY]
+        while frontier:
+            level = []
+            for x in frontier:
+                for step in steps:
+                    y = mat_mul(x, step)
+                    if y not in seen:
+                        if len(seen) == MAX_FINITE_ORDER:
+                            return INFINITE
+                        seen.add(y)
+                        level.append(y)
+            frontier = level
+        return len(seen)
 
     def describe(self):
         return f"SL2(Eisenstein)<{', '.join(self.gen_names)}>"

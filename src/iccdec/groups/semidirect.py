@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import add, mul
-
 from .base import INFINITE, GroupUsageError, StructuredGroup
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -14,10 +12,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-
-
-def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -64,6 +58,85 @@ def mat_inverse_unimodular(a: Matrix) -> Matrix:
     return tuple(tuple(x * det for x in row) for row in adj)
 
 
+# phi^m is cached for |m| up to this bound and recomputed beyond it: a
+# hyperbolic phi^m has entries of O(|m|) digits, so caching every exponent
+# requested would grow without bound
+CACHED_POWERS = 64
+
+
+# Payload products (v, m)(w, k) = (v + phi^m w, m + k) and inverses
+# (v, m)^-1 = (-phi^-m v, -m), one definition per rank with the matrix and
+# vector entries unpacked.
+
+
+def _multiply1(group, a, b):
+    (v0,), m = a
+    (w0,), k = b
+    if m:
+        ((p,),) = group.phi_power(m)
+        return ((v0 + p * w0,), m + k)
+    return ((v0 + w0,), k)
+
+
+def _invert1(group, a):
+    (v0,), m = a
+    if m:
+        ((p,),) = group.phi_power(-m)
+        return ((-p * v0,), -m)
+    return ((-v0,), 0)
+
+
+def _multiply2(group, a, b):
+    (v0, v1), m = a
+    (w0, w1), k = b
+    if m:
+        (p, q), (r, s) = group.phi_power(m)
+        return ((v0 + p * w0 + q * w1, v1 + r * w0 + s * w1), m + k)
+    return ((v0 + w0, v1 + w1), k)
+
+
+def _invert2(group, a):
+    (v0, v1), m = a
+    if m:
+        (p, q), (r, s) = group.phi_power(-m)
+        return ((-p * v0 - q * v1, -r * v0 - s * v1), -m)
+    return ((-v0, -v1), 0)
+
+
+def _multiply3(group, a, b):
+    (v0, v1, v2), m = a
+    (w0, w1, w2), k = b
+    if m:
+        (p, q, r), (s, t, u), (x, y, z) = group.phi_power(m)
+        return (
+            (
+                v0 + p * w0 + q * w1 + r * w2,
+                v1 + s * w0 + t * w1 + u * w2,
+                v2 + x * w0 + y * w1 + z * w2,
+            ),
+            m + k,
+        )
+    return ((v0 + w0, v1 + w1, v2 + w2), k)
+
+
+def _invert3(group, a):
+    (v0, v1, v2), m = a
+    if m:
+        (p, q, r), (s, t, u), (x, y, z) = group.phi_power(-m)
+        return (
+            (
+                -p * v0 - q * v1 - r * v2,
+                -s * v0 - t * v1 - u * v2,
+                -x * v0 - y * v1 - z * v2,
+            ),
+            -m,
+        )
+    return ((-v0, -v1, -v2), 0)
+
+
+_RANK_OPS = {1: (_multiply1, _invert1), 2: (_multiply2, _invert2), 3: (_multiply3, _invert3)}
+
+
 class SemidirectZnByZ(StructuredGroup):
     """Z^n x|_phi Z: payload (v, m) with product (v, m)(w, k) = (v + phi^m w, m + k).
 
@@ -89,17 +162,17 @@ class SemidirectZnByZ(StructuredGroup):
             raise GroupUsageError("basis names must be distinct and exclude the exponent name")
         self.basis_names = basis_names
         self._power_cache: dict[int, Matrix] = {0: identity_matrix(rank)}
+        self._multiply, self._invert = _RANK_OPS[rank]
 
     def signature(self):
         return ("semidirect_zn_by_z", self.rank, self.phi, self.exponent_name, self.basis_names)
 
     def phi_power(self, m: int) -> Matrix:
-        """phi^m, cached; a missing power by repeated squaring (O(log |m|)
-        products, no recursion)."""
-        cache = self._power_cache
-        if m not in cache:
+        """phi^m by repeated squaring (O(log |m|) products, no recursion),
+        cached for |m| <= CACHED_POWERS."""
+        result = self._power_cache.get(m)
+        if result is None:
             step = self.phi if m > 0 else self.phi_inv
-            result = None
             n = abs(m)
             while n:
                 if n & 1:
@@ -107,24 +180,18 @@ class SemidirectZnByZ(StructuredGroup):
                 n >>= 1
                 if n:
                     step = mat_mul(step, step)
-            cache[m] = result
-        return cache[m]
+            if -CACHED_POWERS <= m <= CACHED_POWERS:
+                self._power_cache[m] = result
+        return result
 
     def identity_payload(self):
         return ((0,) * self.rank, 0)
 
     def multiply_payloads(self, a, b):
-        v, m = a
-        w, k = b
-        if m:
-            w = mat_vec(self.phi_power(m), w)
-        return (tuple(map(add, v, w)), m + k)
+        return self._multiply(self, a, b)
 
     def invert_payload(self, a):
-        v, m = a
-        if m:
-            v = mat_vec(self.phi_power(-m), v)
-        return (tuple([-x for x in v]), -m)
+        return self._invert(self, a)
 
     def generator_payloads(self):
         out = []

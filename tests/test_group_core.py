@@ -32,7 +32,7 @@ from iccdec.groups import (
     reduce_word,
     render_word,
 )
-from iccdec.groups.semidirect import mat_mul
+from iccdec.groups.semidirect import CACHED_POWERS, mat_mul
 from conftest import CyclicFreeProductOracle, bs12_pinch_reduce
 
 
@@ -69,6 +69,16 @@ def test_semidirect_phi_power_by_squaring():
     assert g.phi_power(13) == power
     assert mat_mul(g.phi_power(-13), power) == ((1, 0), (0, 1))
     assert g.phi_power(0) == ((1, 0), (0, 1))
+
+
+def test_semidirect_power_cache_is_bounded():
+    g = SemidirectZnByZ(2, [[2, 1], [1, 1]])
+    for m in range(1, 2001):
+        g.phi_power(m)
+    assert len(g._power_cache) <= 2 * CACHED_POWERS + 1
+    half = g.phi_power(1000)
+    assert g.phi_power(2000) == mat_mul(half, half)
+    assert mat_mul(g.phi_power(-2000), g.phi_power(2000)) == ((1, 0), (0, 1))
 
 
 def test_dihedral_sandwich(dihedral):
