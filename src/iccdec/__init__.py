@@ -7,52 +7,65 @@ decides the property for groups described by construction and for compact
 3-manifolds described at the level the classification theorems consume, and
 cross-checks verdicts at desk scale with a brute-force conjugacy oracle and
 explicit strong-ICC witness sequences.
+
+The public names below are imported from their submodules on first use, so
+a CLI call executes only the modules its command and descriptor kind need.
 """
 
-from .citations import CITATIONS
-from .verdict import Citation, Status, Verdict, Witness
-from .rules import (
-    MonodromyClass,
-    classify_monodromy,
-    decide_structured_group,
-    icc_amalgam,
-    icc_finite_index_descend,
-    icc_free_product,
-    icc_hnn,
-    icc_index_two_lift,
-    icc_surface,
-    icc_torus_bundle,
-)
-from .manifolds import (
-    HomotopySpherePiece,
-    HyperbolicKnot,
-    HyperbolicPiece,
-    LinkDescriptor,
-    ManifoldDescriptor,
-    OtherIrreduciblePiece,
-    OtherKnot,
-    SeifertInvariants,
-    SeifertPiece,
-    SphereBundlePiece,
-    TorusBundlePiece,
-    TorusKnot,
-    decide_icc_knot,
-    decide_icc_link,
-    decide_icc_nonorientable,
-    decide_icc_orientable,
-    manifold_group,
-    poincare_variety,
-    seifert_group,
-    torus_knot_group,
-)
-from .oracle import (
-    ClassBallReport,
-    WitnessSequence,
-    conjugacy_class_ball,
-    fc_center_candidates,
-    strong_icc_witness,
-)
-from .eisenstein import EisensteinInt, Mat2E, MatrixGroupSL2Eisenstein, figure8_group
-from . import groups
+from ._lazy import exports
 
+# Executed eagerly all the same: a program that forks workers after set-up
+# would otherwise compile the oracle again in every worker.
+from . import oracle
+
+_EXPORTS = {
+    "citations": ("CITATIONS",),
+    "verdict": ("Citation", "Status", "Verdict", "Witness"),
+    "rules": (
+        "MonodromyClass",
+        "classify_monodromy",
+        "decide_structured_group",
+        "icc_amalgam",
+        "icc_finite_index_descend",
+        "icc_free_product",
+        "icc_hnn",
+        "icc_index_two_lift",
+        "icc_surface",
+        "icc_torus_bundle",
+    ),
+    "manifolds": (
+        "HomotopySpherePiece",
+        "HyperbolicKnot",
+        "HyperbolicPiece",
+        "LinkDescriptor",
+        "ManifoldDescriptor",
+        "OtherIrreduciblePiece",
+        "OtherKnot",
+        "SeifertInvariants",
+        "SeifertPiece",
+        "SphereBundlePiece",
+        "TorusBundlePiece",
+        "TorusKnot",
+        "decide_icc_knot",
+        "decide_icc_link",
+        "decide_icc_nonorientable",
+        "decide_icc_orientable",
+        "manifold_group",
+        "poincare_variety",
+        "seifert_group",
+        "torus_knot_group",
+    ),
+    "oracle": (
+        "ClassBallReport",
+        "WitnessSequence",
+        "conjugacy_class_ball",
+        "fc_center_candidates",
+        "strong_icc_witness",
+    ),
+    "eisenstein": ("EisensteinInt", "Mat2E", "MatrixGroupSL2Eisenstein", "figure8_group"),
+    "groups": (),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["groups"]
+__getattr__, __dir__ = exports(__name__, _EXPORTS)
 __version__ = "0.1.0"

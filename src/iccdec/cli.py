@@ -23,43 +23,35 @@ from .descriptors import (
     load_descriptor,
     parse_word,
 )
-from .groups import GroupUsageError, NotEnumerableError, StructuredGroup
-from .groups.base import INFINITE
-from .manifolds import (
-    HomotopySpherePiece,
-    SeifertPiece,
-    TorusKnot,
-    decide_icc_knot,
-    decide_icc_link,
-    decide_icc_nonorientable,
-    decide_icc_orientable,
-    manifold_group,
-    poincare_variety,
-    seifert_group,
-    torus_knot_group,
-)
+from .groups.base import INFINITE, GroupUsageError, NotEnumerableError, StructuredGroup
 from .oracle import conjugacy_class_ball, strong_icc_witness
-from .rules import decide_structured_group
 from .verdict import Status, Verdict
+
+# The commands import the rule engine and the manifold engine where they
+# use them: a call decides one kind of descriptor and needs only one.
 
 
 def _decide(descriptor: Descriptor) -> Verdict:
     if descriptor.kind == "group":
+        from .rules import decide_structured_group
+
         return decide_structured_group(descriptor.group)
+    from . import manifolds
+
     if descriptor.kind == "manifold":
         manifold = descriptor.manifold
         if manifold.orientable:
-            return decide_icc_orientable(manifold)
-        return decide_icc_nonorientable(manifold)
+            return manifolds.decide_icc_orientable(manifold)
+        return manifolds.decide_icc_nonorientable(manifold)
     if descriptor.kind == "knot":
-        return decide_icc_knot(descriptor.knot)
-    return decide_icc_link(descriptor.link)
+        return manifolds.decide_icc_knot(descriptor.knot)
+    return manifolds.decide_icc_link(descriptor.link)
 
 
 def _enumerable_group(descriptor: Descriptor) -> tuple[StructuredGroup, str]:
     if descriptor.kind == "group":
         group = descriptor.group
-        from .groups import SurfaceGroup
+        from .groups.surface import SurfaceGroup
 
         if isinstance(group, SurfaceGroup) and group.realization() is None:
             raise GroupUsageError(
@@ -67,16 +59,18 @@ def _enumerable_group(descriptor: Descriptor) -> tuple[StructuredGroup, str]:
                 "negative Euler characteristic)"
             )
         return group, "structured group"
+    from . import manifolds
+
     if descriptor.kind == "manifold":
-        return manifold_group(descriptor.manifold)
+        return manifolds.manifold_group(descriptor.manifold)
     if descriptor.kind == "knot":
         knot = descriptor.knot
-        if isinstance(knot, TorusKnot):
+        if isinstance(knot, manifolds.TorusKnot):
             if knot.p == 1 or knot.q == 1:
-                from .groups import InfiniteCyclic
+                from .groups.cyclic import InfiniteCyclic
 
                 return InfiniteCyclic("x"), "unknot group Z"
-            group, _ = torus_knot_group(knot.p, knot.q)
+            group, _ = manifolds.torus_knot_group(knot.p, knot.q)
             return group, f"({knot.p}, {knot.q}) torus knot group"
         raise GroupUsageError("only torus knot descriptors denote an enumerable group")
     raise GroupUsageError("link descriptors do not denote an enumerable group")
@@ -130,6 +124,8 @@ def _explain_trace(descriptor: Descriptor) -> list[str]:
         trace.append(f"group order: {'infinite' if order == INFINITE else int(order)}")
         return trace
     if descriptor.kind == "manifold":
+        from .manifolds import HomotopySpherePiece, SeifertPiece, poincare_variety, seifert_group
+
         manifold = descriptor.manifold
         orientation = "orientable" if manifold.orientable else "non-orientable"
         trace.append(f"input: {orientation} manifold with {len(manifold.pieces)} piece(s)")
@@ -303,6 +299,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DescriptorError, NotEnumerableError, GroupUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect, not a bad input: still one line, no traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
         return 1
 
 

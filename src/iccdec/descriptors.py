@@ -16,40 +16,20 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .groups import (
-    Amalgam,
-    AmalgamEdge,
-    CyclicPowerEdge,
-    DirectWithFinite,
-    FiniteCyclic,
-    FiniteGroupTable,
-    FiniteHnnEdge,
-    FreeProduct,
-    GroupUsageError,
-    Hnn,
-    InfiniteCyclic,
-    SemidirectZnByZ,
-    StructuredGroup,
-    SurfaceGroup,
-)
-from .groups.base import INFINITE, Letter
-from .eisenstein import MatrixGroupSL2Eisenstein, figure8_group
-from .manifolds import (
-    HomotopySpherePiece,
-    HyperbolicKnot,
-    HyperbolicPiece,
-    KnotDescriptor,
-    LinkDescriptor,
-    ManifoldDescriptor,
-    OtherIrreduciblePiece,
-    OtherKnot,
-    PrimePiece,
-    SeifertInvariants,
-    SeifertPiece,
-    SphereBundlePiece,
-    TorusBundlePiece,
-    TorusKnot,
-)
+from ._lazy import lazy_module
+from .groups.base import INFINITE, FiniteGroupTable, GroupUsageError, Letter, StructuredGroup
+from .groups.cyclic import FiniteCyclic, InfiniteCyclic
+from .groups.free_product import FreeProduct
+
+# Executed on first use: a call parses one kind of descriptor, which needs
+# either the manifold types or some of the group constructions.
+amalgam = lazy_module("iccdec.groups.amalgam")
+direct_product = lazy_module("iccdec.groups.direct_product")
+hnn = lazy_module("iccdec.groups.hnn")
+semidirect = lazy_module("iccdec.groups.semidirect")
+surface = lazy_module("iccdec.groups.surface")
+eisenstein = lazy_module("iccdec.eisenstein")
+manifolds = lazy_module("iccdec.manifolds")
 
 SCHEMA_VERSION = 1
 # Nested constructions are parsed recursively, and every FreeProduct of a
@@ -70,9 +50,9 @@ class DescriptorError(ValueError):
 class Descriptor:
     kind: str  # "group" | "manifold" | "knot" | "link"
     group: Optional[StructuredGroup] = None
-    manifold: Optional[ManifoldDescriptor] = None
-    knot: Optional[KnotDescriptor] = None
-    link: Optional[LinkDescriptor] = None
+    manifold: Optional[manifolds.ManifoldDescriptor] = None
+    knot: Optional[manifolds.KnotDescriptor] = None
+    link: Optional[manifolds.LinkDescriptor] = None
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +271,8 @@ def _cyclic(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
 
 def _infinite_cyclic(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     name = body.get("name", str, None)
-    return InfiniteCyclic(build.claim(name, path) if name is not None else build.fresh(path))
+    name = build.claim(name, f"{body.path}.name") if name is not None else build.fresh(path)
+    return InfiniteCyclic(name)
 
 
 def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -313,7 +294,7 @@ def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     embed_left = _embed_words(left, edge, "embed_left")
     embed_right = _embed_words(right, edge, "embed_right")
     edge.finish()
-    return Amalgam(left, right, AmalgamEdge(table, embed_left, embed_right))
+    return amalgam.Amalgam(left, right, amalgam.AmalgamEdge(table, embed_left, embed_right))
 
 
 def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -321,14 +302,18 @@ def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     letter = body.get("stable_letter", str, None)
     if letter is None and "t" not in build.used:
         letter = "t"
-    letter = build.claim(letter, path) if letter is not None else build.fresh(path)
+    letter = (
+        build.claim(letter, f"{body.path}.stable_letter")
+        if letter is not None
+        else build.fresh(path)
+    )
     edge = body.nested("edge")
     edge_kind = edge.get("kind", str)
     if edge_kind == "cyclic_power":
-        hnn_edge = CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
+        hnn_edge = hnn.CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
     elif edge_kind == "finite":
         table = _parse_table(edge)
-        hnn_edge = FiniteHnnEdge(
+        hnn_edge = hnn.FiniteHnnEdge(
             table,
             _embed_words(base, edge, "embed_domain"),
             _embed_words(base, edge, "embed_range"),
@@ -337,11 +322,11 @@ def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     else:
         raise DescriptorError(f"{edge.path}.kind", f"unknown edge kind {edge_kind!r}")
     edge.finish()
-    return Hnn(base, hnn_edge, stable_letter=letter)
+    return hnn.Hnn(base, hnn_edge, stable_letter=letter)
 
 
 def _semidirect(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    group = SemidirectZnByZ(body.get("rank", int), body.array("matrix", _ROWS))
+    group = semidirect.SemidirectZnByZ(body.get("rank", int), body.array("matrix", _ROWS))
     build.claim_all(group, path)
     return group
 
@@ -353,11 +338,11 @@ def _direct_with_finite(body: _Fields, path: str, build: _GroupBuild) -> Structu
     f.finish()
     for name in table.names[1:]:
         build.claim(name, path)
-    return DirectWithFinite(h, table)
+    return direct_product.DirectWithFinite(h, table)
 
 
 def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    return SurfaceGroup(
+    return surface.SurfaceGroup(
         body.get("genus", int), body.get("orientable", bool), body.get("boundary_components", int)
     )
 
@@ -373,14 +358,14 @@ def _eisenstein(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup
     names = body.array("names", _LIST, str, None)
     for name in names or ():
         build.claim(name, path)
-    group = MatrixGroupSL2Eisenstein(generators, names)
+    group = eisenstein.MatrixGroupSL2Eisenstein(generators, names)
     if names is None:
         build.claim_all(group, path)
     return group
 
 
 def _figure_eight(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    group = figure8_group()
+    group = eisenstein.figure8_group()
     build.claim_all(group, path)
     return group
 
@@ -426,9 +411,9 @@ def _parse_construction(data, path: str, build: _GroupBuild) -> StructuredGroup:
 _PI1_FLAGS = ("normal_cyclic_infinite_subgroup", "contains_nonstandard_p2xi", "seifert_mod_p")
 
 
-def _seifert(fields: _Fields) -> PrimePiece:
-    return SeifertPiece(
-        SeifertInvariants(
+def _seifert(fields: _Fields) -> manifolds.PrimePiece:
+    return manifolds.SeifertPiece(
+        manifolds.SeifertInvariants(
             fields.get("base_genus", int),
             fields.get("base_orientable", bool),
             fields.get("boundary_components", int),
@@ -438,22 +423,26 @@ def _seifert(fields: _Fields) -> PrimePiece:
     )
 
 
-def _other_irreducible(fields: _Fields) -> PrimePiece:
+def _other_irreducible(fields: _Fields) -> manifolds.PrimePiece:
     order = INFINITE if fields.get("pi1_order") == "infinite" else fields.get("pi1_order", int)
-    return OtherIrreduciblePiece(order, *(fields.get(key, bool, None) for key in _PI1_FLAGS))
+    return manifolds.OtherIrreduciblePiece(
+        order, *(fields.get(key, bool, None) for key in _PI1_FLAGS)
+    )
 
 
 _PIECES = {
     "seifert": _seifert,
-    "hyperbolic": lambda fields: HyperbolicPiece(fields.get("finite_volume", bool, True)),
-    "torus_bundle": lambda fields: TorusBundlePiece(fields.array("monodromy", _ROWS)),
-    "sphere_bundle": lambda fields: SphereBundlePiece(fields.get("orientable_bundle", bool)),
-    "homotopy_sphere": lambda fields: HomotopySpherePiece(),
+    "hyperbolic": lambda fields: manifolds.HyperbolicPiece(fields.get("finite_volume", bool, True)),
+    "torus_bundle": lambda fields: manifolds.TorusBundlePiece(fields.array("monodromy", _ROWS)),
+    "sphere_bundle": lambda fields: manifolds.SphereBundlePiece(
+        fields.get("orientable_bundle", bool)
+    ),
+    "homotopy_sphere": lambda fields: manifolds.HomotopySpherePiece(),
     "other_irreducible": _other_irreducible,
 }
 
 
-def _parse_piece(data, path: str) -> PrimePiece:
+def _parse_piece(data, path: str) -> manifolds.PrimePiece:
     fields = _Fields(data, path)
     kind = fields.get("kind", str)
     parse = _PIECES.get(kind)
@@ -464,34 +453,34 @@ def _parse_piece(data, path: str) -> PrimePiece:
     return piece
 
 
-def _parse_manifold(fields: _Fields) -> ManifoldDescriptor:
+def _parse_manifold(fields: _Fields) -> manifolds.ManifoldDescriptor:
     orientable = fields.get("orientable", bool)
     pieces = tuple(
         _parse_piece(p, f"{fields.path}.pieces[{i}]")
         for i, p in enumerate(fields.get("pieces", list))
     )
     capped = fields.get("boundary_spheres_capped", bool, False)
-    return ManifoldDescriptor(orientable, pieces, capped)
+    return manifolds.ManifoldDescriptor(orientable, pieces, capped)
 
 
-def _parse_knot(fields: _Fields) -> KnotDescriptor:
+def _parse_knot(fields: _Fields) -> manifolds.KnotDescriptor:
     if "torus" in fields.data:
-        return TorusKnot(*fields.array("torus", ((2, "expected [p, q]"),)))
+        return manifolds.TorusKnot(*fields.array("torus", ((2, "expected [p, q]"),)))
     if "hyperbolic" in fields.data:
         if not fields.get("hyperbolic", bool):
             raise DescriptorError(f"{fields.path}.hyperbolic", "must be true when present")
-        return HyperbolicKnot()
+        return manifolds.HyperbolicKnot()
     if "other" in fields.data:
         body = fields.nested("other")
-        knot = OtherKnot(body.get("is_torus", bool))
+        knot = manifolds.OtherKnot(body.get("is_torus", bool))
         body.finish()
         return knot
     raise DescriptorError(fields.path, "knot needs one of: torus, hyperbolic, other")
 
 
-def _parse_link(fields: _Fields) -> LinkDescriptor:
+def _parse_link(fields: _Fields) -> manifolds.LinkDescriptor:
     components = fields.get("components", int)
-    return LinkDescriptor(components, fields.get("is_seifert_fiber_union", bool, None))
+    return manifolds.LinkDescriptor(components, fields.get("is_seifert_fiber_union", bool, None))
 
 
 _TOP_LEVEL = {"manifold": _parse_manifold, "knot": _parse_knot, "link": _parse_link}
@@ -526,6 +515,10 @@ def load_descriptor(path: str) -> Descriptor:
             ) from None
         except RecursionError:
             raise DescriptorError(path, "invalid JSON: nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise DescriptorError(
+                path, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     return parse_descriptor_data(data)
 
 
@@ -552,7 +545,7 @@ def construction_to_data(group: StructuredGroup):
         return {"infinite_cyclic": {"name": group.gen_name}}
     if isinstance(group, FreeProduct):
         return {"free_product": [construction_to_data(f) for f in group.factors]}
-    if isinstance(group, Amalgam):
+    if isinstance(group, amalgam.Amalgam):
         left, right = group.factors
         edge = group.edge
         return {
@@ -566,9 +559,9 @@ def construction_to_data(group: StructuredGroup):
                 },
             }
         }
-    if isinstance(group, Hnn):
+    if isinstance(group, hnn.Hnn):
         edge = group.edge
-        if isinstance(edge, CyclicPowerEdge):
+        if isinstance(edge, hnn.CyclicPowerEdge):
             edge_data = {"kind": "cyclic_power", "domain_power": edge.m, "range_power": edge.n}
         else:
             edge_data = {
@@ -585,15 +578,15 @@ def construction_to_data(group: StructuredGroup):
                 "edge": edge_data,
             }
         }
-    if isinstance(group, SemidirectZnByZ):
+    if isinstance(group, semidirect.SemidirectZnByZ):
         return {
             "semidirect_zn_by_z": {"rank": group.rank, "matrix": [list(row) for row in group.phi]}
         }
-    if isinstance(group, DirectWithFinite):
+    if isinstance(group, direct_product.DirectWithFinite):
         return {
             "direct_with_finite": {"h": construction_to_data(group.h), "f": _table_data(group.f)}
         }
-    if isinstance(group, SurfaceGroup):
+    if isinstance(group, surface.SurfaceGroup):
         return {
             "surface_group": {
                 "genus": group.genus,
@@ -601,7 +594,7 @@ def construction_to_data(group: StructuredGroup):
                 "boundary_components": group.boundary_components,
             }
         }
-    if isinstance(group, MatrixGroupSL2Eisenstein):
+    if isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
         return {
             "matrix_group_sl2_eisenstein": {
                 "generators": [
@@ -616,8 +609,8 @@ def construction_to_data(group: StructuredGroup):
     )
 
 
-def piece_to_data(piece: PrimePiece):
-    if isinstance(piece, SeifertPiece):
+def piece_to_data(piece: manifolds.PrimePiece):
+    if isinstance(piece, manifolds.SeifertPiece):
         inv = piece.invariants
         data = {
             "kind": "seifert",
@@ -629,15 +622,15 @@ def piece_to_data(piece: PrimePiece):
         if inv.euler_obstruction is not None:
             data["euler_obstruction"] = inv.euler_obstruction
         return data
-    if isinstance(piece, HyperbolicPiece):
+    if isinstance(piece, manifolds.HyperbolicPiece):
         return {"kind": "hyperbolic", "finite_volume": piece.finite_volume}
-    if isinstance(piece, TorusBundlePiece):
+    if isinstance(piece, manifolds.TorusBundlePiece):
         return {"kind": "torus_bundle", "monodromy": [list(r) for r in piece.monodromy]}
-    if isinstance(piece, SphereBundlePiece):
+    if isinstance(piece, manifolds.SphereBundlePiece):
         return {"kind": "sphere_bundle", "orientable_bundle": piece.orientable_bundle}
-    if isinstance(piece, HomotopySpherePiece):
+    if isinstance(piece, manifolds.HomotopySpherePiece):
         return {"kind": "homotopy_sphere"}
-    assert isinstance(piece, OtherIrreduciblePiece)
+    assert isinstance(piece, manifolds.OtherIrreduciblePiece)
     data = {
         "kind": "other_irreducible",
         "pi1_order": "infinite" if piece.pi1_order == INFINITE else piece.pi1_order,
@@ -660,9 +653,9 @@ def descriptor_to_data(descriptor: Descriptor) -> dict:
         data["boundary_spheres_capped"] = m.boundary_spheres_capped
     elif descriptor.kind == "knot":
         knot = descriptor.knot
-        if isinstance(knot, TorusKnot):
+        if isinstance(knot, manifolds.TorusKnot):
             data["torus"] = [knot.p, knot.q]
-        elif isinstance(knot, HyperbolicKnot):
+        elif isinstance(knot, manifolds.HyperbolicKnot):
             data["hyperbolic"] = True
         else:
             data["other"] = {"is_torus": knot.is_torus}

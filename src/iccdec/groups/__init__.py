@@ -1,61 +1,37 @@
-"""Structured groups with canonical normal forms."""
+"""Structured groups with canonical normal forms.
 
-from .base import (
-    INFINITE,
-    FiniteGroupTable,
-    GroupElement,
-    GroupUsageError,
-    NotEnumerableError,
-    StructuredGroup,
-    ball_with_lengths,
-    commutes_with_generators,
-    conjugate,
-    cyclic_table,
-    enumerate_ball,
-    invert,
-    multiply,
-    reduce_word,
-    render_word,
-)
-from .cyclic import FiniteCyclic, InfiniteCyclic
-from .free_product import FreeProduct, free_group
-from .amalgam import Amalgam, AmalgamEdge
-from .hnn import CyclicPowerEdge, FiniteHnnEdge, Hnn, HnnEdge
-from .semidirect import SemidirectZnByZ
-from .direct_product import DirectWithFinite
-from .fiber_extension import FiberExtension, FreePart, TorsionPart
-from .surface import SurfaceGroup
+The public names below are imported from their submodules on first use.
+"""
 
-__all__ = [
-    "INFINITE",
-    "FiniteGroupTable",
-    "GroupElement",
-    "GroupUsageError",
-    "NotEnumerableError",
-    "StructuredGroup",
-    "ball_with_lengths",
-    "commutes_with_generators",
-    "conjugate",
-    "cyclic_table",
-    "enumerate_ball",
-    "invert",
-    "multiply",
-    "reduce_word",
-    "render_word",
-    "FiniteCyclic",
-    "InfiniteCyclic",
-    "FreeProduct",
-    "free_group",
-    "Amalgam",
-    "AmalgamEdge",
-    "CyclicPowerEdge",
-    "FiniteHnnEdge",
-    "Hnn",
-    "HnnEdge",
-    "SemidirectZnByZ",
-    "DirectWithFinite",
-    "FiberExtension",
-    "FreePart",
-    "TorsionPart",
-    "SurfaceGroup",
-]
+from .._lazy import exports
+
+_EXPORTS = {
+    "base": (
+        "INFINITE",
+        "FiniteGroupTable",
+        "GroupElement",
+        "GroupUsageError",
+        "NotEnumerableError",
+        "StructuredGroup",
+        "ball_with_lengths",
+        "commutes_with_generators",
+        "conjugate",
+        "cyclic_table",
+        "enumerate_ball",
+        "invert",
+        "multiply",
+        "reduce_word",
+        "render_word",
+    ),
+    "cyclic": ("FiniteCyclic", "InfiniteCyclic"),
+    "free_product": ("FreeProduct", "free_group"),
+    "amalgam": ("Amalgam", "AmalgamEdge"),
+    "hnn": ("CyclicPowerEdge", "FiniteHnnEdge", "Hnn", "HnnEdge"),
+    "semidirect": ("SemidirectZnByZ",),
+    "direct_product": ("DirectWithFinite",),
+    "fiber_extension": ("FiberExtension", "FreePart", "TorsionPart"),
+    "surface": ("SurfaceGroup",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -18,22 +18,12 @@ from functools import reduce
 from math import gcd
 from typing import Optional, Union
 
-from .groups import (
-    INFINITE,
-    FiberExtension,
-    FiniteCyclic,
-    FreePart,
-    FreeProduct,
-    GroupElement,
-    GroupUsageError,
-    InfiniteCyclic,
-    SemidirectZnByZ,
-    StructuredGroup,
-    TorsionPart,
-    multiply,
-)
-from .rules import icc_torus_bundle
-from .groups.semidirect import mat_det as int_mat_det
+from ._lazy import lazy_module
+from .groups.base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, multiply
+from .groups.cyclic import FiniteCyclic, InfiniteCyclic
+from .groups.fiber_extension import FiberExtension, FreePart, TorsionPart
+from .groups.free_product import FreeProduct
+from .groups.semidirect import SemidirectZnByZ, mat_det as int_mat_det
 from .verdict import (
     FINITE_GROUP_WITNESS,
     Citation,
@@ -43,6 +33,9 @@ from .verdict import (
     not_icc,
     unknown,
 )
+
+# Executed on first use: only a torus bundle piece needs the group rules.
+rules = lazy_module("iccdec.rules")
 
 Letter = tuple[str, int]
 
@@ -722,7 +715,7 @@ def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
         )
     if isinstance(piece, TorusBundlePiece):
         if int_mat_det(piece.monodromy) == 1:
-            return icc_torus_bundle(piece.monodromy)
+            return rules.icc_torus_bundle(piece.monodromy)
         if orientable:
             raise GroupUsageError(
                 "an orientable manifold cannot carry a determinant -1 torus bundle piece"

@@ -8,29 +8,20 @@ witness with a finite conjugacy class (or the finite-group marker).
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 from typing import Optional, Sequence
 
-from .groups import (
+from ._lazy import lazy_module
+from .groups.base import (
     INFINITE,
-    Amalgam,
-    CyclicPowerEdge,
-    DirectWithFinite,
-    FiberExtension,
-    FiniteCyclic,
-    FiniteHnnEdge,
-    FreeProduct,
     GroupElement,
     GroupUsageError,
-    Hnn,
-    InfiniteCyclic,
-    SemidirectZnByZ,
     StructuredGroup,
-    SurfaceGroup,
     conjugate,
     multiply,
 )
-from .groups.semidirect import Matrix, identity_matrix, mat_det
-from .eisenstein import MatrixGroupSL2Eisenstein
+from .groups.cyclic import FiniteCyclic, InfiniteCyclic
+from .groups.free_product import FreeProduct
 from .verdict import (
     FINITE_GROUP_WITNESS,
     Citation,
@@ -41,6 +32,17 @@ from .verdict import (
     not_icc,
     unknown,
 )
+
+# Executed on first use.  decide_structured_group tests the construction
+# classes in order, so a group loads the modules of the classes tested
+# before its own, and no others.
+amalgam = lazy_module("iccdec.groups.amalgam")
+direct_product = lazy_module("iccdec.groups.direct_product")
+fiber_extension = lazy_module("iccdec.groups.fiber_extension")
+hnn = lazy_module("iccdec.groups.hnn")
+semidirect = lazy_module("iccdec.groups.semidirect")
+surface = lazy_module("iccdec.groups.surface")
+eisenstein = lazy_module("iccdec.eisenstein")
 
 
 class MonodromyClass(Enum):
@@ -83,10 +85,11 @@ def _is_normal_under_generators(
 
 
 def icc_amalgam(
-    group: Amalgam, factor_verdicts: tuple[Optional[Verdict], Optional[Verdict]] = (None, None)
+    group: amalgam.Amalgam,
+    factor_verdicts: tuple[Optional[Verdict], Optional[Verdict]] = (None, None),
 ) -> Verdict:
     """Prop 3(ii)/(iii) for amalgams over finite edge subgroups."""
-    if not isinstance(group, Amalgam):
+    if not isinstance(group, amalgam.Amalgam):
         raise GroupUsageError("icc_amalgam requires an amalgam construction")
     indices = (group.factor_index(0), group.factor_index(1))
     if not (
@@ -132,9 +135,9 @@ def icc_amalgam(
     )
 
 
-def icc_hnn(group: Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
+def icc_hnn(group: hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
     """Prop 3(iv)/(v) for HNN extensions."""
-    if not isinstance(group, Hnn):
+    if not isinstance(group, hnn.Hnn):
         raise GroupUsageError("icc_hnn requires an HNN construction")
     proper = group.edge.proper_sides(group.base)
     if not (proper[0] or proper[1]):
@@ -146,7 +149,7 @@ def icc_hnn(group: Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
             Status.ICC, base_verdict.reasons + (Citation("Prop 3(iv)", "the base group is ICC"),)
         )
     edge = group.edge
-    if isinstance(edge, CyclicPowerEdge):
+    if isinstance(edge, hnn.CyclicPowerEdge):
         # Subgroups of <a^m> are <a^(m k)>.  Such a subgroup is normal in the
         # extension iff conjugation by t and t^-1 preserves it, which forces
         # |m| = |n|; then it is infinite cyclic, hence not ICC.
@@ -165,7 +168,7 @@ def icc_hnn(group: Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
                 f"in the extension (powers {edge.m} and {edge.n} differ in size)",
             )
         )
-    assert isinstance(edge, FiniteHnnEdge)
+    assert isinstance(edge, hnn.FiniteHnnEdge)
     for sub in edge.table.subgroups():
         if len(sub) == 1:
             continue
@@ -219,7 +222,7 @@ def icc_index_two_lift(
     )
 
 
-def _as_matrix(phi) -> Matrix:
+def _as_matrix(phi) -> semidirect.Matrix:
     matrix = tuple(tuple(int(x) for x in row) for row in phi)
     if len(matrix) != 2 or any(len(r) != 2 for r in matrix):
         raise GroupUsageError("a monodromy matrix must be 2x2")
@@ -229,7 +232,7 @@ def _as_matrix(phi) -> Matrix:
 def classify_monodromy(phi) -> MonodromyClass:
     """Spectral type of a 2x2 integer matrix with determinant +-1."""
     matrix = _as_matrix(phi)
-    det = mat_det(matrix)
+    det = semidirect.mat_det(matrix)
     if det not in (1, -1):
         raise GroupUsageError("monodromy must have determinant +1 or -1")
     trace = matrix[0][0] + matrix[1][1]
@@ -244,11 +247,9 @@ def classify_monodromy(phi) -> MonodromyClass:
     return MonodromyClass.PARABOLIC if trace == 0 else MonodromyClass.HYPERBOLIC
 
 
-def _primitive_kernel_vector(m: Matrix) -> Optional[tuple[int, int]]:
+def _primitive_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, int]]:
     """A primitive integer kernel vector of a singular 2x2 matrix, or None."""
-    from math import gcd
-
-    if mat_det(m) != 0:
+    if semidirect.mat_det(m) != 0:
         return None
     for p, q in m:
         if (p, q) != (0, 0):
@@ -260,7 +261,7 @@ def _primitive_kernel_vector(m: Matrix) -> Optional[tuple[int, int]]:
 def icc_torus_bundle(phi) -> Verdict:
     """Lemma 10's trichotomy for orientable torus bundles."""
     matrix = _as_matrix(phi)
-    if mat_det(matrix) != 1:
+    if semidirect.mat_det(matrix) != 1:
         raise GroupUsageError(
             "torus bundle monodromy must have determinant +1 (orientable bundle)"
         )
@@ -276,7 +277,7 @@ def icc_torus_bundle(phi) -> Verdict:
             tuple(matrix[i][j] - (sign if i == j else 0) for j in range(2)) for i in range(2)
         )
         vector = _primitive_kernel_vector(shifted)
-        group = SemidirectZnByZ(2, matrix)
+        group = semidirect.SemidirectZnByZ(2, matrix)
         element = group.element((vector, 0))
         size = "{v}" if sign == 1 else "{v, -v}"
         return not_icc(
@@ -353,7 +354,7 @@ def icc_surface(genus: int, orientable: bool, boundary_components: int) -> Verdi
     )
 
 
-def _semidirect_finite_orbit_witness(group: SemidirectZnByZ) -> Optional[GroupElement]:
+def _semidirect_finite_orbit_witness(group: semidirect.SemidirectZnByZ) -> Optional[GroupElement]:
     """An element with a finite conjugacy class, if the action admits one.
 
     Any root-of-unity eigenvalue of an integer matrix of rank <= 3 has order
@@ -364,7 +365,7 @@ def _semidirect_finite_orbit_witness(group: SemidirectZnByZ) -> Optional[GroupEl
     """
     n = group.rank
     for j in range(1, 7):
-        if group.phi_power(j) == identity_matrix(n):
+        if group.phi_power(j) == semidirect.identity_matrix(n):
             return group.element(((0,) * n, j))
     for j in range(1, 7):
         power = group.phi_power(j)
@@ -377,7 +378,7 @@ def _semidirect_finite_orbit_witness(group: SemidirectZnByZ) -> Optional[GroupEl
     return None
 
 
-def _integer_kernel_vector(m: Matrix) -> Optional[tuple[int, ...]]:
+def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
     """A nonzero integer kernel vector of a square integer matrix, or None.
 
     Gaussian elimination over the rationals, cleared to integers.
@@ -411,8 +412,6 @@ def _integer_kernel_vector(m: Matrix) -> Optional[tuple[int, ...]]:
     for r, c in reversed(list(enumerate(pivots))):
         total = sum(rows[r][k] * solution[k] for k in range(c + 1, n))
         solution[c] = -total / rows[r][c]
-    from math import gcd
-
     denominators = [x.denominator for x in solution]
     scale = 1
     for d in denominators:
@@ -466,15 +465,15 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             )
             return Verdict(verdict.status, verdict.reasons, witness)
         return verdict
-    if isinstance(group, Amalgam):
+    if isinstance(group, amalgam.Amalgam):
         factor_verdicts = tuple(decide_structured_group(f) for f in group.factors)
         return icc_amalgam(group, factor_verdicts)
-    if isinstance(group, Hnn):
+    if isinstance(group, hnn.Hnn):
         return icc_hnn(group, decide_structured_group(group.base))
-    if isinstance(group, SemidirectZnByZ):
+    if isinstance(group, semidirect.SemidirectZnByZ):
         witness_element = _semidirect_finite_orbit_witness(group)
         if witness_element is not None:
-            if group.rank == 2 and mat_det(group.phi) == 1:
+            if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
                 kind = classify_monodromy(group.phi)
                 detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
                 return not_icc(
@@ -494,7 +493,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                 ),
                 Citation("Finite class witness", "the orbit of the vector under the action is finite"),
             )
-        if group.rank == 2 and mat_det(group.phi) == 1:
+        if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
             return icc_torus_bundle(group.phi)
         return unknown(
             Citation(
@@ -503,7 +502,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                 "orientable torus-bundle trichotomy",
             )
         )
-    if isinstance(group, DirectWithFinite):
+    if isinstance(group, direct_product.DirectWithFinite):
         if group.f.size == 1:
             return decide_structured_group(group.h)
         element = group.finite_element(1)
@@ -515,7 +514,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             ),
             Citation("Finite direct factor", f"finite factor of order {group.f.size}"),
         )
-    if isinstance(group, SurfaceGroup):
+    if isinstance(group, surface.SurfaceGroup):
         verdict = icc_surface(group.genus, group.orientable, group.boundary_components)
         realization = group.realization()
         if (
@@ -537,7 +536,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                     ),
                 )
         return verdict
-    if isinstance(group, FiberExtension):
+    if isinstance(group, fiber_extension.FiberExtension):
         fiber = group.fiber()
         closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
         return not_icc(
@@ -549,7 +548,11 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
             Citation("Prop 2"),
         )
-    if isinstance(group, MatrixGroupSL2Eisenstein):
+    if isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
+        order = group.order()
+        if order != INFINITE:
+            detail = "trivial group" if order == 1 else f"finite matrix group of order {order}"
+            return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
         return unknown(
             Citation(
                 "Outside scope",

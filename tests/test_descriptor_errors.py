@@ -104,7 +104,7 @@ CASES = {
     ),
     "infinite_cyclic: duplicate name": (
         group({"free_product": [C2, {"infinite_cyclic": {"name": "a"}}]}),
-        "$.construction.free_product[1]: generator name 'a' is not unique",
+        "$.construction.free_product[1].infinite_cyclic.name: generator name 'a' is not unique",
     ),
     "free_product: one factor": (
         group({"free_product": [C2]}),
@@ -136,7 +136,7 @@ CASES = {
     ),
     "hnn: duplicate stable letter": (
         hnn_power(1, 2, base={"infinite_cyclic": {"name": "t"}}, stable_letter="t"),
-        "$.construction: generator name 't' is not unique",
+        "$.construction.hnn.stable_letter: generator name 't' is not unique",
     ),
     "hnn: iso entry": (
         hnn_finite(iso=[0, "1"]),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from iccdec import descriptors
+from iccdec import cli, descriptors
 from iccdec.cli import main
 from iccdec.descriptors import (
     MAX_CONSTRUCTIONS,
@@ -232,6 +232,29 @@ def test_cli_rejects_deep_nesting_with_one_line(tmp_path, capsys):
     assert main(["decide", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_is_a_descriptor_error_at_the_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    message = f"{path}: not UTF-8 text: invalid start byte at byte 0"
+    with pytest.raises(DescriptorError) as err:
+        load_descriptor(str(path))
+    assert err.value.path == str(path)
+    assert str(err.value) == message
+    assert main(["decide", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_turns_an_unexpected_exception_into_one_line(monkeypatch, tmp_path, capsys):
+    def broken(path):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "load_descriptor", broken)
+    for command in ("decide", "explain"):
+        assert main([command, str(tmp_path / "any.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unexpected RuntimeError: first line second line\n"
 
 
 # ---------------------------------------------------------------------------

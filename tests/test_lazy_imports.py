@@ -1,0 +1,147 @@
+"""The lazy package barrels, and which modules one CLI call executes."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import iccdec
+from iccdec import groups
+
+# The names the two barrels exported when they imported every submodule.
+PACKAGE_NAMES = [
+    "CITATIONS",
+    "Citation", "Status", "Verdict", "Witness",
+    "MonodromyClass", "classify_monodromy", "decide_structured_group", "icc_amalgam",
+    "icc_finite_index_descend", "icc_free_product", "icc_hnn", "icc_index_two_lift",
+    "icc_surface", "icc_torus_bundle",
+    "HomotopySpherePiece", "HyperbolicKnot", "HyperbolicPiece", "LinkDescriptor",
+    "ManifoldDescriptor", "OtherIrreduciblePiece", "OtherKnot", "SeifertInvariants",
+    "SeifertPiece", "SphereBundlePiece", "TorusBundlePiece", "TorusKnot",
+    "decide_icc_knot", "decide_icc_link", "decide_icc_nonorientable",
+    "decide_icc_orientable", "manifold_group", "poincare_variety", "seifert_group",
+    "torus_knot_group",
+    "ClassBallReport", "WitnessSequence", "conjugacy_class_ball", "fc_center_candidates",
+    "strong_icc_witness",
+    "EisensteinInt", "Mat2E", "MatrixGroupSL2Eisenstein", "figure8_group",
+    "groups",
+]
+GROUPS_ALL = [
+    "INFINITE", "FiniteGroupTable", "GroupElement", "GroupUsageError",
+    "NotEnumerableError", "StructuredGroup", "ball_with_lengths",
+    "commutes_with_generators", "conjugate", "cyclic_table", "enumerate_ball", "invert",
+    "multiply", "reduce_word", "render_word", "FiniteCyclic", "InfiniteCyclic",
+    "FreeProduct", "free_group", "Amalgam", "AmalgamEdge", "CyclicPowerEdge",
+    "FiniteHnnEdge", "Hnn", "HnnEdge", "SemidirectZnByZ", "DirectWithFinite",
+    "FiberExtension", "FreePart", "TorsionPart", "SurfaceGroup",
+]
+
+
+def _defining_module(value):
+    return sys.modules[value.__module__]
+
+
+def test_package_names_resolve_and_are_listed():
+    assert sorted(iccdec.__all__) == sorted(PACKAGE_NAMES)
+    listed = dir(iccdec)
+    for name in PACKAGE_NAMES:
+        value = getattr(iccdec, name)
+        assert name in listed
+        if name not in ("CITATIONS", "groups"):
+            assert getattr(_defining_module(value), name) is value
+    assert iccdec.groups is groups
+    assert iccdec.CITATIONS is sys.modules["iccdec.citations"].CITATIONS
+
+
+def test_groups_names_resolve_and_all_is_unchanged():
+    assert groups.__all__ == GROUPS_ALL
+    listed = dir(groups)
+    for name in GROUPS_ALL:
+        value = getattr(groups, name)
+        assert name in listed
+        if name != "INFINITE":
+            assert getattr(_defining_module(value), name) is value
+    assert groups.INFINITE is sys.modules["iccdec.groups.base"].INFINITE
+
+
+def test_star_imports_give_every_name():
+    for package, names in ((iccdec, PACKAGE_NAMES), (groups, GROUPS_ALL)):
+        namespace = {}
+        exec(f"from {package.__name__} import *", namespace)
+        assert set(names) <= set(namespace)
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(iccdec, "no_such_name")
+    assert not hasattr(groups, "no_such_name")
+    assert iccdec.rules is sys.modules["iccdec.rules"]
+    assert groups.hnn is sys.modules["iccdec.groups.hnn"]
+
+
+# ---------------------------------------------------------------------------
+# modules executed by one call, each in a fresh interpreter
+
+_PROBE = r"""
+import json, runpy, sys, types
+
+if sys.argv[1:]:
+    sys.argv = ["iccdec", *sys.argv[1:]]
+    try:
+        runpy.run_module("iccdec.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+else:
+    import iccdec
+ours = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "iccdec"}
+unbound = []
+for name, module in ours.items():
+    parent, _, child = name.rpartition(".")
+    if parent and vars(sys.modules[parent]).get(child) is not module:
+        unbound.append(name)
+executed = sorted(n for n, m in ours.items() if type(m) is types.ModuleType)
+print(json.dumps({"executed": executed, "unbound": unbound}), file=sys.stderr)
+"""
+
+
+def _probe(*argv) -> dict:
+    src = os.path.dirname(os.path.dirname(iccdec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["unbound"] == []
+    return report
+
+
+def _executed(command, corpus_dir, name) -> set:
+    path = os.path.join(corpus_dir, name)
+    return set(_probe(command, path, "--json")["executed"])
+
+
+def test_import_executes_the_oracle_and_no_engine():
+    executed = set(_probe()["executed"])
+    assert "iccdec.oracle" in executed
+    assert not executed & {"iccdec.descriptors", "iccdec.rules", "iccdec.manifolds"}
+
+
+@pytest.mark.parametrize("command", ["decide", "explain"])
+@pytest.mark.parametrize(
+    "name", ["group_z2_star_z3.json", "group_bs12.json", "group_figure_eight_matrix.json"]
+)
+def test_group_call_never_executes_the_manifold_engine(corpus_dir, command, name):
+    executed = _executed(command, corpus_dir, name)
+    assert "iccdec.rules" in executed
+    assert "iccdec.manifolds" not in executed
+    assert ("iccdec.eisenstein" in executed) == ("matrix" in name)
+
+
+@pytest.mark.parametrize("command", ["decide", "explain"])
+@pytest.mark.parametrize("name", ["knot_trefoil.json", "knot_unknot.json", "link_hopf.json"])
+def test_knot_and_link_calls_never_execute_the_group_rules(corpus_dir, command, name):
+    executed = _executed(command, corpus_dir, name)
+    assert "iccdec.manifolds" in executed
+    assert not executed & {"iccdec.rules", "iccdec.eisenstein"}
+

@@ -353,7 +353,25 @@ def test_free_product_with_finite_matrix_factor_is_not_icc(tmp_path, capsys, fac
     assert out["reasons"][0]["label"] == label
 
 
-def test_standalone_finite_matrix_group_stays_unknown(tmp_path, capsys):
-    code, out = _decide_json(tmp_path, capsys, _matrix_factor(_MINUS_I))
+@pytest.mark.parametrize(
+    "generators, detail",
+    [
+        ([_MINUS_I], "finite matrix group of order 2"),
+        ([_T, _ORDER6], f"finite matrix group of order {MAX_FINITE_ORDER}"),
+        ([_I], "trivial group"),
+    ],
+    ids=["<-I>", "binary tetrahedral", "<I>"],
+)
+def test_standalone_finite_matrix_group_is_not_icc(tmp_path, capsys, generators, detail):
+    code, out = _decide_json(tmp_path, capsys, _matrix_factor(*generators))
+    assert code == 0
+    assert out["status"] == "NotICC"
+    assert out["witness"]["kind"] == "finite"
+    assert out["reasons"] == [{"label": "ICC definition", "detail": detail}]
+
+
+def test_standalone_infinite_matrix_group_stays_unknown(tmp_path, capsys):
+    code, out = _decide_json(tmp_path, capsys, _matrix_factor(_S, _PARABOLIC))
     assert code == 2
     assert out["status"] == "Unknown"
+    assert out["reasons"][0]["label"] == "Outside scope"
