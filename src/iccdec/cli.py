@@ -64,15 +64,7 @@ def _enumerable_group(descriptor: Descriptor) -> tuple[StructuredGroup, str]:
     if descriptor.kind == "manifold":
         return manifolds.manifold_group(descriptor.manifold)
     if descriptor.kind == "knot":
-        knot = descriptor.knot
-        if isinstance(knot, manifolds.TorusKnot):
-            if knot.p == 1 or knot.q == 1:
-                from .groups.cyclic import InfiniteCyclic
-
-                return InfiniteCyclic("x"), "unknot group Z"
-            group, _ = manifolds.torus_knot_group(knot.p, knot.q)
-            return group, f"({knot.p}, {knot.q}) torus knot group"
-        raise GroupUsageError("only torus knot descriptors denote an enumerable group")
+        return manifolds.knot_group(descriptor.knot)
     raise GroupUsageError("link descriptors do not denote an enumerable group")
 
 
@@ -113,7 +105,8 @@ def _verdict_exit(verdict: Verdict) -> int:
     return 2 if verdict.status is Status.UNKNOWN else 0
 
 
-def _explain_trace(descriptor: Descriptor) -> list[str]:
+def _explain_trace(descriptor: Descriptor, normal) -> list[str]:
+    """The trace lines; normal is what a manifold's verdict was computed from."""
     trace: list[str] = []
     if descriptor.kind == "group":
         group = descriptor.group
@@ -124,30 +117,22 @@ def _explain_trace(descriptor: Descriptor) -> list[str]:
         trace.append(f"group order: {'infinite' if order == INFINITE else int(order)}")
         return trace
     if descriptor.kind == "manifold":
-        from .manifolds import HomotopySpherePiece, SeifertPiece, poincare_variety, seifert_group
-
         manifold = descriptor.manifold
         orientation = "orientable" if manifold.orientable else "non-orientable"
         trace.append(f"input: {orientation} manifold with {len(manifold.pieces)} piece(s)")
-        normalized = poincare_variety(manifold)
-        dropped = sum(1 for p in manifold.pieces if isinstance(p, HomotopySpherePiece))
-        trace.append(
-            "Poincare variety: "
-            + (
-                f"dropped {dropped} homotopy-sphere piece(s), "
-                f"{len(normalized.pieces)} piece(s) remain"
-                if dropped
-                else "no homotopy-sphere pieces to drop"
-            )
-        )
-        for i, piece in enumerate(normalized.pieces):
-            if isinstance(piece, SeifertPiece):
-                sg = seifert_group(piece.invariants)
+        summary = "no homotopy-sphere pieces to drop"
+        if normal.dropped:
+            summary = (f"dropped {normal.dropped} homotopy-sphere piece(s), "
+                       f"{len(normal.pieces)} piece(s) remain")
+        trace.append(f"Poincare variety: {summary}")
+        for i, piece in enumerate(normal.pieces):
+            sg = piece.seifert
+            if sg is not None:
                 trace.append(f"piece {i}: Seifert, presentation {sg.presentation.display()}")
                 centrality = "central" if sg.fiber_central else "inverted by one-sided generators"
                 trace.append(f"piece {i}: fiber class {sg.fiber_name} is {centrality}")
             else:
-                trace.append(f"piece {i}: {type(piece).__name__}")
+                trace.append(f"piece {i}: {type(piece.piece).__name__}")
         return trace
     if descriptor.kind == "knot":
         trace.append(f"input: knot descriptor {descriptor.knot}")
@@ -169,8 +154,13 @@ def _cmd_decide(args) -> int:
 
 def _cmd_explain(args) -> int:
     descriptor = load_descriptor(args.file)
-    verdict = _decide(descriptor)
-    trace = _explain_trace(descriptor)
+    if descriptor.kind == "manifold":
+        from .manifolds import explain_manifold
+
+        verdict, normal = explain_manifold(descriptor.manifold)
+    else:
+        verdict, normal = _decide(descriptor), None
+    trace = _explain_trace(descriptor, normal)
     if args.json:
         data = {
             "schema_version": 1,

@@ -141,6 +141,11 @@ class StructuredGroup(ABC):
     def __hash__(self):
         return self._hashed_signature[0]
 
+    @cached_property
+    def _ball(self) -> list[list[GroupElement]]:
+        """The ball levels enumerated so far; _ball_levels extends them."""
+        return [[self.identity()]]
+
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_payload())
 
@@ -242,7 +247,6 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
     return steps
 
 
-_BALL_CACHES: dict[StructuredGroup, list[list[GroupElement]]] = {}
 _BALL_LOCK = threading.RLock()
 
 
@@ -251,12 +255,12 @@ def _ball_levels(group: StructuredGroup, radius: int) -> list[list[GroupElement]
     the group is exhausted first, in which case the last level is empty.
 
     Level r holds the elements of word length r in payload-key order.  Levels
-    are cached per group, so equal groups built apart share them; the lock
-    keeps concurrent callers on the same group consistent.  The returned
-    lists are shared: do not mutate.
+    are cached on the group instance and die with it; the lock keeps
+    concurrent callers on the same group consistent.  The returned lists are
+    shared: do not mutate.
     """
     with _BALL_LOCK:
-        levels = _BALL_CACHES.setdefault(group, [[group.identity()]])
+        levels = group._ball
         if len(levels) <= radius and levels[-1]:
             mul = group.multiply_payloads
             key = group.payload_key

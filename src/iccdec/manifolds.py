@@ -19,7 +19,7 @@ from math import gcd
 from typing import Optional, Union
 
 from ._lazy import lazy_module
-from .groups.base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, multiply
+from .groups.base import INFINITE, GroupElement, GroupUsageError, Letter, StructuredGroup, multiply
 from .groups.cyclic import FiniteCyclic, InfiniteCyclic
 from .groups.fiber_extension import FiberExtension, FreePart, TorsionPart
 from .groups.free_product import FreeProduct
@@ -36,8 +36,6 @@ from .verdict import (
 
 # Executed on first use: only a torus bundle piece needs the group rules.
 rules = lazy_module("iccdec.rules")
-
-Letter = tuple[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +213,7 @@ class Presentation:
 
     def display(self) -> str:
         def word(letters):
-            if not letters:
-                return "1"
-            out = []
-            for name, exp in letters:
-                out.append(name if exp == 1 else f"{name}^{exp}")
-            return " ".join(out)
+            return " ".join(name if exp == 1 else f"{name}^{exp}" for name, exp in letters) or "1"
 
         rels = ", ".join(f"{word(r)} = 1" for r in self.relators)
         return f"< {', '.join(self.generators)} | {rels} >"
@@ -279,45 +272,44 @@ class SeifertGroupResult:
         return "3+"
 
 
-def _seifert_presentation(inv: SeifertInvariants, suffix: str) -> tuple[Presentation, str]:
+def _seifert_generators(
+    inv: SeifertInvariants, suffix: str
+) -> tuple[list[tuple[str, int]], list[str]]:
+    """The base generators, each with the sign by which it conjugates the
+    fiber (a_i, b_i, or the one-sided a_i, then the free boundary generators
+    m1..m(d-1)), and the exceptional fiber generators q_j."""
+    if inv.base_orientable:
+        base = [(f"{x}{i + 1}{suffix}", 1) for i in range(inv.base_genus) for x in "ab"]
+    else:
+        base = [(f"a{i + 1}{suffix}", -1) for i in range(inv.base_genus)]
+    base += [(f"m{k + 1}{suffix}", 1) for k in range(inv.boundary_components - 1)]
+    return base, [f"q{j + 1}{suffix}" for j in range(len(inv.exceptional_fibers))]
+
+
+def _seifert_presentation(
+    inv: SeifertInvariants, base: list[tuple[str, int]], fiber_gens: list[str], h: str
+) -> Presentation:
     """The standard fibered presentation.  For bounded bases the last
     boundary relation is eliminated, leaving free boundary generators
     m1..m(d-1); closed bases carry the product relation with h^b."""
-    h = "h" + suffix
-    gens: list[str] = []
-    relators: list[tuple[Letter, ...]] = []
-    base_gens: list[tuple[str, int]] = []  # (name, fiber sign under conjugation)
-    if inv.base_orientable:
-        for i in range(inv.base_genus):
-            base_gens.append((f"a{i + 1}{suffix}", 1))
-            base_gens.append((f"b{i + 1}{suffix}", 1))
-    else:
-        for i in range(inv.base_genus):
-            base_gens.append((f"a{i + 1}{suffix}", -1))
-    for k in range(max(0, inv.boundary_components - 1)):
-        base_gens.append((f"m{k + 1}{suffix}", 1))
-    fiber_gens = [f"q{j + 1}{suffix}" for j in range(len(inv.exceptional_fibers))]
-    gens.extend(name for name, _ in base_gens)
-    gens.extend(fiber_gens)
-    gens.append(h)
-    for name, sign in base_gens:
-        relators.append(((name, 1), (h, 1), (name, -1), (h, -sign)))
-    for name in fiber_gens:
-        relators.append(((name, 1), (h, 1), (name, -1), (h, -1)))
-    for name, (alpha, beta) in zip(fiber_gens, inv.exceptional_fibers):
-        relators.append(((name, alpha), (h, beta)))
+    names = [name for name, _ in base]
+    relators: list[tuple[Letter, ...]] = [
+        ((name, 1), (h, 1), (name, -1), (h, -sign)) for name, sign in base
+    ]
+    relators += [((name, 1), (h, 1), (name, -1), (h, -1)) for name in fiber_gens]
+    relators += [
+        ((name, alpha), (h, beta)) for name, (alpha, beta) in zip(fiber_gens, inv.exceptional_fibers)
+    ]
     if inv.closed:
         product: list[Letter] = [(name, 1) for name in fiber_gens]
         if inv.base_orientable:
-            for i in range(inv.base_genus):
-                a, b = f"a{i + 1}{suffix}", f"b{i + 1}{suffix}"
-                product.extend([(a, 1), (b, 1), (a, -1), (b, -1)])
+            for a, b in zip(names[::2], names[1::2]):
+                product += [(a, 1), (b, 1), (a, -1), (b, -1)]
         else:
-            for i in range(inv.base_genus):
-                product.append((f"a{i + 1}{suffix}", 2))
+            product += [(a, 2) for a in names]
         product.append((h, inv.euler_obstruction))
         relators.append(tuple(product))
-    return Presentation(tuple(gens), tuple(relators)), h
+    return Presentation(tuple(names + fiber_gens + [h]), tuple(relators))
 
 
 def _diagonalize_2x2(m: list[list[int]]) -> tuple[int, int, list[list[int]]]:
@@ -328,16 +320,14 @@ def _diagonalize_2x2(m: list[list[int]]) -> tuple[int, int, list[list[int]]]:
     c = [[1, 0], [0, 1]]
 
     def col_op(j, k, q):  # col_k += q * col_j
-        for i in range(2):
-            a[i][k] += q * a[i][j]
-        for i in range(2):
-            c[i][k] += q * c[i][j]
+        for x in (a, c):
+            for i in range(2):
+                x[i][k] += q * x[i][j]
 
     def col_swap():
-        for i in range(2):
-            a[i][0], a[i][1] = a[i][1], a[i][0]
-        for i in range(2):
-            c[i][0], c[i][1] = c[i][1], c[i][0]
+        for x in (a, c):
+            for i in range(2):
+                x[i][0], x[i][1] = x[i][1], x[i][0]
 
     def row_op(i, k, q):  # row_k += q * row_i
         for j in range(2):
@@ -383,76 +373,53 @@ def _lens_realization(
     is cyclic.  Returns (group, fiber element, order) with 0 meaning Z."""
     b = inv.euler_obstruction
     fibers = inv.exceptional_fibers
-    if len(fibers) == 0:
-        p = abs(b)
-        group: StructuredGroup = FiniteCyclic(p, "h" + suffix) if p else InfiniteCyclic("h" + suffix)
-        return group, group.element(1 % p if p else 1), p
-    if len(fibers) == 1:
-        alpha, beta = fibers[0]
-        p = abs(alpha * b - beta)
-        group = FiniteCyclic(p, "h" + suffix) if p else InfiniteCyclic("h" + suffix)
-        return group, group.element(1 % p if p else 1), p
-    (a1, b1), (a2, b2) = fibers
-    # relations on (q1, h) after q2 = -q1 - b h:  a1 q1 + b1 h = 0,
-    # -a2 q1 + (b2 - a2 b) h = 0
-    matrix = [[a1, b1], [-a2, b2 - a2 * b]]
-    d1, d2, c = _diagonalize_2x2(matrix)
-    h_coords = (c[1][0], c[1][1])  # image of (0,1) under x -> x C
-    diag = (abs(d1), abs(d2))
-    if diag[0] == 1:
-        p, h_exp = diag[1], h_coords[1]
-    elif diag[1] == 1:
-        p, h_exp = diag[0], h_coords[0]
+    if len(fibers) <= 1:
+        alpha, beta = fibers[0] if fibers else (1, 0)
+        name, p, h_exp = "h" + suffix, abs(alpha * b - beta), 1
     else:
-        raise GroupUsageError("lens-type data did not reduce to a cyclic group")
-    name = "c" + suffix
-    group = FiniteCyclic(p, name) if p else InfiniteCyclic(name)
-    h_element = group.element(h_exp % p if p else h_exp)
-    return group, h_element, p
+        (a1, b1), (a2, b2) = fibers
+        # relations on (q1, h) after q2 = -q1 - b h:  a1 q1 + b1 h = 0,
+        # -a2 q1 + (b2 - a2 b) h = 0
+        d1, d2, c = _diagonalize_2x2([[a1, b1], [-a2, b2 - a2 * b]])
+        h_coords = (c[1][0], c[1][1])  # image of (0,1) under x -> x C
+        if abs(d1) == 1:
+            p, h_exp = abs(d2), h_coords[1]
+        elif abs(d2) == 1:
+            p, h_exp = abs(d1), h_coords[0]
+        else:
+            raise GroupUsageError("lens-type data did not reduce to a cyclic group")
+        name = "c" + suffix
+    group: StructuredGroup = FiniteCyclic(p, name) if p else InfiniteCyclic(name)
+    return group, group.element(h_exp % p if p else h_exp), p
 
 
-def seifert_group(inv: SeifertInvariants, suffix: str = "") -> SeifertGroupResult:
-    """Emit the fibered presentation, the distinguished fiber class h, and an
-    enumerable realization when the data is in the computable family."""
-    presentation, fiber_name = _seifert_presentation(inv, suffix)
-    fiber_central = inv.base_orientable
+def _seifert_realization(
+    inv: SeifertInvariants, suffix: str, generators: tuple[list[tuple[str, int]], list[str]]
+) -> tuple[str, float, Optional[StructuredGroup], Optional[GroupElement]]:
+    """The order kind, order, realization and fiber element of a
+    SeifertGroupResult; generators is _seifert_generators(inv, suffix)."""
+    fiber_name = "h" + suffix
     fibers = inv.exceptional_fibers
     n = len(fibers)
-    realization: Optional[StructuredGroup] = None
-    fiber_element: Optional[GroupElement] = None
-    order_kind, order = "exact", INFINITE
-
     if not inv.closed:
-        parts: list = []
-        if inv.base_orientable:
-            for i in range(inv.base_genus):
-                parts.append(FreePart(f"a{i + 1}{suffix}", 1))
-                parts.append(FreePart(f"b{i + 1}{suffix}", 1))
-        else:
-            for i in range(inv.base_genus):
-                parts.append(FreePart(f"a{i + 1}{suffix}", -1))
-        for k in range(inv.boundary_components - 1):
-            parts.append(FreePart(f"m{k + 1}{suffix}", 1))
-        for j, (alpha, beta) in enumerate(fibers):
-            parts.append(TorsionPart(f"q{j + 1}{suffix}", alpha, -beta))
-        realization = FiberExtension(parts, fiber_name=fiber_name)
-        fiber_element = realization.fiber()
-        return SeifertGroupResult(
-            inv, presentation, fiber_name, fiber_central, "exact", INFINITE,
-            realization, fiber_element,
-        )
-
+        base, fiber_gens = generators
+        parts: list = [FreePart(name, sign) for name, sign in base]
+        parts += [
+            TorsionPart(name, alpha, -beta) for name, (alpha, beta) in zip(fiber_gens, fibers)
+        ]
+        realization: StructuredGroup = FiberExtension(parts, fiber_name=fiber_name)
+        return "exact", INFINITE, realization, realization.fiber()
     b = inv.euler_obstruction
     if inv.base_orientable and inv.base_genus == 0:
         if n <= 2:
             realization, fiber_element, p = _lens_realization(inv, suffix)
-            order = p if p else INFINITE
-        elif n == 3:
+            return "exact", p if p else INFINITE, realization, fiber_element
+        if n == 3:
             chi = inv.orbifold_euler_characteristic()
             euler_number = Fraction(b) - sum(Fraction(beta, alpha) for alpha, beta in fibers)
             if chi > 0 and euler_number != 0:
-                order_kind, order = "finite_ge_3", INFINITE
-            # chi <= 0 (or euler number 0): infinite, no realization
+                return "finite_ge_3", INFINITE, None, None
+        # chi <= 0 (or euler number 0, or more fibers): infinite, no realization
     elif inv.base_orientable and inv.base_genus == 1 and n == 0:
         # central extension of Z^2: Z^3 when b = 0, integral Heisenberg-type
         # otherwise; carried by Z^2 x| Z with basis (b1, h) and letter a1
@@ -460,105 +427,137 @@ def seifert_group(inv: SeifertInvariants, suffix: str = "") -> SeifertGroupResul
         realization = SemidirectZnByZ(
             2, phi, exponent_name=f"a1{suffix}", basis_names=(f"b1{suffix}", fiber_name)
         )
-        fiber_element = realization.element(((0, 1), 0))
+        return "exact", INFINITE, realization, realization.element(((0, 1), 0))
     elif not inv.base_orientable and inv.base_genus == 1 and n == 0:
-        if b == 0:
-            # infinite dihedral: reflections r1, r2 with a1 = r1, h = r1 r2
-            left = FiniteCyclic(2, f"r1{suffix}")
-            right = FiniteCyclic(2, f"r2{suffix}")
-            realization = FreeProduct(left, right)
-            fiber_element = realization.reduce_letters(
-                [(f"r1{suffix}", 1), (f"r2{suffix}", 1)]
-            )
-        else:
-            order_kind, order = "finite_ge_3", INFINITE  # dicyclic of order 4|b|
+        if b != 0:
+            return "finite_ge_3", INFINITE, None, None  # dicyclic of order 4|b|
+        # infinite dihedral: reflections r1, r2 with a1 = r1, h = r1 r2
+        realization = FreeProduct(FiniteCyclic(2, f"r1{suffix}"), FiniteCyclic(2, f"r2{suffix}"))
+        fiber = realization.reduce_letters([(f"r1{suffix}", 1), (f"r2{suffix}", 1)])
+        return "exact", INFINITE, realization, fiber
     elif not inv.base_orientable and inv.base_genus == 1 and n == 1:
         # prism-type data: finite or infinite depending on the euler data,
         # but of order >= 4 either way (the group surjects onto the base
         # orbifold group, which has order 2*alpha)
-        order_kind, order = "unknown_ge_3", INFINITE
+        return "unknown_ge_3", INFINITE, None, None
+    return "exact", INFINITE, None, None
+
+
+def seifert_group(inv: SeifertInvariants, suffix: str = "") -> SeifertGroupResult:
+    """Emit the fibered presentation, the distinguished fiber class h, and an
+    enumerable realization when the data is in the computable family."""
+    generators = _seifert_generators(inv, suffix)
+    fiber_name = "h" + suffix
     return SeifertGroupResult(
-        inv, presentation, fiber_name, fiber_central, order_kind, order,
-        realization, fiber_element,
+        inv, _seifert_presentation(inv, *generators, fiber_name), fiber_name,
+        inv.base_orientable, *_seifert_realization(inv, suffix, generators),
     )
 
+
 # ---------------------------------------------------------------------------
-# piece-level group information
+# the normalization: read by the decision, the carrier and the explain trace
 
 
 @dataclass(frozen=True)
-class PieceGroupInfo:
-    """What the engine knows about one piece's fundamental group."""
+class NormalPiece:
+    """A piece of the Poincare variety with what the decision reads of its
+    group: the order class and, for a Seifert piece, its Seifert group."""
 
+    piece: PrimePiece
+    suffix: str  # appended to the piece's generator names in the carrier
     order_class: object  # 1, 2, or "3+"
-    finite: Optional[bool]  # True/False when known, None when undetermined
-    realization: Optional[StructuredGroup]
-    distinguished: Optional[GroupElement]  # fiber class / generator, if any
-    note: str = ""
+    seifert: Optional[SeifertGroupResult]  # unsuffixed
 
 
-def piece_group_info(piece: PrimePiece, orientable_manifold: bool, suffix: str = "") -> PieceGroupInfo:
-    if isinstance(piece, HomotopySpherePiece):
-        return PieceGroupInfo(1, True, FiniteCyclic(1, "u" + suffix), None, "homotopy sphere")
-    if isinstance(piece, SeifertPiece):
-        sg = seifert_group(piece.invariants, suffix)
-        finite: Optional[bool]
-        if sg.order_kind == "exact":
-            finite = sg.order != INFINITE
-        elif sg.order_kind == "finite_ge_3":
-            finite = True
-        else:
-            finite = None
-        realization = sg.realization if orientable_manifold else None
-        fiber = sg.fiber_element if orientable_manifold else None
-        return PieceGroupInfo(sg.order_class(), finite, realization, fiber, "Seifert piece")
-    if isinstance(piece, HyperbolicPiece):
-        return PieceGroupInfo("3+", False, None, None, "hyperbolic piece")
-    if isinstance(piece, TorusBundlePiece):
-        realization = None
-        if int_mat_det(piece.monodromy) == 1:
-            realization = SemidirectZnByZ(2, piece.monodromy, exponent_name="t" + suffix,
-                                          basis_names=(f"e1{suffix}", f"e2{suffix}"))
-        return PieceGroupInfo("3+", False, realization, None, "torus bundle")
-    if isinstance(piece, SphereBundlePiece):
-        group = InfiniteCyclic("t" + suffix)
-        return PieceGroupInfo("3+", False, group, group.element(1), "sphere bundle over the circle")
-    assert isinstance(piece, OtherIrreduciblePiece)
-    order = piece.pi1_order
-    if order == INFINITE:
-        return PieceGroupInfo("3+", False, None, None, "flagged irreducible piece")
-    cls = order if order in (1, 2) else "3+"
-    return PieceGroupInfo(cls, True, None, None, "flagged irreducible piece")
+@dataclass(frozen=True)
+class Normalization:
+    """The Poincare variety of a manifold descriptor, piece by piece."""
+
+    pieces: tuple[NormalPiece, ...]
+    dropped: int  # the homotopy-sphere pieces of the descriptor
+
+    @property
+    def kept(self) -> list[NormalPiece]:
+        """The pieces whose groups are nontrivial."""
+        return [p for p in self.pieces if p.order_class != 1]
 
 
-def _kept_pieces(
-    m: ManifoldDescriptor, orientable: bool
-) -> list[tuple[PrimePiece, PieceGroupInfo]]:
-    """The pieces of the Poincare variety whose groups are nontrivial, each
-    with its group information."""
+def normalize(m: ManifoldDescriptor) -> Normalization:
+    """The Poincare variety of m, each piece with its order class and, for a
+    Seifert piece, its Seifert group, each computed once."""
     pieces = poincare_variety(m).pieces
     multi = len(pieces) > 1
-    infos = [
-        piece_group_info(p, orientable, f"_{i}" if multi else "") for i, p in enumerate(pieces)
-    ]
-    return [(p, info) for p, info in zip(pieces, infos) if info.order_class != 1]
+    normal = []
+    for i, piece in enumerate(pieces):
+        sg = seifert_group(piece.invariants) if isinstance(piece, SeifertPiece) else None
+        if sg is not None:
+            order_class = sg.order_class()
+        elif isinstance(piece, HomotopySpherePiece):
+            order_class = 1
+        elif isinstance(piece, OtherIrreduciblePiece) and piece.pi1_order in (1, 2):
+            order_class = piece.pi1_order
+        else:
+            order_class = "3+"
+        normal.append(NormalPiece(piece, f"_{i}" if multi else "", order_class, sg))
+    return Normalization(
+        tuple(normal), sum(isinstance(p, HomotopySpherePiece) for p in m.pieces)
+    )
 
 
-def _multi_piece_verdict(kept) -> Verdict:
+_CARRIER_NOTES = {
+    SeifertPiece: "Seifert piece",
+    TorusBundlePiece: "torus bundle",
+    SphereBundlePiece: "sphere bundle over the circle",
+}
+
+
+def _piece_carrier(p: NormalPiece) -> Optional[StructuredGroup]:
+    """The piece's group as an enumerable realization whose generator names
+    carry the piece's suffix, or None outside the computable family."""
+    piece, suffix = p.piece, p.suffix
+    if p.seifert is not None:
+        if not suffix:
+            return p.seifert.realization
+        inv = piece.invariants
+        return _seifert_realization(inv, suffix, _seifert_generators(inv, suffix))[2]
+    if isinstance(piece, TorusBundlePiece) and int_mat_det(piece.monodromy) == 1:
+        return SemidirectZnByZ(2, piece.monodromy, exponent_name="t" + suffix,
+                               basis_names=(f"e1{suffix}", f"e2{suffix}"))
+    if isinstance(piece, SphereBundlePiece):
+        return InfiniteCyclic("t" + suffix)
+    return None
+
+
+def _carrier(kept: list[NormalPiece]) -> tuple[StructuredGroup, str]:
+    """The free product of the nontrivial piece groups as an enumerable
+    carrier, with a short provenance note."""
+    if not kept:
+        return FiniteCyclic(1, "u"), "trivial group (all pieces simply connected)"
+    groups = []
+    for p in kept:
+        group = _piece_carrier(p)
+        if group is None:
+            raise GroupUsageError(
+                f"piece {type(p.piece).__name__} has no enumerable realization"
+            )
+        groups.append(group)
+    if len(groups) == 1:
+        return groups[0], _CARRIER_NOTES[type(kept[0].piece)]
+    return reduce(FreeProduct, groups), f"free product of {len(kept)} piece groups"
+
+
+def _multi_piece_verdict(kept: list[NormalPiece]) -> Verdict:
     """Free-product rule over the nontrivial piece groups (Kneser-Milnor)."""
-    classes = [info.order_class for _, info in kept]
-    if len(kept) == 2 and classes == [2, 2]:
+    classes = [p.order_class for p in kept]
+    if classes == [2, 2]:
         witness = Witness(
             description="translation element of the infinite dihedral group "
             "(product of the two order-2 generators)"
         )
-        realizations = [info.realization for _, info in kept]
-        if all(isinstance(r, FiniteCyclic) and r.n == 2 for r in realizations):
-            product = FreeProduct(realizations[0], realizations[1])
-            element = multiply(
-                product.embed(0, realizations[0].element(1)),
-                product.embed(1, realizations[1].element(1)),
-            )
+        if all(p.seifert is not None for p in kept):
+            # a Seifert group of order 2 is the lens group, carried by Z/2
+            product, _ = _carrier(kept)
+            element = multiply(*(g for _, g in product.generators()))
             witness = Witness(
                 description=f"translation {element!r} of the infinite dihedral group",
                 element=element,
@@ -661,10 +660,10 @@ def _other_irreducible_verdict(piece: OtherIrreduciblePiece, orientable: bool) -
     )
 
 
-def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
-    """One procedure for both orientations; the orientation selects the
-    citations and the refusals the non-orientable hypotheses require
-    (nonstandard P2 x I blocks, infinite dihedral group)."""
+def _decide_manifold(m: ManifoldDescriptor, normal: Optional[Normalization] = None) -> Verdict:
+    """One procedure for both orientations, read from normal = normalize(m);
+    the orientation selects the citations and the refusals the non-orientable
+    hypotheses require (nonstandard P2 x I blocks, infinite dihedral group)."""
     orientable = m.orientable
     if not orientable and any(
         isinstance(p, OtherIrreduciblePiece) and p.contains_nonstandard_p2xi is not False
@@ -677,7 +676,7 @@ def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
                 "hypotheses of the non-orientable classification",
             )
         )
-    kept = _kept_pieces(m, orientable)
+    kept = (normal if normal is not None else normalize(m)).kept
     if not kept:
         return not_icc(
             FINITE_GROUP_WITNESS,
@@ -687,7 +686,7 @@ def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
             ),
             Citation("ICC definition"),
         )
-    if not orientable and [info.order_class for _, info in kept] == [2, 2]:
+    if not orientable and [p.order_class for p in kept] == [2, 2]:
         return unknown(
             Citation(
                 "Hypotheses not met",
@@ -697,9 +696,9 @@ def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
         )
     if len(kept) > 1:
         return _multi_piece_verdict(kept)
-    piece, info = kept[0]
-    if isinstance(piece, SeifertPiece):
-        return _seifert_piece_verdict(seifert_group(piece.invariants), orientable)
+    piece, seifert = kept[0].piece, kept[0].seifert
+    if seifert is not None:
+        return _seifert_piece_verdict(seifert, orientable)
     if isinstance(piece, HyperbolicPiece):
         if not piece.finite_volume:
             return unknown(
@@ -732,7 +731,7 @@ def _decide_manifold(m: ManifoldDescriptor) -> Verdict:
             raise GroupUsageError(
                 "an orientable manifold cannot contain the twisted sphere bundle"
             )
-        generator = info.distinguished
+        generator = _carrier(kept)[0].element(1)
         return not_icc(
             Witness(
                 description=f"generator {generator!r} of the infinite cyclic group",
@@ -760,6 +759,12 @@ def decide_icc_nonorientable(m: ManifoldDescriptor) -> Verdict:
     return _decide_manifold(m)
 
 
+def explain_manifold(m: ManifoldDescriptor) -> tuple[Verdict, Normalization]:
+    """The verdict on m with the normalization it was computed from."""
+    normal = normalize(m)
+    return _decide_manifold(m, normal), normal
+
+
 # ---------------------------------------------------------------------------
 # knots and links
 
@@ -775,8 +780,8 @@ def torus_knot_group(p: int, q: int) -> tuple[StructuredGroup, GroupElement]:
 def decide_icc_knot(knot: KnotDescriptor) -> Verdict:
     if isinstance(knot, TorusKnot):
         p, q = knot.p, knot.q
-        if p == 1 or q == 1:
-            group = InfiniteCyclic("x")
+        group, _ = knot_group(knot)
+        if isinstance(group, InfiniteCyclic):
             return not_icc(
                 Witness(
                     description="meridian generator x of the unknot group Z",
@@ -787,11 +792,10 @@ def decide_icc_knot(knot: KnotDescriptor) -> Verdict:
                 Citation("Knot group infinite"),
                 Citation("Abelian infinite"),
             )
-        group, center = torus_knot_group(p, q)
         return not_icc(
             Witness(
                 description=f"central element x^{p} (= y^{q} = h) of the torus knot group",
-                element=center,
+                element=group.fiber(),
                 kind="element",
             ),
             Citation("Cor 20", f"the ({p}, {q}) torus knot complement is Seifert"),
@@ -837,17 +841,15 @@ def manifold_group(m: ManifoldDescriptor) -> tuple[StructuredGroup, str]:
             "non-orientable descriptors do not determine fiber-inversion data; "
             "no enumerable realization is emitted"
         )
-    kept = _kept_pieces(m, True)
-    if not kept:
-        return FiniteCyclic(1, "u"), "trivial group (all pieces simply connected)"
-    for piece, info in kept:
-        if info.realization is None:
-            raise GroupUsageError(
-                f"piece {type(piece).__name__} has no enumerable realization"
-            )
-    if len(kept) == 1:
-        return kept[0][1].realization, kept[0][1].note
-    return (
-        reduce(FreeProduct, [info.realization for _, info in kept]),
-        f"free product of {len(kept)} piece groups",
-    )
+    return _carrier(normalize(m).kept)
+
+
+def knot_group(knot: KnotDescriptor) -> tuple[StructuredGroup, str]:
+    """An enumerable carrier for a torus knot's group, with a short
+    provenance note: Z for the unknot, torus_knot_group otherwise."""
+    if not isinstance(knot, TorusKnot):
+        raise GroupUsageError("only torus knot descriptors denote an enumerable group")
+    if knot.p == 1 or knot.q == 1:
+        return InfiniteCyclic("x"), "unknot group Z"
+    group, _ = torus_knot_group(knot.p, knot.q)
+    return group, f"({knot.p}, {knot.q}) torus knot group"

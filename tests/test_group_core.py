@@ -27,6 +27,7 @@ from iccdec.groups import (
     conjugate,
     cyclic_table,
     enumerate_ball,
+    free_group,
     invert,
     multiply,
     reduce_word,
@@ -194,6 +195,18 @@ def test_concurrent_enumeration_consistent():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_ball_cache_dies_with_its_group():
+    import gc
+    import weakref
+
+    group = free_group(["x", "y"])
+    ref = weakref.ref(group)
+    enumerate_ball(group, 3)
+    del group
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
