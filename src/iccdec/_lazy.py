@@ -1,13 +1,14 @@
 """Deferred imports, so that a CLI call executes only the modules it uses.
 
-lazy_module defers a module-level edge between submodules; exports gives a
-package PEP 562 attribute hooks that import a public name's submodule on
-first use.
+lazy_module defers a module-level edge between submodules; executed tells
+whether such a module has run; exports gives a package PEP 562 attribute
+hooks that import a public name's submodule on first use.
 """
 
 import importlib
 import importlib.util
 import sys
+from types import ModuleType
 
 
 def lazy_module(name: str):
@@ -27,6 +28,13 @@ def lazy_module(name: str):
     parent, _, child = name.rpartition(".")
     setattr(sys.modules[parent], child, module)
     return module
+
+
+def executed(module) -> bool:
+    """Whether module, as lazy_module returns it, has run.  Until it has,
+    none of its classes exists, so no object is an instance of one; the
+    test itself runs nothing."""
+    return type(module) is ModuleType
 
 
 def exports(package: str, table: dict[str, tuple[str, ...]]):

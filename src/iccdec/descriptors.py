@@ -4,7 +4,8 @@ Schema version 1.  Top level: {"schema_version": 1, "type": ..., ...} with
 type one of "group", "manifold", "knot", "link".  Unknown fields are
 rejected; all numbers must be exact integers; null in an optional field
 means the field is absent.  A group descriptor holds at most
-MAX_CONSTRUCTIONS constructions.  Error messages carry the JSON path of the
+MAX_CONSTRUCTIONS constructions, and a multiplication table at most
+MAX_TABLE_ORDER elements.  Error messages carry the JSON path of the
 offending value.
 """
 
@@ -36,6 +37,9 @@ SCHEMA_VERSION = 1
 # chain re-derives the generators of the whole chain, so the parse cost
 # grows faster than linearly in this count.
 MAX_CONSTRUCTIONS = 64
+# FiniteGroupTable checks associativity in O(order^3) steps, so a table's
+# order is checked against this before any row is read.
+MAX_TABLE_ORDER = 64
 
 
 class DescriptorError(ValueError):
@@ -238,6 +242,10 @@ class _GroupBuild:
 
 def _parse_table(fields: _Fields) -> FiniteGroupTable:
     order = fields.get("order", int)
+    if order > MAX_TABLE_ORDER:
+        raise DescriptorError(
+            f"{fields.path}.order", f"a table has at most {MAX_TABLE_ORDER} elements, not {order}"
+        )
     table = fields.array("table", _ROWS)
     if len(table) != order:
         raise DescriptorError(f"{fields.path}.table", f"table must have {order} rows")

@@ -9,6 +9,8 @@ enumeration order"), which is computable because E is finite.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import (
     INFINITE,
     FiniteGroupTable,
@@ -16,6 +18,7 @@ from .base import (
     GroupUsageError,
     StructuredGroup,
     least_coset_rep,
+    syllable_key_memo,
     unique_names,
 )
 
@@ -153,13 +156,13 @@ class Amalgam(StructuredGroup):
                 out.append((name, (tuple(stack), edge_idx)))
         return out
 
+    @cached_property
+    def _syllable_keys(self):
+        return syllable_key_memo(self.factors)
+
     def payload_key(self, payload):
         syllables, edge_idx = payload
-        return (
-            len(syllables),
-            tuple((side, self.factors[side].payload_key(p)) for side, p in syllables),
-            edge_idx,
-        )
+        return (len(syllables), tuple(map(self._syllable_keys.__getitem__, syllables)), edge_idx)
 
     def render_payload(self, payload):
         syllables, edge_idx = payload

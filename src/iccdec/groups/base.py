@@ -396,6 +396,38 @@ def cyclic_table(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroupTa
     return FiniteGroupTable(table, names)
 
 
+# The most entries one KeyMemo stores; past it, keys are computed, not stored.
+KEY_MEMO_ENTRIES = 4096
+
+
+class KeyMemo(dict):
+    """part -> key(part), computed on the first lookup and stored while the
+    memo holds fewer than KEY_MEMO_ENTRIES entries.
+
+    A construction keys each part of a payload (a syllable, an HNN tail)
+    through one of these, so a sort does not rebuild the key of a part that
+    many payloads share.  key must not refer back to the owning group.  A
+    concurrent miss stores the same value twice, which is harmless."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, part):
+        value = self.key(part)
+        if len(self) < KEY_MEMO_ENTRIES:
+            self[part] = value
+        return value
+
+
+def syllable_key_memo(factors: Sequence[StructuredGroup]) -> KeyMemo:
+    """(side, payload) -> (side, key of the payload in factors[side])."""
+    keys = tuple(factor.payload_key for factor in factors)
+    return KeyMemo(lambda syllable: (syllable[0], keys[syllable[0]](syllable[1])))
+
+
 def least_coset_rep(group: StructuredGroup, payload, images: Sequence) -> tuple[Any, int]:
     """The canonical representative of the coset payload*E, where images
     lists the payloads of the finite subgroup E: the coset member

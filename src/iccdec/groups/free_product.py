@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from .base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, unique_names
+from functools import cached_property
+
+from .base import (
+    INFINITE,
+    GroupElement,
+    GroupUsageError,
+    StructuredGroup,
+    syllable_key_memo,
+    unique_names,
+)
 
 
 class FreeProduct(StructuredGroup):
@@ -51,11 +60,12 @@ class FreeProduct(StructuredGroup):
                 out.append((name, () if trivial else ((side, payload),)))
         return out
 
+    @cached_property
+    def _syllable_keys(self):
+        return syllable_key_memo(self.factors)
+
     def payload_key(self, payload):
-        return (
-            len(payload),
-            tuple((side, self.factors[side].payload_key(p)) for side, p in payload),
-        )
+        return (len(payload), tuple(map(self._syllable_keys.__getitem__, payload)))
 
     def render_payload(self, payload):
         letters = []

@@ -16,12 +16,14 @@ representatives are decidable by divisibility).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 from .base import (
     INFINITE,
     FiniteGroupTable,
     GroupElement,
     GroupUsageError,
+    KeyMemo,
     StructuredGroup,
     least_coset_rep,
     unique_names,
@@ -259,13 +261,16 @@ class Hnn(StructuredGroup):
         out.append((self.stable_letter, self._absorb_t(self.identity_payload(), +1)))
         return out
 
+    @cached_property
+    def _keys(self) -> tuple[KeyMemo, KeyMemo]:
+        """The memos of a tail's base key and of a syllable's key."""
+        key = self.base.payload_key
+        return KeyMemo(key), KeyMemo(lambda syllable: (key(syllable[0]), syllable[1]))
+
     def payload_key(self, payload):
         syllables, tail = payload
-        return (
-            len(syllables),
-            self.base.payload_key(tail),
-            tuple((self.base.payload_key(rep), eps) for rep, eps in syllables),
-        )
+        tail_keys, syllable_keys = self._keys
+        return (len(syllables), tail_keys[tail], tuple(map(syllable_keys.__getitem__, syllables)))
 
     def render_payload(self, payload):
         syllables, tail = payload

@@ -54,27 +54,29 @@ def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
     payload g, with s over the generators and their distinct inverses.
 
     Level r holds the payloads of the conjugates whose shortest conjugator
-    has length r, sorted by payload key.  Every word of length r is s*w' with
-    |w'| = r-1, and a conjugate first reached at r+1 is s c s^-1 for some c
-    first reached at r, so level r+1 is built from level r alone and an empty
+    has length r, unordered.  Every word of length r is s*w' with |w'| =
+    r-1, and a conjugate first reached at r+1 is s c s^-1 for some c first
+    reached at r, so level r+1 is built from level r alone and an empty
     level ends the orbit.  Returns the nonempty levels among 0..depth.
+
+    The one orbit search: conjugacy_class_ball sorts the levels it returns,
+    and fc_center_candidates only counts them.
     """
     mul = group.multiply_payloads
-    key = group.payload_key
     steps = generator_steps(group)
     levels = [[g]]
     seen = {g}
     while len(levels) <= depth:
-        fresh = {}
+        fresh = []
         for c in levels[-1]:
             for s, s_inv in steps:
                 x = mul(mul(s, c), s_inv)
-                if x not in seen and x not in fresh:
-                    fresh[x] = None
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
         if not fresh:
             break
-        seen.update(fresh)
-        levels.append(sorted(fresh, key=key))
+        levels.append(fresh)
     return levels
 
 
@@ -96,7 +98,8 @@ def conjugacy_class_ball(
         raise GroupUsageError("element does not belong to the given group")
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
-    levels = _class_levels(g.group, g.payload, radius)
+    key = g.group.payload_key
+    levels = [sorted(level, key=key) for level in _class_levels(g.group, g.payload, radius)]
     sizes = [len(level) for level in levels] + [0] * (radius + 1 - len(levels))
     counts_by_radius = tuple(accumulate(sizes))
     stabilized = counts_by_radius[-1] == counts_by_radius[-1 - window]
@@ -115,22 +118,31 @@ def fc_center_candidates(
     group: StructuredGroup, radius: int, window: int
 ) -> list[GroupElement]:
     """Nontrivial elements of ball(radius - window) whose class ball
-    stabilized by `radius`: an over-approximation of the finite-class union
-    restricted to the ball.  Evidence only, never proof of finiteness.
+    stabilized by `radius`, in ball order: an over-approximation of the
+    finite-class union restricted to the ball.  Evidence only, never proof
+    of finiteness.
 
     Orbit levels are nested (an empty level stays empty), so a class ball
     stabilizes by `radius` exactly when its orbit level radius - window + 1
-    is empty; each orbit search stops at that depth.
+    is empty, which is when _class_levels to that depth returns at most
+    `depth` levels; each orbit search stops there.  Conjugation commutes
+    with inversion, s g^-1 s^-1 = (s g s^-1)^-1, so the orbit of g^-1 has
+    the level sizes of the orbit of g.  The ball is closed under inverses,
+    and one search answers for both elements of an inverse pair.
     """
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
     depth = radius - window + 1
+    inv = group.invert_payload
     candidates, _ = ball_with_lengths(group, radius - window)
-    return [
-        g
-        for g in candidates
-        if not g.is_identity() and len(_class_levels(group, g.payload, depth)) <= depth
-    ]
+    nontrivial = candidates[1:]  # the ball starts with the identity
+    closes = {}
+    for g in nontrivial:
+        if g.payload not in closes:
+            closes[g.payload] = closes[inv(g.payload)] = (
+                len(_class_levels(group, g.payload, depth)) <= depth
+            )
+    return [g for g in nontrivial if closes[g.payload]]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from enum import Enum
 from math import gcd
 from typing import Optional, Sequence
 
-from ._lazy import lazy_module
+from ._lazy import executed, lazy_module
 from .groups.base import (
     INFINITE,
     GroupElement,
@@ -33,9 +33,9 @@ from .verdict import (
     unknown,
 )
 
-# Executed on first use.  decide_structured_group tests the construction
-# classes in order, so a group loads the modules of the classes tested
-# before its own, and no others.
+# Executed on first use.  decide_structured_group tests a class only once
+# its module has run, so a group loads the modules of its own constructions
+# and no others.
 amalgam = lazy_module("iccdec.groups.amalgam")
 direct_product = lazy_module("iccdec.groups.direct_product")
 fiber_extension = lazy_module("iccdec.groups.fiber_extension")
@@ -465,12 +465,12 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             )
             return Verdict(verdict.status, verdict.reasons, witness)
         return verdict
-    if isinstance(group, amalgam.Amalgam):
+    if executed(amalgam) and isinstance(group, amalgam.Amalgam):
         factor_verdicts = tuple(decide_structured_group(f) for f in group.factors)
         return icc_amalgam(group, factor_verdicts)
-    if isinstance(group, hnn.Hnn):
+    if executed(hnn) and isinstance(group, hnn.Hnn):
         return icc_hnn(group, decide_structured_group(group.base))
-    if isinstance(group, semidirect.SemidirectZnByZ):
+    if executed(semidirect) and isinstance(group, semidirect.SemidirectZnByZ):
         witness_element = _semidirect_finite_orbit_witness(group)
         if witness_element is not None:
             if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
@@ -502,7 +502,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                 "orientable torus-bundle trichotomy",
             )
         )
-    if isinstance(group, direct_product.DirectWithFinite):
+    if executed(direct_product) and isinstance(group, direct_product.DirectWithFinite):
         if group.f.size == 1:
             return decide_structured_group(group.h)
         element = group.finite_element(1)
@@ -514,7 +514,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             ),
             Citation("Finite direct factor", f"finite factor of order {group.f.size}"),
         )
-    if isinstance(group, surface.SurfaceGroup):
+    if executed(surface) and isinstance(group, surface.SurfaceGroup):
         verdict = icc_surface(group.genus, group.orientable, group.boundary_components)
         realization = group.realization()
         if (
@@ -536,7 +536,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                     ),
                 )
         return verdict
-    if isinstance(group, fiber_extension.FiberExtension):
+    if executed(fiber_extension) and isinstance(group, fiber_extension.FiberExtension):
         fiber = group.fiber()
         closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
         return not_icc(
@@ -548,7 +548,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
             Citation("Prop 2"),
         )
-    if isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
+    if executed(eisenstein) and isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
         order = group.order()
         if order != INFINITE:
             detail = "trivial group" if order == 1 else f"finite matrix group of order {order}"

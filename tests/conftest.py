@@ -184,3 +184,22 @@ def load_corpus_descriptor(corpus_dir, name):
     from iccdec.descriptors import parse_descriptor_data
 
     return parse_descriptor_data(json.loads((corpus_dir / name).read_text()))
+
+
+def enumerable_corpus_groups(manifest, corpus_dir):
+    """(file, descriptor, group) for every corpus file `iccdec enumerate`
+    accepts whose group has designated generators, in manifest order."""
+    from iccdec.cli import _enumerable_group
+    from iccdec.groups import GroupUsageError
+
+    out = []
+    for section in sorted(manifest):
+        for entry in manifest[section]:
+            descriptor = load_corpus_descriptor(corpus_dir, entry["file"])
+            try:
+                group, _ = _enumerable_group(descriptor)
+            except GroupUsageError:
+                continue
+            if group.generators():
+                out.append((entry["file"], descriptor, group))
+    return out

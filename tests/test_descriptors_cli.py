@@ -8,6 +8,7 @@ from iccdec import cli, descriptors
 from iccdec.cli import main
 from iccdec.descriptors import (
     MAX_CONSTRUCTIONS,
+    MAX_TABLE_ORDER,
     DescriptorError,
     descriptor_to_data,
     format_word,
@@ -221,6 +222,87 @@ def test_construction_limit_rejects_before_building(monkeypatch, data, path):
         parse_descriptor_data(data)
     assert err.value.path == path
     assert "more than 64 constructions" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# table size limit
+
+
+def _cyclic_rows(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _group_with_table(kind, order, rows):
+    table = {"order": order, "table": rows}
+    z = {"infinite_cyclic": {"name": "a"}}
+    construction = {
+        "direct_with_finite": {"h": z, "f": table},
+        "amalgam": {
+            "left": z,
+            "right": {"infinite_cyclic": {"name": "b"}},
+            "edge": {**table, "embed_left": ["1"], "embed_right": ["1"]},
+        },
+        "hnn": {"base": z, "edge": {"kind": "finite", **table, "embed_domain": ["1"], "embed_range": ["1"]}},
+    }[kind]
+    return {"schema_version": 1, "type": "group", "construction": {kind: construction}}
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("direct_with_finite", "$.construction.direct_with_finite.f.order"),
+        ("amalgam", "$.construction.amalgam.edge.order"),
+        ("hnn", "$.construction.hnn.edge.order"),
+    ],
+)
+@pytest.mark.parametrize("order", [MAX_TABLE_ORDER + 1, 10**9])
+def test_table_order_limit_rejects_before_reading_rows(
+    monkeypatch, tmp_path, capsys, kind, path, order
+):
+    # FiniteGroupTable validates in O(order^3): a large order used to hang
+    def build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(descriptors, "FiniteGroupTable", build)
+    rows = _cyclic_rows(order) if order == MAX_TABLE_ORDER + 1 else []
+    file = tmp_path / "big_table.json"
+    file.write_text(json.dumps(_group_with_table(kind, order, rows)))
+    assert main(["decide", str(file)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: a table has at most {MAX_TABLE_ORDER} elements, not {order}\n"
+    )
+
+
+def test_table_order_limit_admits_64(tmp_path, capsys):
+    file = tmp_path / "table_64.json"
+    data = _group_with_table("direct_with_finite", MAX_TABLE_ORDER, _cyclic_rows(MAX_TABLE_ORDER))
+    file.write_text(json.dumps(data))
+    assert main(["decide", str(file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "NotICC"
+
+
+def test_schema_table_order_maximum_is_the_parser_limit():
+    from importlib import resources
+
+    schema = json.loads(
+        (resources.files("iccdec") / "schema" / "descriptor_v1.json").read_text()
+    )
+    maxima = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            properties = node.get("properties", {})
+            if "order" in properties and "table" in properties:
+                maxima.append(properties["order"].get("maximum"))
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(schema)
+    # direct_with_finite, the amalgam edge and the HNN edge
+    assert maxima == [MAX_TABLE_ORDER] * 3
 
 
 def test_cli_rejects_deep_nesting_with_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Element arithmetic, normal forms, and ball enumeration."""
 
+import json
 import random
 
 import pytest
@@ -33,8 +34,9 @@ from iccdec.groups import (
     reduce_word,
     render_word,
 )
+from iccdec.groups.base import KEY_MEMO_ENTRIES
 from iccdec.groups.semidirect import CACHED_POWERS, mat_mul
-from conftest import CyclicFreeProductOracle, bs12_pinch_reduce
+from conftest import CyclicFreeProductOracle, bs12_pinch_reduce, enumerable_corpus_groups
 
 
 def random_element(group, rng, max_len=6):
@@ -347,3 +349,67 @@ def test_power_operator(bs12):
     assert a ** 5 == reduce_word(bs12, [("a", 5)])
     assert a ** -3 == ~(a ** 3)
     assert (a ** 0).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# payload keys
+
+
+def _reference_key(group, payload):
+    """payload_key without the key memos: the key of every syllable and
+    tail rebuilt through its factor, recursively."""
+    if isinstance(group, FreeProduct):
+        syllables = tuple((side, _reference_key(group.factors[side], p)) for side, p in payload)
+        return (len(payload), syllables)
+    if isinstance(group, Amalgam):
+        syllables, edge_idx = payload
+        keyed = tuple((side, _reference_key(group.factors[side], p)) for side, p in syllables)
+        return (len(syllables), keyed, edge_idx)
+    if isinstance(group, Hnn):
+        syllables, tail = payload
+        keyed = tuple((_reference_key(group.base, rep), eps) for rep, eps in syllables)
+        return (len(syllables), _reference_key(group.base, tail), keyed)
+    if isinstance(group, DirectWithFinite):
+        return (_reference_key(group.h, payload[0]), payload[1])
+    if isinstance(group, SurfaceGroup):
+        return _reference_key(group._carrier(), payload)
+    return group.payload_key(payload)
+
+
+def _three_piece_manifold_group(corpus_dir):
+    from iccdec.descriptors import parse_descriptor_data
+    from iccdec.manifolds import manifold_group
+
+    files = ("manifold_p3_p3.json", "manifold_trefoil_complement.json", "manifold_t3.json")
+    pieces = [json.loads((corpus_dir / name).read_text())["pieces"][0] for name in files]
+    data = {"schema_version": 1, "type": "manifold", "orientable": True, "pieces": pieces}
+    group, _ = manifold_group(parse_descriptor_data(data).manifold)
+    return group
+
+
+def test_memoized_keys_equal_the_recursive_keys(manifest, corpus_dir):
+    groups = [(name, group) for name, _, group in enumerable_corpus_groups(manifest, corpus_dir)]
+    groups += [
+        ("free rank 3", free_group(["x", "y", "z"])),
+        ("free rank 4", free_group(["w", "x", "y", "z"])),
+        ("three pieces", _three_piece_manifold_group(corpus_dir)),
+    ]
+    for name, group in groups:
+        ball, lengths = ball_with_lengths(group, 3)
+        reference = [_reference_key(group, g.payload) for g in ball]
+        # the ball levels were sorted through the memos
+        assert sorted(zip(lengths, reference)) == list(zip(lengths, reference)), name
+        # twice: the second lookup reads what the first one stored
+        assert [group.payload_key(g.payload) for g in ball] == reference, name
+        assert [g.key() for g in ball] == reference, name
+
+
+def test_key_memo_stops_storing_at_its_cap():
+    group = FreeProduct(InfiniteCyclic("x"), InfiniteCyclic("y"))
+    payloads = [((0, k), (1, k)) for k in range(1, KEY_MEMO_ENTRIES)]
+    for payload in payloads:
+        assert group.payload_key(payload) == _reference_key(group, payload)
+    assert len(group._syllable_keys) == KEY_MEMO_ENTRIES
+    for payload in payloads:
+        assert group.payload_key(payload) == _reference_key(group, payload)
+    assert len(group._syllable_keys) == KEY_MEMO_ENTRIES

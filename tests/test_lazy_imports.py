@@ -145,3 +145,23 @@ def test_knot_and_link_calls_never_execute_the_group_rules(corpus_dir, command, 
     assert "iccdec.manifolds" in executed
     assert not executed & {"iccdec.rules", "iccdec.eisenstein"}
 
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["group_bs12.json", "group_f2_as_hnn.json", "group_hnn_icc_base.json", "group_hnn_z_x_z2.json"],
+)
+def test_hnn_decide_never_executes_the_amalgam(corpus_dir, name):
+    executed = _executed("decide", corpus_dir, name)
+    assert "iccdec.groups.hnn" in executed
+    assert "iccdec.groups.amalgam" not in executed
+
+
+def test_matrix_decide_executes_no_other_construction(corpus_dir):
+    # the rule engine tests the matrix class last; it used to execute the
+    # module of every construction class it tested first, 18 modules in all
+    executed = _executed("decide", corpus_dir, "group_figure_eight_matrix.json")
+    constructions = {name for name in executed if name.startswith("iccdec.groups.")}
+    assert constructions == {"iccdec.groups.base", "iccdec.groups.cyclic", "iccdec.groups.free_product"}
+    assert "iccdec.eisenstein" in executed
+    assert len(executed) < 18

@@ -14,10 +14,11 @@ from iccdec.groups import (
     cyclic_table,
     enumerate_ball,
 )
-from iccdec.cli import _decide, _enumerable_group
+from iccdec.cli import _decide
 from iccdec.descriptors import parse_word
+from iccdec import oracle
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates, strong_icc_witness
-from conftest import CyclicFreeProductOracle, load_corpus_descriptor
+from conftest import CyclicFreeProductOracle, enumerable_corpus_groups, load_corpus_descriptor
 
 
 def _reference_class_ball(group, g, radius, window):
@@ -37,25 +38,18 @@ def _reference_class_ball(group, g, radius, window):
 def _enumerable_corpus(manifest, corpus_dir):
     """(file, group, words) for every corpus file `iccdec enumerate` accepts:
     the first generator and the manifest word (icc_sample or NotICC witness)."""
+    entries = {e["file"]: e for section in manifest.values() for e in section}
     out = []
-    for section in sorted(manifest):
-        for entry in manifest[section]:
-            descriptor = load_corpus_descriptor(corpus_dir, entry["file"])
-            try:
-                group, _ = _enumerable_group(descriptor)
-            except GroupUsageError:
-                continue
-            generators = group.generators()
-            if not generators:
-                continue
-            words = [generators[0][1]]
-            if "icc_sample" in entry:
-                words.append(group.reduce_letters(parse_word(entry["icc_sample"])))
-            else:
-                witness = _decide(descriptor).witness
-                if witness is not None and witness.element is not None and witness.element.group == group:
-                    words.append(witness.element)
-            out.append((entry["file"], group, words))
+    for name, descriptor, group in enumerable_corpus_groups(manifest, corpus_dir):
+        entry = entries[name]
+        words = [group.generators()[0][1]]
+        if "icc_sample" in entry:
+            words.append(group.reduce_letters(parse_word(entry["icc_sample"])))
+        else:
+            witness = _decide(descriptor).witness
+            if witness is not None and witness.element is not None and witness.element.group == group:
+                words.append(witness.element)
+        out.append((name, group, words))
     return out
 
 
@@ -162,6 +156,14 @@ def test_fc_abelian_whole_punctured_ball():
     assert {c.payload for c in candidates} == {g.payload for g in punctured}
 
 
+def _stabilized_reference(group, radius, window):
+    return [
+        g
+        for g in enumerate_ball(group, radius - window)
+        if not g.is_identity() and conjugacy_class_ball(group, g, radius, window).stabilized
+    ]
+
+
 @pytest.mark.parametrize(
     "name, radius, window",
     [
@@ -181,12 +183,59 @@ def test_fc_early_stop_matches_full_class_balls(name, radius, window, dihedral, 
         group = DirectWithFinite(f2, cyclic_table(2, names=["1", "z"]))
     else:
         group = load_corpus_descriptor(corpus_dir, name).group
-    expected = [
-        g
-        for g in enumerate_ball(group, radius - window)
-        if not g.is_identity() and conjugacy_class_ball(group, g, radius, window).stabilized
-    ]
-    assert fc_center_candidates(group, radius, window) == expected
+    assert fc_center_candidates(group, radius, window) == _stabilized_reference(group, radius, window)
+
+
+def test_fc_early_stop_matches_full_class_balls_on_the_corpus(manifest, corpus_dir):
+    for name, _, group in enumerable_corpus_groups(manifest, corpus_dir):
+        assert fc_center_candidates(group, 4, 2) == _stabilized_reference(group, 4, 2), name
+
+
+def _inverse_pairs(group, radius):
+    return {
+        frozenset((g.payload, group.invert_payload(g.payload)))
+        for g in enumerate_ball(group, radius)
+        if not g.is_identity()
+    }
+
+
+@pytest.mark.parametrize(
+    "name, stabilized",
+    [
+        # lattice vectors v != -v of Z^2: every class is a singleton
+        ("group_z2_lattice.json", "all"),
+        # F2: no nontrivial class is finite
+        ("group_free_rank2.json", "none"),
+        # lattice vectors have finite orbits, words with the stable letter not
+        ("group_torus_bundle_elliptic.json", "some"),
+        ("group_z2_star_z3.json", "none"),
+    ],
+)
+def test_fc_searches_each_inverse_pair_once(monkeypatch, corpus_dir, name, stabilized):
+    group = load_corpus_descriptor(corpus_dir, name).group
+    started = []
+    search = oracle._class_levels
+
+    def counted(*args):
+        started.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_class_levels", counted)
+    candidates = fc_center_candidates(group, 5, 2)
+    monkeypatch.undo()  # the reference's class balls are not counted
+    assert candidates == _stabilized_reference(group, 5, 2)
+    pairs = _inverse_pairs(group, 3)
+    assert len(started) == len(pairs)
+    assert {frozenset((p, group.invert_payload(p))) for p in started} == pairs
+    payloads = {g.payload for g in candidates}
+    assert all(group.invert_payload(p) in payloads for p in payloads)
+    if stabilized == "all":
+        assert len(candidates) == len(enumerate_ball(group, 3)) - 1
+        assert all(group.invert_payload(p) != p for p in payloads)
+    elif stabilized == "none":
+        assert candidates == []
+    else:
+        assert 0 < len(candidates) < len(enumerate_ball(group, 3)) - 1
 
 
 # ---------------------------------------------------------------------------
