@@ -50,15 +50,7 @@ def _decide(descriptor: Descriptor) -> Verdict:
 
 def _enumerable_group(descriptor: Descriptor) -> tuple[StructuredGroup, str]:
     if descriptor.kind == "group":
-        group = descriptor.group
-        from .groups.surface import SurfaceGroup
-
-        if isinstance(group, SurfaceGroup) and group.realization() is None:
-            raise GroupUsageError(
-                "this surface group has no implemented normal form (closed, "
-                "negative Euler characteristic)"
-            )
-        return group, "structured group"
+        return descriptor.group, "structured group"
     from . import manifolds
 
     if descriptor.kind == "manifold":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from ._lazy import lazy_module
@@ -33,9 +32,9 @@ eisenstein = lazy_module("iccdec.eisenstein")
 manifolds = lazy_module("iccdec.manifolds")
 
 SCHEMA_VERSION = 1
-# Nested constructions are parsed recursively, and every FreeProduct of a
-# chain re-derives the generators of the whole chain, so the parse cost
-# grows faster than linearly in this count.
+# Nested constructions are parsed recursively.  A flat free_product checks
+# its names once, but each FreeProduct of a nested chain checks every name of
+# the chain below it, so a chain's parse cost grows faster than linearly.
 MAX_CONSTRUCTIONS = 64
 # FiniteGroupTable checks associativity in O(order^3) steps, so a table's
 # order is checked against this before any row is read.
@@ -291,7 +290,7 @@ def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredG
         _parse_construction(f, f"{path}.free_product[{i}]", build)
         for i, f in enumerate(factors)
     ]
-    return reduce(FreeProduct, groups)
+    return FreeProduct(*groups)
 
 
 def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:

@@ -52,8 +52,8 @@ class SurfaceGroup(StructuredGroup):
     def _carrier(self) -> StructuredGroup:
         if self._realization is None:
             raise NotEnumerableError(
-                "no normal form is implemented for closed surfaces of negative "
-                "Euler characteristic; this construction is decision-only"
+                "this surface group has no implemented normal form (closed, "
+                "negative Euler characteristic)"
             )
         return self._realization
 
@@ -82,13 +82,7 @@ class SurfaceGroup(StructuredGroup):
         return self._carrier().payload_str(payload)
 
     def order(self):
-        g, b = self.genus, self.boundary_components
-        if b > 0:
-            rank = 2 * g + b - 1 if self.orientable else g + b - 1
-            return 1 if rank == 0 else INFINITE
-        if self.orientable:
-            return 1 if g == 0 else INFINITE
-        return 2 if g == 1 else INFINITE
+        return INFINITE if self._realization is None else self._realization.order()
 
     def describe(self):
         kind = "orientable" if self.orientable else "non-orientable"

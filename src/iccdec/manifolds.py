@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 from typing import Optional, Union
 
@@ -543,7 +542,7 @@ def _carrier(kept: list[NormalPiece]) -> tuple[StructuredGroup, str]:
         groups.append(group)
     if len(groups) == 1:
         return groups[0], _CARRIER_NOTES[type(kept[0].piece)]
-    return reduce(FreeProduct, groups), f"free product of {len(kept)} piece groups"
+    return FreeProduct(*groups), f"free product of {len(kept)} piece groups"
 
 
 def _multi_piece_verdict(kept: list[NormalPiece]) -> Verdict:

@@ -7,6 +7,7 @@ witness with a finite conjugacy class (or the finite-group marker).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 from math import gcd
 from typing import Optional, Sequence
@@ -441,23 +442,22 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Citation("Abelian infinite"),
         )
     if isinstance(group, FreeProduct):
+        # decided as ((G0 * G1) * G2) * ...: order-1 factors drop out, and
+        # the factors before the last remaining one form its left factor
         orders = [f.order() for f in group.factors]
-        if orders[0] == 1 or orders[1] == 1:
-            side = 1 if orders[0] == 1 else 0
+        sides = [side for side, order in enumerate(orders) if order != 1]
+        if len(sides) <= 1:
+            side = sides[0] if sides else len(orders) - 1
             inner = decide_structured_group(group.factors[side])
             witness = inner.witness
             if witness is not None and witness.kind == "element":
-                witness = Witness(
-                    description=witness.description,
-                    element=group.embed(side, witness.element),
-                    kind="element",
-                )
+                witness = replace(witness, element=group.embed(side, witness.element))
             return Verdict(inner.status, inner.reasons, witness)
-        verdict = icc_free_product(orders[0], orders[1])
+        last = sides[-1]
+        verdict = icc_free_product(INFINITE if len(sides) > 2 else orders[sides[0]], orders[last])
         if verdict.status is Status.NOT_ICC:
-            left = group.embed(0, group.factors[0].generators()[0][1])
-            right = group.embed(1, group.factors[1].generators()[0][1])
-            element = multiply(left, right)
+            right = group.embed(last, group.factors[last].generators()[0][1])
+            element = multiply(group.generators()[0][1], right)  # left factor's first generator
             witness = Witness(
                 description=f"translation {element!r} (conjugacy class of size 2)",
                 element=element,

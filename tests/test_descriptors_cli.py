@@ -478,6 +478,23 @@ def test_cli_witness_closed_orbit_stops_early(corpus_dir, capsys):
     assert data["search_radius"] == 14
 
 
+@pytest.mark.parametrize(
+    "command, option", [("enumerate", ["--element", "x1"]), ("witness", ["--set", "x1"])]
+)
+def test_cli_closed_surface_is_one_error_line(tmp_path, capsys, command, option):
+    # the surface group's own carrier refuses, with the text the CLI checked for
+    surface = {"surface_group": {"genus": 2, "orientable": True, "boundary_components": 0}}
+    path = tmp_path / "genus2.json"
+    path.write_text(json.dumps({"schema_version": 1, "type": "group", "construction": surface}))
+    assert main([command, str(path), *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: this surface group has no implemented normal form (closed, "
+        "negative Euler characteristic)\n"
+    )
+
+
 def test_cli_explain(corpus_dir, capsys):
     code = main(["explain", corpus_path(corpus_dir, "manifold_trefoil_complement.json")])
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Element arithmetic, normal forms, and ball enumeration."""
 
+import functools
 import json
 import random
 
@@ -21,6 +22,7 @@ from iccdec.groups import (
     InfiniteCyclic,
     NotEnumerableError,
     SemidirectZnByZ,
+    StructuredGroup,
     SurfaceGroup,
     TorsionPart,
     ball_with_lengths,
@@ -355,10 +357,73 @@ def test_power_operator(bs12):
 # payload keys
 
 
+class _BinaryFreeProduct(StructuredGroup):
+    """The binary free product G1 * G2 as FreeProduct once was: a product of
+    n factors was the left-nested chain of n - 1 of these.  Kept as the
+    reference for the order in which a flat FreeProduct lists its words."""
+
+    def __init__(self, left, right):
+        self.factors = (left, right)
+
+    def signature(self):
+        return ("binary_free_product", *(f.signature() for f in self.factors))
+
+    def identity_payload(self):
+        return ()
+
+    def multiply_payloads(self, a, b):
+        i, j = 0, len(a)
+        while j and i < len(b) and a[j - 1][0] == b[i][0]:
+            factor = self.factors[b[i][0]]
+            merged = factor.multiply_payloads(a[j - 1][1], b[i][1])
+            if merged != factor.identity_payload():
+                return a[: j - 1] + ((b[i][0], merged),) + b[i + 1 :]
+            i, j = i + 1, j - 1
+        return a[:j] + b[i:]
+
+    def invert_payload(self, a):
+        return tuple((side, self.factors[side].invert_payload(p)) for side, p in reversed(a))
+
+    def generator_payloads(self):
+        out = []
+        for side, factor in enumerate(self.factors):
+            for name, payload in factor.generator_payloads():
+                trivial = payload == factor.identity_payload()
+                out.append((name, () if trivial else ((side, payload),)))
+        return out
+
+    def payload_key(self, payload):
+        return _reference_key(self, payload)
+
+    def render_payload(self, payload):
+        return [letter for side, p in payload for letter in self.factors[side].render_payload(p)]
+
+    def payload_str(self, payload):
+        return "".join(self.factors[side].payload_str(p) for side, p in payload) or "1"
+
+    def order(self):
+        raise NotImplementedError
+
+    def describe(self):
+        return f"({self.factors[0].describe()} * {self.factors[1].describe()})"
+
+
+@functools.cache
+def _left_nested(group):
+    """The left-nested chain of binary free products of group's factors."""
+    return functools.reduce(_BinaryFreeProduct, group.factors)
+
+
 def _reference_key(group, payload):
     """payload_key without the key memos: the key of every syllable and
-    tail rebuilt through its factor, recursively."""
-    if isinstance(group, FreeProduct):
+    tail rebuilt through its factor, recursively.  The key of a flat product
+    of three or more factors is the key of the same word in the left-nested
+    chain, whose keys have another shape but must give the same order."""
+    if isinstance(group, FreeProduct) and len(group.factors) > 2:
+        nested = _left_nested(group)
+        word = group.render_payload(payload)
+        return _reference_key(nested, nested.reduce_letters(word).payload)
+    if isinstance(group, (FreeProduct, _BinaryFreeProduct)):
         syllables = tuple((side, _reference_key(group.factors[side], p)) for side, p in payload)
         return (len(payload), syllables)
     if isinstance(group, Amalgam):
@@ -400,8 +465,62 @@ def test_memoized_keys_equal_the_recursive_keys(manifest, corpus_dir):
         # the ball levels were sorted through the memos
         assert sorted(zip(lengths, reference)) == list(zip(lengths, reference)), name
         # twice: the second lookup reads what the first one stored
-        assert [group.payload_key(g.payload) for g in ball] == reference, name
-        assert [g.key() for g in ball] == reference, name
+        keys = [group.payload_key(g.payload) for g in ball]
+        assert [g.key() for g in ball] == keys, name
+        if isinstance(group, FreeProduct) and len(group.factors) > 2:
+            assert _ranks(keys) == _ranks(reference), name
+        else:
+            assert keys == reference, name
+
+
+def _ranks(keys):
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _random_free_product(rng, factors):
+    kinds = [rng.choice([1, 2, 3, 4, None]) for _ in range(factors)]
+    return FreeProduct(*(
+        InfiniteCyclic(f"t{i}") if n is None else FiniteCyclic(n, f"c{i}")
+        for i, n in enumerate(kinds)
+    ))
+
+
+def _sweep_free_product(rng):
+    # the shape of the free products perfbench/sweep.py generates
+    from iccdec.descriptors import parse_descriptor_data
+
+    factors = [
+        {"infinite_cyclic": {}} if rng.random() < 0.25
+        else {"cyclic": rng.choice((2, 2, 3, 4, 5, 6))}
+        for _ in range(rng.randint(2, 4))
+    ]
+    data = {"schema_version": 1, "type": "group", "construction": {"free_product": factors}}
+    return parse_descriptor_data(data).group
+
+
+def test_flat_free_products_order_words_as_the_left_nested_chain(corpus_dir):
+    rng = random.Random(10)
+    groups = [_random_free_product(rng, rng.randint(3, 6)) for _ in range(12)]
+    groups += [_sweep_free_product(rng) for _ in range(8)]
+    groups += [free_group(["x", "y", "z"]), free_group(["w", "x", "y", "z"])]
+    groups.append(_three_piece_manifold_group(corpus_dir))
+    for group in groups:
+        nested = _left_nested(group)
+        name = group.describe()
+        assert nested.describe() == name
+        # the balls list the same words in the same order
+        radius = 4 if len(group.generator_payloads()) <= 3 else 3
+        flat = [render_word(g) for g in enumerate_ball(group, radius)]
+        assert flat == [render_word(g) for g in enumerate_ball(nested, radius)], name
+        # and so do long words sorted by key
+        letters = [(n, e) for n, _ in group.generator_payloads() for e in (1, -1)]
+        words = [rng.choices(letters, k=rng.randint(8, 24)) for _ in range(80)]
+
+        def sorted_words(product):
+            elements = {product.reduce_letters(w) for w in words}
+            return [render_word(g) for g in sorted(elements, key=lambda g: g.key())]
+
+        assert sorted_words(group) == sorted_words(nested), name
 
 
 def test_key_memo_stops_storing_at_its_cap():

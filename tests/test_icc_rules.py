@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccdec.citations import CITATIONS
 from iccdec.groups import (
@@ -20,6 +22,7 @@ from iccdec.groups import (
     InfiniteCyclic,
     SemidirectZnByZ,
     SurfaceGroup,
+    ball_with_lengths,
     conjugate,
     cyclic_table,
     free_group,
@@ -68,6 +71,42 @@ def test_free_product_symmetry():
         left = rng.choice([2, 3, 4, 7, INFINITE])
         right = rng.choice([2, 3, 4, 7, INFINITE])
         assert icc_free_product(left, right).status is icc_free_product(right, left).status
+
+
+# Z/n for n in 1..4, or Z for None
+_LEAF = st.sampled_from([1, 2, 3, 4, None])
+
+
+@st.composite
+def _free_products(draw):
+    """A product of 2 to 4 factors, one of them itself a product of 2 or 3."""
+    kinds = draw(st.lists(_LEAF, min_size=2, max_size=4))
+    nested_at = draw(st.integers(0, len(kinds) - 1))
+    inner = draw(st.lists(_LEAF, min_size=2, max_size=3))
+    names = iter(range(8))
+
+    def leaf(n):
+        name = f"g{next(names)}"
+        return InfiniteCyclic(name) if n is None else FiniteCyclic(n, name)
+
+    factors = [leaf(n) for n in kinds[:nested_at]]
+    factors.append(FreeProduct(*map(leaf, inner)))
+    factors += [leaf(n) for n in kinds[nested_at + 1 :]]
+    return FreeProduct(*factors)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(group=_free_products())
+def test_free_product_verdicts_agree_with_the_oracle(group):
+    verdict = decide_structured_group(group)
+    witness = verdict.witness
+    if verdict.status is Status.NOT_ICC and witness.kind == "element":
+        assert conjugacy_class_ball(group, witness.element, 6).stabilized
+    if verdict.status is Status.ICC:
+        # the finite groups here are cyclic of order at most 4, and their
+        # balls are exhausted by radius 3
+        _, lengths = ball_with_lengths(group, 3)
+        assert lengths[-1] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,20 @@ def test_hnn_decide_never_executes_the_amalgam(corpus_dir, name):
     assert "iccdec.groups.amalgam" not in executed
 
 
+@pytest.mark.parametrize(
+    "argv, construction",
+    [
+        (["enumerate", "group_bs12.json", "--element", "a"], "iccdec.groups.hnn"),
+        (["witness", "group_z2_star_z3.json", "--set", "a b"], "iccdec.groups.free_product"),
+    ],
+)
+def test_enumerable_group_call_never_executes_the_surface_group(corpus_dir, argv, construction):
+    command, name, *option = argv
+    executed = set(_probe(command, os.path.join(corpus_dir, name), *option)["executed"])
+    assert construction in executed
+    assert not executed & {"iccdec.groups.surface", "iccdec.groups.semidirect"}
+
+
 def test_matrix_decide_executes_no_other_construction(corpus_dir):
     # the rule engine tests the matrix class last; it used to execute the
     # module of every construction class it tested first, 18 modules in all
