@@ -62,7 +62,7 @@ _EXPORTS = {
         "fc_center_candidates",
         "strong_icc_witness",
     ),
-    "eisenstein": ("EisensteinInt", "Mat2E", "MatrixGroupSL2Eisenstein", "figure8_group"),
+    "eisenstein": ("EisensteinInt", "MatrixGroupSL2Eisenstein", "figure8_group"),
     "groups": (),
 }
 

@@ -1,4 +1,4 @@
-"""Descriptor files: strict JSON parsing, validation, and serialization.
+"""Descriptor files: strict JSON parsing and validation.
 
 Schema version 1.  Top level: {"schema_version": 1, "type": ..., ...} with
 type one of "group", "manifold", "knot", "link".  Unknown fields are
@@ -349,9 +349,14 @@ def _direct_with_finite(body: _Fields, path: str, build: _GroupBuild) -> Structu
 
 
 def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    return surface.SurfaceGroup(
+    group = surface.SurfaceGroup(
         body.get("genus", int), body.get("orientable", bool), body.get("boundary_components", int)
     )
+    # The realization fixes the names; a closed surface of negative Euler
+    # characteristic has none, and so claims none.
+    if group.realization() is not None:
+        build.claim_all(group, path)
+    return group
 
 
 def _eisenstein(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -528,147 +533,3 @@ def load_descriptor(path: str) -> Descriptor:
             ) from None
     return parse_descriptor_data(data)
 
-
-# ---------------------------------------------------------------------------
-# serialization (model -> schema-valid document)
-
-
-def _table_data(table: FiniteGroupTable) -> dict:
-    return {
-        "order": table.size,
-        "table": [list(row) for row in table.table],
-        "names": list(table.names),
-    }
-
-
-def _words_data(group: StructuredGroup, payloads) -> list[str]:
-    return [format_word(group.render_payload(p)) for p in payloads]
-
-
-def construction_to_data(group: StructuredGroup):
-    if isinstance(group, FiniteCyclic):
-        return {"cyclic": group.n, "name": group.gen_name}
-    if isinstance(group, InfiniteCyclic):
-        return {"infinite_cyclic": {"name": group.gen_name}}
-    if isinstance(group, FreeProduct):
-        return {"free_product": [construction_to_data(f) for f in group.factors]}
-    if isinstance(group, amalgam.Amalgam):
-        left, right = group.factors
-        edge = group.edge
-        return {
-            "amalgam": {
-                "left": construction_to_data(left),
-                "right": construction_to_data(right),
-                "edge": {
-                    **_table_data(edge.table),
-                    "embed_left": _words_data(left, edge.embeds[0]),
-                    "embed_right": _words_data(right, edge.embeds[1]),
-                },
-            }
-        }
-    if isinstance(group, hnn.Hnn):
-        edge = group.edge
-        if isinstance(edge, hnn.CyclicPowerEdge):
-            edge_data = {"kind": "cyclic_power", "domain_power": edge.m, "range_power": edge.n}
-        else:
-            edge_data = {
-                "kind": "finite",
-                **_table_data(edge.table),
-                "embed_domain": _words_data(group.base, edge.embed_domain),
-                "embed_range": _words_data(group.base, edge.embed_range),
-                "iso": list(edge.iso),
-            }
-        return {
-            "hnn": {
-                "base": construction_to_data(group.base),
-                "stable_letter": group.stable_letter,
-                "edge": edge_data,
-            }
-        }
-    if isinstance(group, semidirect.SemidirectZnByZ):
-        return {
-            "semidirect_zn_by_z": {"rank": group.rank, "matrix": [list(row) for row in group.phi]}
-        }
-    if isinstance(group, direct_product.DirectWithFinite):
-        return {
-            "direct_with_finite": {"h": construction_to_data(group.h), "f": _table_data(group.f)}
-        }
-    if isinstance(group, surface.SurfaceGroup):
-        return {
-            "surface_group": {
-                "genus": group.genus,
-                "orientable": group.orientable,
-                "boundary_components": group.boundary_components,
-            }
-        }
-    if isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
-        return {
-            "matrix_group_sl2_eisenstein": {
-                "generators": [
-                    [[list(cell) for cell in row] for row in payload]
-                    for payload in group.gen_payloads
-                ],
-                "names": list(group.gen_names),
-            }
-        }
-    raise GroupUsageError(
-        f"construction {type(group).__name__} has no schema-v1 serialization"
-    )
-
-
-def piece_to_data(piece: manifolds.PrimePiece):
-    if isinstance(piece, manifolds.SeifertPiece):
-        inv = piece.invariants
-        data = {
-            "kind": "seifert",
-            "base_genus": inv.base_genus,
-            "base_orientable": inv.base_orientable,
-            "boundary_components": inv.boundary_components,
-            "exceptional_fibers": [list(f) for f in inv.exceptional_fibers],
-        }
-        if inv.euler_obstruction is not None:
-            data["euler_obstruction"] = inv.euler_obstruction
-        return data
-    if isinstance(piece, manifolds.HyperbolicPiece):
-        return {"kind": "hyperbolic", "finite_volume": piece.finite_volume}
-    if isinstance(piece, manifolds.TorusBundlePiece):
-        return {"kind": "torus_bundle", "monodromy": [list(r) for r in piece.monodromy]}
-    if isinstance(piece, manifolds.SphereBundlePiece):
-        return {"kind": "sphere_bundle", "orientable_bundle": piece.orientable_bundle}
-    if isinstance(piece, manifolds.HomotopySpherePiece):
-        return {"kind": "homotopy_sphere"}
-    assert isinstance(piece, manifolds.OtherIrreduciblePiece)
-    data = {
-        "kind": "other_irreducible",
-        "pi1_order": "infinite" if piece.pi1_order == INFINITE else piece.pi1_order,
-    }
-    for key in _PI1_FLAGS:
-        value = getattr(piece, key)
-        if value is not None:
-            data[key] = value
-    return data
-
-
-def descriptor_to_data(descriptor: Descriptor) -> dict:
-    data = {"schema_version": SCHEMA_VERSION, "type": descriptor.kind}
-    if descriptor.kind == "group":
-        data["construction"] = construction_to_data(descriptor.group)
-    elif descriptor.kind == "manifold":
-        m = descriptor.manifold
-        data["orientable"] = m.orientable
-        data["pieces"] = [piece_to_data(p) for p in m.pieces]
-        data["boundary_spheres_capped"] = m.boundary_spheres_capped
-    elif descriptor.kind == "knot":
-        knot = descriptor.knot
-        if isinstance(knot, manifolds.TorusKnot):
-            data["torus"] = [knot.p, knot.q]
-        elif isinstance(knot, manifolds.HyperbolicKnot):
-            data["hyperbolic"] = True
-        else:
-            data["other"] = {"is_torus": knot.is_torus}
-    else:
-        link = descriptor.link
-        data["components"] = link.components
-        if link.is_seifert_fiber_union is not None:
-            data["is_seifert_fiber_union"] = link.is_seifert_fiber_union
-    return data

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups.base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, unique_names
+from .groups.base import INFINITE, GroupUsageError, StructuredGroup, unique_names
 
 
 @dataclass(frozen=True)
@@ -124,50 +124,6 @@ MAT_IDENTITY: MatPayload = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 MAX_FINITE_ORDER = 24
 
 
-class Mat2E:
-    """A 2x2 matrix over the Eisenstein integers with determinant 1.
-
-    Determinant 1 is enforced at construction; the class is closed under
-    multiplication and inverse (the inverse of [[p, q], [r, s]] is
-    [[s, -q], [-r, p]]).
-    """
-
-    __slots__ = ("payload",)
-
-    def __init__(self, rows):
-        payload = _to_payload(rows)
-        if _det(payload) != (1, 0):
-            raise GroupUsageError("Mat2E requires determinant 1")
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2E is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2E) and self.payload == other.payload
-
-    def __hash__(self):
-        return hash(self.payload)
-
-    def __mul__(self, other: "Mat2E") -> "Mat2E":
-        return Mat2E(mat_mul(self.payload, other.payload))
-
-    def inverse(self) -> "Mat2E":
-        return Mat2E(mat_inv(self.payload))
-
-    def det(self) -> EisensteinInt:
-        return mat_det(self.payload)
-
-    def trace(self) -> EisensteinInt:
-        return mat_trace(self.payload)
-
-    def entry(self, i: int, j: int) -> EisensteinInt:
-        return EisensteinInt(*self.payload[i][j])
-
-    def __repr__(self):
-        return _mat_str(self.payload)
-
-
 class MatrixGroupSL2Eisenstein(StructuredGroup):
     """A subgroup of SL2 over the Eisenstein integers given by generators.
 
@@ -202,12 +158,6 @@ class MatrixGroupSL2Eisenstein(StructuredGroup):
 
     def generator_payloads(self):
         return list(zip(self.gen_names, self.gen_payloads))
-
-    def matrix_element(self, matrix: "Mat2E") -> GroupElement:
-        """The group element carried by an exact determinant-1 matrix."""
-        if not isinstance(matrix, Mat2E):
-            matrix = Mat2E(matrix)
-        return self.element(matrix.payload)
 
     def payload_key(self, payload):
         ((a, b), (c, d)), ((e, f), (g, h)) = payload

@@ -21,7 +21,6 @@ from functools import cached_property
 from .base import (
     INFINITE,
     FiniteGroupTable,
-    GroupElement,
     GroupUsageError,
     KeyMemo,
     StructuredGroup,
@@ -250,11 +249,6 @@ class Hnn(StructuredGroup):
             acc_syllables, acc_tail = self._absorb_t(acc, -eps)
             acc = (acc_syllables, base.multiply_payloads(acc_tail, base.invert_payload(rep)))
         return acc
-
-    def embed_base(self, g: GroupElement) -> GroupElement:
-        if g.group != self.base:
-            raise GroupUsageError("element does not belong to the base group")
-        return self.element(((), g.payload))
 
     def generator_payloads(self):
         out = [(name, ((), p)) for name, p in self.base.generator_payloads()]

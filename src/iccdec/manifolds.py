@@ -218,21 +218,6 @@ class Presentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
 
-def presentation_certifies_commutation(pres: Presentation, fiber: str) -> dict[str, int]:
-    """For each non-fiber generator g, the exponent s with a relator
-    g h g^-1 h^(-s) (s = +1: commutes, s = -1: inverts).  A generator with no
-    such relator is absent from the result."""
-    found: dict[str, int] = {}
-    for relator in pres.relators:
-        if len(relator) != 4:
-            continue
-        (n0, e0), (n1, e1), (n2, e2), (n3, e3) = relator
-        if n1 == fiber and n3 == fiber and n0 == n2 and n0 != fiber:
-            if (e0, e1, e2) == (1, 1, -1) and e3 in (1, -1):
-                found[n0] = -e3
-    return found
-
-
 @dataclass(frozen=True)
 class SeifertGroupResult:
     """The fundamental group of a Seifert-fibered piece.

@@ -36,18 +36,6 @@ class ClassBallReport:
     stabilized: bool
     central_proven: bool
 
-    @property
-    def count(self) -> int:
-        return self.counts_by_radius[-1]
-
-    def summary(self) -> str:
-        state = "stabilized" if self.stabilized else "still growing"
-        extra = ", central (proven against the generating set)" if self.central_proven else ""
-        return (
-            f"class ball of {self.element!r}: {self.count} conjugates within "
-            f"radius {self.radius} ({state}{extra})"
-        )
-
 
 def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
     """Breadth-first search of the conjugation orbit c -> s c s^-1 of the
@@ -200,6 +188,8 @@ def strong_icc_witness(
     """
     if k < 1:
         raise GroupUsageError("sequence length k must be >= 1")
+    if search_radius < 0:
+        raise GroupUsageError("search radius must be >= 0")
     if not targets:
         raise GroupUsageError("the target set must be nonempty")
     for f in targets:

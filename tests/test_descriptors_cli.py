@@ -10,14 +10,12 @@ from iccdec.descriptors import (
     MAX_CONSTRUCTIONS,
     MAX_TABLE_ORDER,
     DescriptorError,
-    descriptor_to_data,
     format_word,
     load_descriptor,
     parse_descriptor_data,
     parse_word,
 )
 from iccdec.groups import GroupUsageError
-from conftest import load_corpus_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +101,30 @@ def test_default_names_assigned_in_leaf_order():
     assert [n for n, _ in descriptor.group.generator_payloads()] == ["a", "b"]
 
 
-def test_round_trip_whole_corpus(corpus_dir, manifest):
+def test_parse_is_deterministic_on_whole_corpus(corpus_dir, manifest):
+    # a Descriptor is a frozen dataclass and groups compare by signature, so
+    # two parses of one document are equal exactly when they build the same
+    # models
     from iccdec.cli import _decide
 
     for section in ("groups", "manifolds", "knots_links"):
         for entry in manifest[section]:
-            descriptor = load_corpus_descriptor(corpus_dir, entry["file"])
-            data = descriptor_to_data(descriptor)
-            reparsed = parse_descriptor_data(data)
-            assert descriptor_to_data(reparsed) == data, entry["file"]
-            assert _decide(reparsed).status == _decide(descriptor).status
+            data = json.loads((corpus_dir / entry["file"]).read_text())
+            first, second = parse_descriptor_data(data), parse_descriptor_data(data)
+            assert first == second, entry["file"]
+            assert _decide(first) == _decide(second), entry["file"]
+
+
+def test_schema_names_the_parsers_constructions_and_pieces():
+    from importlib import resources
+
+    schema = json.loads(
+        (resources.files("iccdec") / "schema" / "descriptor_v1.json").read_text()
+    )
+    definitions = schema["definitions"]
+    construction_keys = set(definitions["construction"]["properties"]) - {"name"}
+    assert construction_keys == set(descriptors._CONSTRUCTIONS)
+    assert set(definitions["piece"]["properties"]["kind"]["enum"]) == set(descriptors._PIECES)
 
 
 def _seifert_piece(**fields):
@@ -493,6 +505,61 @@ def test_cli_closed_surface_is_one_error_line(tmp_path, capsys, command, option)
         "error: this surface group has no implemented normal form (closed, "
         "negative Euler characteristic)\n"
     )
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_witness_rejects_a_negative_radius(corpus_dir, capsys, json_flag):
+    # it used to exit 0 with "exhausted ball of radius -1"
+    path = corpus_path(corpus_dir, "group_z2_star_z3.json")
+    assert main(["witness", path, "--set", "a", "--radius", "-1", *json_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search radius must be >= 0\n"
+
+
+_PROJECTIVE_PLANE = {"surface_group": {"genus": 1, "orientable": False, "boundary_components": 0}}
+
+
+def _write_group(tmp_path, construction) -> str:
+    path = tmp_path / "group.json"
+    data = {"schema_version": 1, "type": "group", "construction": construction}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_cli_surface_names_are_claimed_before_default_names(tmp_path, capsys):
+    # the projective plane's generator is 'a', so Z/3 is named 'b'; both
+    # used to be 'a', an unplaced clash
+    construction = {"free_product": [_PROJECTIVE_PLANE, {"cyclic": 3}]}
+    assert main(["decide", _write_group(tmp_path, construction), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "ICC"
+    assert data["reasons"][0]["label"] == "Prop 3(i)"
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[{"cyclic": 3}, _PROJECTIVE_PLANE], [_PROJECTIVE_PLANE, _PROJECTIVE_PLANE]],
+    ids=["z3-p2", "p2-p2"],
+)
+def test_cli_surface_name_clash_is_placed_at_the_surface(tmp_path, capsys, factors):
+    assert main(["decide", _write_group(tmp_path, {"free_product": factors})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.construction.free_product[1]: generator name 'a' is not unique\n"
+    )
+
+
+def test_hnn_over_a_torus_takes_a_default_stable_letter():
+    # the torus claims 't', so the stable letter is the first free default
+    torus = {"surface_group": {"genus": 1, "orientable": True, "boundary_components": 0}}
+    edge = {"kind": "finite", "order": 1, "table": [[0]], "embed_domain": ["1"], "embed_range": ["1"]}
+    construction = {"hnn": {"base": torus, "edge": edge}}
+    descriptor = parse_descriptor_data(
+        {"schema_version": 1, "type": "group", "construction": construction}
+    )
+    assert [n for n, _ in descriptor.group.generator_payloads()] == ["e1", "t", "a"]
 
 
 def test_cli_explain(corpus_dir, capsys):

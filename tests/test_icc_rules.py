@@ -26,8 +26,9 @@ from iccdec.groups import (
     conjugate,
     cyclic_table,
     free_group,
+    reduce_word,
 )
-from iccdec.oracle import conjugacy_class_ball
+from iccdec.oracle import conjugacy_class_ball, fc_center_candidates
 from iccdec.rules import (
     MonodromyClass,
     classify_monodromy,
@@ -109,6 +110,30 @@ def test_free_product_verdicts_agree_with_the_oracle(group):
         assert lengths[-1] == 3
 
 
+def _assert_icc_agrees_with_the_oracle(group):
+    """An ICC group has no fc candidate at (4, 2), since an infinite class
+    has no empty orbit level, and its radius-3 ball is not exhausted.  The
+    rules answer no amalgam or HNN extension NotICC."""
+    if decide_structured_group(group).status is Status.ICC:
+        assert fc_center_candidates(group, 4, 2) == []
+        _, lengths = ball_with_lengths(group, 3)
+        assert lengths[-1] == 3
+
+
+# Z/2k for k in 1..3, Z for None, or Z/2 * Z/3
+_FACTOR = st.sampled_from([2, 4, 6, None, "Z/2 * Z/3"])
+
+
+def _factor(kind, name):
+    """The factor, and a word for an element of order 2 in it (None in Z)."""
+    if kind is None:
+        return InfiniteCyclic(name), None
+    if kind == "Z/2 * Z/3":
+        group = FreeProduct(FiniteCyclic(2, f"{name}2"), FiniteCyclic(3, f"{name}3"))
+        return group, [(f"{name}2", 1)]
+    return FiniteCyclic(kind, name), [(name, kind // 2)]
+
+
 # ---------------------------------------------------------------------------
 # amalgams
 
@@ -164,6 +189,27 @@ def test_amalgam_requires_amalgam():
         icc_amalgam(FiniteCyclic(3))
 
 
+@st.composite
+def _amalgams(draw):
+    """Two factors over a trivial edge, or over Z/2 when both have an
+    element of order 2."""
+    (left, left_two), (right, right_two) = (_factor(draw(_FACTOR), name) for name in "pq")
+    if left_two is not None and right_two is not None and draw(st.booleans()):
+        images = [
+            [side.identity_payload(), reduce_word(side, word).payload]
+            for side, word in ((left, left_two), (right, right_two))
+        ]
+        return Amalgam(left, right, AmalgamEdge(cyclic_table(2), *images))
+    edge = AmalgamEdge(cyclic_table(1), [left.identity_payload()], [right.identity_payload()])
+    return Amalgam(left, right, edge)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(group=_amalgams())
+def test_amalgam_verdicts_agree_with_the_oracle(group):
+    _assert_icc_agrees_with_the_oracle(group)
+
+
 # ---------------------------------------------------------------------------
 # HNN extensions
 
@@ -207,6 +253,31 @@ def test_hnn_properness_precondition():
     verdict = icc_hnn(whole)
     assert verdict.status is Status.UNKNOWN
     assert "Hypotheses not met" in verdict.labels()
+
+
+@st.composite
+def _hnn_extensions(draw):
+    """BS(m, n) as a cyclic_power edge over Z, or a trivial or Z/2 finite
+    edge over a free product of two factors."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 3)), draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        return Hnn(InfiniteCyclic("a"), CyclicPowerEdge(m, n))
+    factors = [_factor(draw(_FACTOR), name) for name in "pq"]
+    base = FreeProduct(*(factor for factor, _ in factors))
+    order_two = [reduce_word(base, word).payload for _, word in factors if word is not None]
+    identity = base.identity_payload()
+    if order_two and draw(st.booleans()):
+        domain, range_ = draw(st.sampled_from(order_two)), draw(st.sampled_from(order_two))
+        edge = FiniteHnnEdge(cyclic_table(2), [identity, domain], [identity, range_])
+    else:
+        edge = FiniteHnnEdge(cyclic_table(1), [identity], [identity])
+    return Hnn(base, edge)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(group=_hnn_extensions())
+def test_hnn_verdicts_agree_with_the_oracle(group):
+    _assert_icc_agrees_with_the_oracle(group)
 
 
 # ---------------------------------------------------------------------------

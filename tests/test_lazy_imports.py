@@ -25,7 +25,7 @@ PACKAGE_NAMES = [
     "torus_knot_group",
     "ClassBallReport", "WitnessSequence", "conjugacy_class_ball", "fc_center_candidates",
     "strong_icc_witness",
-    "EisensteinInt", "Mat2E", "MatrixGroupSL2Eisenstein", "figure8_group",
+    "EisensteinInt", "MatrixGroupSL2Eisenstein", "figure8_group",
     "groups",
 ]
 GROUPS_ALL = [

@@ -104,21 +104,6 @@ def test_ball_is_not_free_growth():
     assert sizes[5] < free_sizes[5]
 
 
-def test_mat2e_value_type():
-    from iccdec.eisenstein import Mat2E
-
-    a = Mat2E([[(1, 0), (1, 0)], [(0, 0), (1, 0)]])
-    b = Mat2E([[(1, 0), (0, 0)], [(0, -1), (1, 0)]])
-    product = a * b
-    assert product.det() == E_ONE
-    assert product.trace() == EisensteinInt(2, -1)
-    assert (a * a.inverse()) == Mat2E([[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
-    with pytest.raises(GroupUsageError):
-        Mat2E([[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
-    group = figure8_group()
-    assert group.matrix_element(a) == group.generator_element("A")
-
-
 # ---------------------------------------------------------------------------
 # differential references: the EisensteinInt and map/sum arithmetic that the
 # integer-only payload products replaced
