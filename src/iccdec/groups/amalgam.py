@@ -16,6 +16,7 @@ from .base import (
     FiniteGroupTable,
     GroupElement,
     GroupUsageError,
+    KeyMemo,
     StructuredGroup,
     least_coset_rep,
     syllable_key_memo,
@@ -55,6 +56,29 @@ class AmalgamEdge:
         return ("edge", self.table.signature(), self.embeds)
 
 
+def _step_memo(factor: StructuredGroup, images: tuple, table: FiniteGroupTable) -> KeyMemo:
+    """The reduction step of an amalgam on one side, memoized.  It refers to
+    the factor and the edge, never to the amalgam, so the amalgam is freed
+    by reference count."""
+    multiply = factor.multiply_payloads
+    lookup = {p: i for i, p in enumerate(images)}
+
+    def step(part):
+        edge_idx, top, payload = part
+        current = multiply(images[edge_idx], payload)
+        if current in lookup:
+            return False, None, lookup[current]
+        if top is not None:
+            current = multiply(top, current)
+            if current in lookup:
+                return True, None, lookup[current]
+        rep, idx = least_coset_rep(factor, current, images)
+        # rep = current * images[idx], so current = rep * images[idx]^-1
+        return top is not None, rep, table.inv(idx)
+
+    return KeyMemo(step)
+
+
 class Amalgam(StructuredGroup):
     """G1 *_E G2 with E finite.  Payload: (syllables, edge index) where
     syllables is a tuple of (side, representative payload)."""
@@ -64,15 +88,6 @@ class Amalgam(StructuredGroup):
         self.edge = edge
         edge.validate_against(self.factors)
         unique_names([[n for n, _ in g.generator_payloads()] for g in self.factors])
-        # payload -> edge index, per side
-        self._edge_lookup = (
-            {p: i for i, p in enumerate(edge.embeds[0])},
-            {p: i for i, p in enumerate(edge.embeds[1])},
-        )
-        # payload -> (coset representative, edge index), per finite factor;
-        # filled on first use, so it never holds more than |factor| entries
-        # and a large finite factor costs nothing until it is multiplied
-        self._coset_tables = tuple(None if f.order() == INFINITE else {} for f in self.factors)
 
     def signature(self):
         return (
@@ -92,29 +107,25 @@ class Amalgam(StructuredGroup):
             return INFINITE
         return total // self.edge.table.size
 
-    def _coset_rep(self, side: int, payload):
-        table = self._coset_tables[side]
-        if table is None:
-            return least_coset_rep(self.factors[side], payload, self.edge.embeds[side])
-        if payload not in table:
-            table[payload] = least_coset_rep(self.factors[side], payload, self.edge.embeds[side])
-        return table[payload]
+    @cached_property
+    def _steps(self) -> tuple[KeyMemo, KeyMemo]:
+        """The memo of one reduction step, per side: (edge index, same-side
+        top payload or None, factor payload) -> (pop the top, representative
+        pushed or None, edge index carried on)."""
+        return tuple(
+            _step_memo(factor, images, self.edge.table)
+            for factor, images in zip(self.factors, self.edge.embeds)
+        )
 
     def _absorb(self, stack: list, edge_idx: int, side: int, payload) -> int:
         """Multiply the normal form (stack, edge_idx) by a factor element."""
-        factor = self.factors[side]
-        lookup = self._edge_lookup[side]
-        current = factor.multiply_payloads(self.edge.embeds[side][edge_idx], payload)
-        if current in lookup:
-            return lookup[current]
-        if stack and stack[-1][0] == side:
-            current = factor.multiply_payloads(stack.pop()[1], current)
-            if current in lookup:
-                return lookup[current]
-        rep, idx = self._coset_rep(side, current)
-        stack.append((side, rep))
-        # rep = current * images[idx], so current = rep * images[idx]^-1
-        return self.edge.table.inv(idx)
+        top = stack[-1][1] if stack and stack[-1][0] == side else None
+        pop, rep, edge_idx = self._steps[side][edge_idx, top, payload]
+        if pop:
+            stack.pop()
+        if rep is not None:
+            stack.append((side, rep))
+        return edge_idx
 
     def multiply_payloads(self, a, b):
         syllables_a, edge_idx = a

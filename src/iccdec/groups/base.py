@@ -142,9 +142,10 @@ class StructuredGroup(ABC):
         return self._hashed_signature[0]
 
     @cached_property
-    def _ball(self) -> list[list[GroupElement]]:
-        """The ball levels enumerated so far; _ball_levels extends them."""
-        return [[self.identity()]]
+    def _ball(self) -> tuple[threading.RLock, list[list[GroupElement]]]:
+        """The lock that serializes enumerations of this group, and the ball
+        levels enumerated so far; _ball_levels extends them."""
+        return threading.RLock(), [[self.identity()]]
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_payload())
@@ -247,20 +248,18 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
     return steps
 
 
-_BALL_LOCK = threading.RLock()
-
-
 def _ball_levels(group: StructuredGroup, radius: int) -> list[list[GroupElement]]:
     """The cached ball levels, extended to at least radius + 1 levels unless
     the group is exhausted first, in which case the last level is empty.
 
     Level r holds the elements of word length r in payload-key order.  Levels
-    are cached on the group instance and die with it; the lock keeps
-    concurrent callers on the same group consistent.  The returned lists are
-    shared: do not mutate.
+    are cached on the group instance and die with it; the group's own lock
+    keeps concurrent callers on the same group consistent, and callers on
+    other groups never wait for it.  The returned lists are shared: do not
+    mutate.
     """
-    with _BALL_LOCK:
-        levels = group._ball
+    lock, levels = group._ball
+    with lock:
         if len(levels) <= radius and levels[-1]:
             mul = group.multiply_payloads
             key = group.payload_key
@@ -396,27 +395,29 @@ def cyclic_table(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroupTa
     return FiniteGroupTable(table, names)
 
 
-# The most entries one KeyMemo stores; past it, keys are computed, not stored.
+# The most entries one KeyMemo stores; past it, values are computed, not stored.
 KEY_MEMO_ENTRIES = 4096
 
 
 class KeyMemo(dict):
-    """part -> key(part), computed on the first lookup and stored while the
-    memo holds fewer than KEY_MEMO_ENTRIES entries.
+    """part -> fn(part) for a pure function fn, computed on the first lookup
+    and stored while the memo holds fewer than KEY_MEMO_ENTRIES entries.
 
     A construction keys each part of a payload (a syllable, an HNN tail)
     through one of these, so a sort does not rebuild the key of a part that
-    many payloads share.  key must not refer back to the owning group.  A
-    concurrent miss stores the same value twice, which is harmless."""
+    many payloads share; amalgams and HNN extensions memoize their reduction
+    steps the same way.  fn must not refer back to the owning group, so the
+    group is still freed by reference count.  A concurrent miss stores the
+    same value twice, which is harmless."""
 
-    __slots__ = ("key",)
+    __slots__ = ("fn",)
 
-    def __init__(self, key):
+    def __init__(self, fn):
         super().__init__()
-        self.key = key
+        self.fn = fn
 
     def __missing__(self, part):
-        value = self.key(part)
+        value = self.fn(part)
         if len(self) < KEY_MEMO_ENTRIES:
             self[part] = value
         return value

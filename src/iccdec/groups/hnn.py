@@ -208,6 +208,17 @@ class Hnn(StructuredGroup):
     def identity_payload(self):
         return ((), self.base.identity_payload())
 
+    @cached_property
+    def _reps(self) -> tuple[KeyMemo, KeyMemo]:
+        """The memos of a tail's (representative, residual) for the domain A
+        and for the range B.  They refer to the base and the edge, never to
+        the extension, so the extension is freed by reference count."""
+        base, edge = self.base, self.edge
+        return (
+            KeyMemo(lambda tail: edge.domain_rep(base, tail)),
+            KeyMemo(lambda tail: edge.range_rep(base, tail)),
+        )
+
     def _absorb_t(self, payload, eps: int):
         syllables, tail = payload
         base, edge = self.base, self.edge
@@ -215,12 +226,12 @@ class Hnn(StructuredGroup):
             if syllables and syllables[-1][1] == -1 and edge.range_contains(base, tail):
                 rep = syllables[-1][0]
                 return (syllables[:-1], base.multiply_payloads(rep, edge.iso_preimage(base, tail)))
-            rep, residual = edge.range_rep(base, tail)
+            rep, residual = self._reps[1][tail]
             return (syllables + ((rep, +1),), edge.iso_preimage(base, residual))
         if syllables and syllables[-1][1] == +1 and edge.domain_contains(base, tail):
             rep = syllables[-1][0]
             return (syllables[:-1], base.multiply_payloads(rep, edge.iso_image(base, tail)))
-        rep, residual = edge.domain_rep(base, tail)
+        rep, residual = self._reps[0][tail]
         return (syllables + ((rep, -1),), edge.iso_image(base, residual))
 
     def multiply_payloads(self, a, b):

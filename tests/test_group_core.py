@@ -36,7 +36,7 @@ from iccdec.groups import (
     reduce_word,
     render_word,
 )
-from iccdec.groups.base import KEY_MEMO_ENTRIES
+from iccdec.groups.base import KEY_MEMO_ENTRIES, ball_level
 from iccdec.groups.semidirect import CACHED_POWERS, mat_mul
 from conftest import CyclicFreeProductOracle, bs12_pinch_reduce, enumerable_corpus_groups
 
@@ -199,6 +199,34 @@ def test_concurrent_enumeration_consistent():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_ball_lock_is_per_group():
+    # a thread that holds one group's ball lock does not stall an
+    # enumeration of another group
+    import threading
+
+    held_group = free_group(["x", "y"])
+    group = FreeProduct(FiniteCyclic(3, "p"), FiniteCyclic(4, "q"))
+    lock, _ = held_group._ball
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(30)
+        worker = threading.Thread(target=ball_level, args=(group, 3), daemon=True)
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+    finally:
+        release.set()
+        holder.join()
 
 
 def test_ball_cache_dies_with_its_group():

@@ -6,9 +6,11 @@ meet.  The reference below is the per-syllable multiply they replaced: it
 absorbs every syllable of the right factor, one at a time, into the left.
 """
 
+import gc
 import os
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -33,7 +35,7 @@ from iccdec.groups import (
     enumerate_ball,
     free_group,
 )
-from iccdec.groups.base import least_coset_rep
+from iccdec.groups.base import KEY_MEMO_ENTRIES, least_coset_rep
 from iccdec.manifolds import SeifertInvariants, seifert_group
 from conftest import load_corpus_descriptor
 
@@ -224,25 +226,29 @@ def _nonorientable_seifert_piece():
     return seifert_group(invariants).realization
 
 
-GROUPS = {
+# each group's builder, for the tests that need a group no other test warmed
+BUILDERS = {
     # free products: nested, finite factors, infinite factors
-    "free_rank2": _corpus_group("group_free_rank2.json"),
-    "free_rank3": free_group(["x", "y", "z"]),
-    "z2_star_z3": _corpus_group("group_z2_star_z3.json"),
-    "z_star_z2": _corpus_group("group_z_star_z2.json"),
+    "free_rank2": lambda: _corpus_group("group_free_rank2.json"),
+    "free_rank3": lambda: free_group(["x", "y", "z"]),
+    "z2_star_z3": lambda: _corpus_group("group_z2_star_z3.json"),
+    "z_star_z2": lambda: _corpus_group("group_z_star_z2.json"),
     # amalgams: nontrivial edge residuals, finite and infinite factors
-    "s3_amalgam_s3": _corpus_group("group_s3_amalgam_s3.json"),
-    "psl2z_amalgam": _corpus_group("group_psl2z_amalgam.json"),
-    "infinite_factor_amalgam": _infinite_factor_amalgam(),
+    "s3_amalgam_s3": lambda: _corpus_group("group_s3_amalgam_s3.json"),
+    "psl2z_amalgam": lambda: _corpus_group("group_psl2z_amalgam.json"),
+    "infinite_factor_amalgam": _infinite_factor_amalgam,
     # HNN extensions: finite edges with residuals, a cyclic-power edge
-    "hnn_z_x_z2": _corpus_group("group_hnn_z_x_z2.json"),
-    "hnn_icc_base": _corpus_group("group_hnn_icc_base.json"),
-    "bs12": _corpus_group("group_bs12.json"),
+    "hnn_z_x_z2": lambda: _corpus_group("group_hnn_z_x_z2.json"),
+    "hnn_icc_base": lambda: _corpus_group("group_hnn_icc_base.json"),
+    "bs12": lambda: _corpus_group("group_bs12.json"),
     # fiber extensions: torus knots carry into the fiber; a sign -1 part
-    "trefoil": _corpus_group("knot_trefoil.json"),
-    "torus_knot_3_5": FiberExtension([TorsionPart("x", 3, 1), TorsionPart("y", 5, 1)]),
-    "nonorientable_seifert": _nonorientable_seifert_piece(),
+    "trefoil": lambda: _corpus_group("knot_trefoil.json"),
+    "torus_knot_3_5": lambda: FiberExtension([TorsionPart("x", 3, 1), TorsionPart("y", 5, 1)]),
+    "nonorientable_seifert": _nonorientable_seifert_piece,
 }
+GROUPS = {name: build() for name, build in BUILDERS.items()}
+# the amalgams and HNN extensions, whose reduction steps are memoized
+MEMOIZED = sorted(name for name, g in GROUPS.items() if isinstance(g, (Amalgam, Hnn)))
 
 
 def test_groups_cover_each_construction():
@@ -365,26 +371,106 @@ def test_conjugation_cost_does_not_grow_with_the_word(name, cycle, by, factor_ki
 
 
 # ---------------------------------------------------------------------------
-# finite amalgam factors: the coset table
+# the memoized reduction steps of amalgams and HNN extensions
 
 
 def test_large_finite_factor_is_not_enumerated():
-    # Z/10^9 *_1 Z/2: the coset table of the finite factor fills as it is
-    # used, so building and multiplying never enumerate the factor
+    # Z/10^9 *_1 Z/2: the step memos fill as they are used, so building and
+    # multiplying never enumerate the factor
     p, q = FiniteCyclic(10**9, "p"), FiniteCyclic(2, "q")
     group = Amalgam(p, q, AmalgamEdge(cyclic_table(1), [0], [0]))
     w = group.reduce_letters([("p", 5), ("q", 1), ("p", -7), ("q", 1)])
     assert group.render_payload(w.payload) == [("p", 5), ("q", 1), ("p", 10**9 - 7), ("q", 1)]
     assert w * ~w == group.identity()
-    assert len(group._coset_tables[0]) < 100
+    assert all(len(memo) < 100 for memo in group._steps)
 
 
-def test_coset_tables_hold_at_most_the_factor():
+def test_step_memos_hold_at_most_their_key_space():
     group = GROUPS["s3_amalgam_s3"]
     enumerate_ball(group, 5)
+    edge = group.edge.table.size
     for side, factor in enumerate(group.factors):
-        assert 0 < len(group._coset_tables[side]) <= factor.order()
-    assert GROUPS["infinite_factor_amalgam"]._coset_tables == (None, None)
+        # keys: (edge index, same-side top or None, factor payload)
+        n = factor.order()
+        assert 0 < len(group._steps[side]) <= edge * (n + 1) * n
+    # infinite factors: the memos fill to the cap and stop there
+    group = _infinite_factor_amalgam()
+    for side, factor in enumerate(group.factors):
+        for k in range(KEY_MEMO_ENTRIES + 100):
+            stack = []
+            edge_idx = _ref_amalgam_absorb(group, stack, 0, side, (k, k % 2))
+            assert group.embed(side, factor.element((k, k % 2))).payload == (tuple(stack), edge_idx)
+        assert len(group._steps[side]) == KEY_MEMO_ENTRIES
+
+
+@pytest.mark.parametrize("entries", [0, 8])
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_products_match_reference_with_a_small_memo(name, entries, monkeypatch):
+    # a fresh group, so every step starts cold; with 0 entries the memos
+    # store nothing, with 8 they fill at once and compute past the cap
+    monkeypatch.setattr("iccdec.groups.base.KEY_MEMO_ENTRIES", entries)
+    monkeypatch.setitem(GROUPS, name, BUILDERS[name]())
+    test_products_and_inverses_match_reference(name)
+    group = GROUPS[name]
+    memos = group._steps if isinstance(group, Amalgam) else group._reps
+    assert all(len(memo) <= entries for memo in memos)
+
+
+# the coset searches that a memoized step makes only on its first call
+_SEARCHES = ("base.py:least_coset_rep", "hnn.py:_balanced_rep")
+
+
+def _products(counts, group):
+    """The multiply_payloads calls counted for group's own class."""
+    return counts[f"{type(group).__module__.rsplit('.', 1)[1]}.py:multiply_payloads"]
+
+
+@pytest.mark.parametrize("name", ["s3_amalgam_s3", "hnn_icc_base", "bs12"])
+def test_a_repeated_product_searches_no_coset(name):
+    group = BUILDERS[name]()
+    rng = random.Random(f"repeat-{name}")
+    steps = _steps(group)
+    searched = 0
+    for _ in range(20):
+        u, v, z = (_ref_word(group, rng, steps, rng.randrange(1, 12)) for _ in range(3))
+        a, b = ref_mul(group, u, v), ref_mul(group, ref_inv(group, v), z)
+        first = _calls(lambda: group.multiply_payloads(a, b))
+        searched += sum(first[f] for f in _SEARCHES)
+        again = _calls(lambda: group.multiply_payloads(a, b))
+        assert not any(again[f] for f in _SEARCHES), (a, b)
+        if isinstance(group, Amalgam):
+            # every factor product of an amalgam is inside its step memo
+            products = sum(n for f, n in again.items() if f.endswith(":multiply_payloads"))
+            assert products == _products(again, group) == 1, (a, b)
+        else:
+            # an HNN product still multiplies its tails: one base product
+            # per syllable of b, one per pinch, and one for the tail of b
+            assert _products(again, group.base) <= 2 * len(b[0]) + 1, (a, b)
+    assert searched > 0
+
+
+def test_memoized_groups_are_freed_by_reference_count():
+    # the step memos refer to factors and edges, never back to the group,
+    # so a group that has multiplied, keyed and inverted dies without the
+    # cycle collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in MEMOIZED:
+            group = BUILDERS[name]()
+            steps = _steps(group)
+            rng = random.Random(f"freed-{name}")
+            for _ in range(20):
+                a, b = (_ref_word(group, rng, steps, 6) for _ in range(2))
+                product = group.multiply_payloads(a, b)
+                group.payload_key(product)
+                group.invert_payload(product)
+            ref = weakref.ref(group)
+            del group
+            assert ref() is None, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_trivial_factor_generator_is_the_identity():
