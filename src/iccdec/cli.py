@@ -103,7 +103,7 @@ def _explain_trace(descriptor: Descriptor, normal) -> list[str]:
     if descriptor.kind == "group":
         group = descriptor.group
         trace.append(f"input: structured group {group.describe()}")
-        names = ", ".join(name for name, _ in group.generator_payloads())
+        names = ", ".join(group.generator_names())
         trace.append(f"designated generators: {names or '(none)'}")
         order = group.order()
         trace.append(f"group order: {'infinite' if order == INFINITE else int(order)}")

@@ -226,7 +226,7 @@ class _GroupBuild:
         return name
 
     def claim_all(self, group: StructuredGroup, path: str) -> None:
-        for name, _ in group.generator_payloads():
+        for name in group.generator_names():
             self.claim(name, path)
 
     def fresh(self, path: str) -> str:
@@ -352,10 +352,7 @@ def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     group = surface.SurfaceGroup(
         body.get("genus", int), body.get("orientable", bool), body.get("boundary_components", int)
     )
-    # The realization fixes the names; a closed surface of negative Euler
-    # characteristic has none, and so claims none.
-    if group.realization() is not None:
-        build.claim_all(group, path)
+    build.claim_all(group, path)
     return group
 
 

@@ -87,7 +87,7 @@ class Amalgam(StructuredGroup):
         self.factors = (left, right)
         self.edge = edge
         edge.validate_against(self.factors)
-        unique_names([[n for n, _ in g.generator_payloads()] for g in self.factors])
+        unique_names([g.generator_names() for g in self.factors])
 
     def signature(self):
         return (

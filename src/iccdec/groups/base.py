@@ -104,6 +104,10 @@ class StructuredGroup(ABC):
     def generator_payloads(self) -> list[tuple[str, Any]]:
         """The designated finite generating set, as (name, payload) pairs."""
 
+    def generator_names(self) -> list[str]:
+        """The generator names, which need no normal form (see SurfaceGroup)."""
+        return [name for name, _ in self.generator_payloads()]
+
     @abstractmethod
     def payload_key(self, payload) -> tuple:
         """Total order key; the identity payload must be minimal."""
@@ -366,20 +370,16 @@ class FiniteGroupTable:
             for x in range(1, self.size):
                 if x in base:
                     continue
-                closure = set(base) | {x}
-                changed = True
-                while changed:
-                    changed = False
-                    for a in list(closure):
-                        for b in list(closure):
-                            c = self.table[a][b]
-                            if c not in closure:
-                                closure.add(c)
-                                changed = True
-                    for a in list(closure):
-                        if self.inverse[a] not in closure:
-                            closure.add(self.inverse[a])
-                            changed = True
+                # {0} closed under right multiplication by base and x is <base, x>
+                steps = [*base, x]
+                closure = {0}
+                reached = [0]
+                for a in reached:
+                    for step in steps:
+                        c = self.table[a][step]
+                        if c not in closure:
+                            closure.add(c)
+                            reached.append(c)
                 extended = frozenset(closure)
                 if extended not in found:
                     found.add(extended)

@@ -19,7 +19,7 @@ class DirectWithFinite(StructuredGroup):
     def __init__(self, h: StructuredGroup, f: FiniteGroupTable):
         self.h = h
         self.f = f
-        unique_names([[n for n, _ in h.generator_payloads()], f.names[1:]])
+        unique_names([h.generator_names(), f.names[1:]])
 
     def signature(self):
         return ("direct_with_finite", self.h.signature(), self.f.signature())
@@ -43,6 +43,9 @@ class DirectWithFinite(StructuredGroup):
         for idx in range(1, self.f.size):
             out.append((self.f.names[idx], (self.h.identity_payload(), idx)))
         return out
+
+    def generator_names(self):
+        return self.h.generator_names() + list(self.f.names[1:])
 
     def payload_key(self, payload):
         return (self.h.payload_key(payload[0]), payload[1])

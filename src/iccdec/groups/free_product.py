@@ -27,7 +27,7 @@ class FreeProduct(StructuredGroup):
 
     def __init__(self, *factors: StructuredGroup):
         self.factors = factors
-        unique_names([[n for n, _ in g.generator_payloads()] for g in self.factors])
+        unique_names([g.generator_names() for g in self.factors])
 
     def signature(self):
         return ("free_product", *(f.signature() for f in self.factors))
@@ -66,6 +66,9 @@ class FreeProduct(StructuredGroup):
                 trivial = payload == factor.identity_payload()
                 out.append((name, () if trivial else ((side, payload),)))
         return out
+
+    def generator_names(self):
+        return [name for factor in self.factors for name in factor.generator_names()]
 
     @cached_property
     def _syllable_keys(self):

@@ -200,7 +200,7 @@ class Hnn(StructuredGroup):
         self.edge = edge
         self.stable_letter = stable_letter
         edge.validate_against(base)
-        unique_names([[n for n, _ in base.generator_payloads()], [stable_letter]])
+        unique_names([base.generator_names(), [stable_letter]])
 
     def signature(self):
         return ("hnn", self.base.signature(), self.edge.signature(), self.stable_letter)

@@ -20,6 +20,8 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_det(a: Matrix) -> int:
     n = len(a)
+    if n == 0:
+        return 1
     if n == 1:
         return a[0][0]
     if n == 2:
@@ -34,28 +36,21 @@ def mat_det(a: Matrix) -> int:
 
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1: det times
+    the transposed signed minors (the adjugate)."""
     n = len(a)
     det = mat_det(a)
     if det not in (1, -1):
         raise GroupUsageError("matrix is not invertible over the integers")
-    if n == 1:
-        return ((det,),)
-    if n == 2:
-        adj = ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    else:
-        cof = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                rows = [r for r in range(3) if r != i]
-                cols = [c for c in range(3) if c != j]
-                minor = (
-                    a[rows[0]][cols[0]] * a[rows[1]][cols[1]]
-                    - a[rows[0]][cols[1]] * a[rows[1]][cols[0]]
-                )
-                cof[i][j] = (-1) ** (i + j) * minor
-        adj = tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
-    return tuple(tuple(x * det for x in row) for row in adj)
+    return tuple(
+        tuple(det * (-1) ** (i + j) * mat_det(_minor(a, j, i)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _minor(a: Matrix, i: int, j: int) -> Matrix:
+    """a without row i and column j."""
+    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i)
 
 
 # phi^m is cached for |m| up to this bound and recomputed beyond it: a

@@ -72,6 +72,9 @@ class SurfaceGroup(StructuredGroup):
     def generator_payloads(self):
         return self._carrier().generator_payloads()
 
+    def generator_names(self):
+        return [] if self._realization is None else self._realization.generator_names()
+
     def payload_key(self, payload):
         return self._carrier().payload_key(payload)
 

@@ -296,85 +296,24 @@ def _seifert_presentation(
     return Presentation(tuple(names + fiber_gens + [h]), tuple(relators))
 
 
-def _diagonalize_2x2(m: list[list[int]]) -> tuple[int, int, list[list[int]]]:
-    """Row/column reduce to diag(d1, d2); returns (d1, d2, C) where C is the
-    accumulated unimodular column transformation (quotient coordinates map
-    through x -> x C)."""
-    a = [list(row) for row in m]
-    c = [[1, 0], [0, 1]]
-
-    def col_op(j, k, q):  # col_k += q * col_j
-        for x in (a, c):
-            for i in range(2):
-                x[i][k] += q * x[i][j]
-
-    def col_swap():
-        for x in (a, c):
-            for i in range(2):
-                x[i][0], x[i][1] = x[i][1], x[i][0]
-
-    def row_op(i, k, q):  # row_k += q * row_i
-        for j in range(2):
-            a[k][j] += q * a[i][j]
-
-    def row_swap():
-        a[0], a[1] = a[1], a[0]
-
-    for _ in range(4096):
-        if a[1][0] == 0 and a[0][1] == 0:
-            # enforce the divisor chain d1 | d2 so that d1 is the gcd of all
-            # entries (here 1 for coprime fiber data)
-            if a[0][0] == 0 and a[1][1] != 0:
-                row_swap()
-                col_swap()
-            if a[0][0] != 0 and a[1][1] % a[0][0] != 0:
-                col_op(1, 0, 1)
-                continue
-            break
-        if a[0][0] == 0:
-            if a[1][0] != 0:
-                row_swap()
-            else:
-                col_swap()
-            continue
-        if a[1][0] != 0:
-            row_op(0, 1, -(a[1][0] // a[0][0]))
-            if a[1][0] != 0:
-                row_swap()
-            continue
-        col_op(0, 1, -(a[0][1] // a[0][0]))
-        if a[0][1] != 0:
-            col_swap()
-    else:
-        raise GroupUsageError("diagonalization did not terminate")
-    return a[0][0], a[1][1], c
-
-
 def _lens_realization(
     inv: SeifertInvariants, suffix: str
 ) -> tuple[StructuredGroup, GroupElement, int]:
     """Closed, orientable S^2 base, at most two exceptional fibers: the group
-    is cyclic.  Returns (group, fiber element, order) with 0 meaning Z."""
+    is cyclic.  Returns (group, fiber element, order) with 0 meaning Z.
+
+    With missing fibers padded as (1, 0) in front, the relations on (q1, h)
+    after q2 = -q1 - b h are the rows of R = [[a1, b1], [-a2, b2 - a2 b]].
+    (q1, h) -> a1 h - b1 q1 maps Z^2 onto Z with kernel <(a1, b1)>, so the
+    group is Z/|det R| and h -> a1 (Orlik, Seifert Manifolds, LNM 291).
+    """
     b = inv.euler_obstruction
     fibers = inv.exceptional_fibers
-    if len(fibers) <= 1:
-        alpha, beta = fibers[0] if fibers else (1, 0)
-        name, p, h_exp = "h" + suffix, abs(alpha * b - beta), 1
-    else:
-        (a1, b1), (a2, b2) = fibers
-        # relations on (q1, h) after q2 = -q1 - b h:  a1 q1 + b1 h = 0,
-        # -a2 q1 + (b2 - a2 b) h = 0
-        d1, d2, c = _diagonalize_2x2([[a1, b1], [-a2, b2 - a2 * b]])
-        h_coords = (c[1][0], c[1][1])  # image of (0,1) under x -> x C
-        if abs(d1) == 1:
-            p, h_exp = abs(d2), h_coords[1]
-        elif abs(d2) == 1:
-            p, h_exp = abs(d1), h_coords[0]
-        else:
-            raise GroupUsageError("lens-type data did not reduce to a cyclic group")
-        name = "c" + suffix
+    (a1, b1), (a2, b2) = [(1, 0)] * (2 - len(fibers)) + list(fibers)
+    p = abs(a1 * (b2 - a2 * b) + a2 * b1)
+    name = ("c" if len(fibers) == 2 else "h") + suffix
     group: StructuredGroup = FiniteCyclic(p, name) if p else InfiniteCyclic(name)
-    return group, group.element(h_exp % p if p else h_exp), p
+    return group, group.element(a1 % p if p else a1), p
 
 
 def _seifert_realization(

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
+from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from ._lazy import executed, lazy_module
@@ -380,48 +382,26 @@ def _semidirect_finite_orbit_witness(group: semidirect.SemidirectZnByZ) -> Optio
 
 
 def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
-    """A nonzero integer kernel vector of a square integer matrix, or None.
+    """The primitive integer kernel vector that reduced row echelon form
+    gives for its first free column, or None when det m != 0.
 
-    Gaussian elimination over the rationals, cleared to integers.
+    For the first column j in the span of the columns before it, the signed
+    j x j minors of columns 0..j, on j rows where columns 0..j-1 are
+    independent, solve m v = 0; v is zero past j and positive at j.
     """
-    from fractions import Fraction
-
     n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    col = 0
-    row = 0
-    while row < n and col < n:
-        pivot = next((r for r in range(row, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        for r in range(n):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col] / rows[row][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        col += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    if not free_cols:
-        return None
-    free = free_cols[0]
-    solution = [Fraction(0)] * n
-    solution[free] = Fraction(1)
-    for r, c in reversed(list(enumerate(pivots))):
-        total = sum(rows[r][k] * solution[k] for k in range(c + 1, n))
-        solution[c] = -total / rows[r][c]
-    denominators = [x.denominator for x in solution]
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in solution]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    for j in range(n):
+        for rows in combinations(m, j):
+            vector = [
+                (-1) ** (j - k) * semidirect.mat_det(tuple(r[:k] + r[k + 1 : j + 1] for r in rows))
+                for k in range(j + 1)
+            ]
+            if vector[j]:
+                break
+        if not any(sum(map(mul, row, vector)) for row in m):
+            g = gcd(*vector) if vector[j] > 0 else -gcd(*vector)
+            return tuple(x // g for x in vector) + (0,) * (n - 1 - j)
+    return None
 
 
 def decide_structured_group(group: StructuredGroup) -> Verdict:

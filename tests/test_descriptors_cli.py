@@ -562,6 +562,76 @@ def test_hnn_over_a_torus_takes_a_default_stable_letter():
     assert [n for n, _ in descriptor.group.generator_payloads()] == ["e1", "t", "a"]
 
 
+_GENUS_2 = {"surface_group": {"genus": 2, "orientable": True, "boundary_components": 0}}
+
+
+@pytest.mark.parametrize("command", [["decide"], ["explain", "--json"]])
+@pytest.mark.parametrize(
+    "construction, label, names",
+    [
+        ({"free_product": [{"infinite_cyclic": {}}, _GENUS_2]}, "Prop 3(i)", "a"),
+        (
+            {"direct_with_finite": {"h": _GENUS_2, "f": {"order": 1, "table": [[0]]}}},
+            "Surface classification",
+            "(none)",
+        ),
+    ],
+    ids=["free product", "trivial direct factor"],
+)
+def test_closed_genus_2_surface_factor_is_decided(
+    tmp_path, capsys, command, construction, label, names
+):
+    # the surface has no normal form, but its (empty) list of names is all
+    # the construction and the explain trace need
+    assert main([*command, _write_group(tmp_path, construction)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == ["decide"]:
+        assert captured.out.startswith("status: ICC\n")
+        assert f"  - {label}" in captured.out
+    else:
+        out = json.loads(captured.out)
+        assert out["status"] == "ICC"
+        assert out["reasons"][0]["label"] == label
+        assert f"designated generators: {names}" in out["trace"]
+
+
+_NO_NORMAL_FORM = "no implemented normal form"
+_TRIVIAL_EDGE = {"order": 1, "table": [[0]]}
+
+
+@pytest.mark.parametrize(
+    "construction, command",
+    [
+        ({"free_product": [{"infinite_cyclic": {}}, _GENUS_2]}, ["enumerate", "--element", "a"]),
+        ({"free_product": [{"infinite_cyclic": {}}, _GENUS_2]}, ["witness", "--set", "a"]),
+        (
+            {"amalgam": {"left": _GENUS_2, "right": {"infinite_cyclic": {}}, "edge": {
+                **_TRIVIAL_EDGE, "embed_left": ["1"], "embed_right": ["1"]}}},
+            ["decide"],
+        ),
+        (
+            {"hnn": {"base": _GENUS_2, "edge": {
+                "kind": "finite", **_TRIVIAL_EDGE, "embed_domain": ["1"], "embed_range": ["1"]}}},
+            ["decide"],
+        ),
+        (
+            {"direct_with_finite": {"h": _GENUS_2, "f": {"order": 2, "table": [[0, 1], [1, 0]]}}},
+            ["decide"],
+        ),
+    ],
+    ids=["enumerate", "witness", "amalgam", "hnn", "direct product"],
+)
+def test_surface_without_normal_form_still_errors_where_payloads_are_needed(
+    tmp_path, capsys, construction, command
+):
+    assert main([*command, _write_group(tmp_path, construction)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert _NO_NORMAL_FORM in captured.err
+
+
 def test_cli_explain(corpus_dir, capsys):
     code = main(["explain", corpus_path(corpus_dir, "manifold_trefoil_complement.json")])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -37,7 +38,7 @@ from iccdec.groups import (
     render_word,
 )
 from iccdec.groups.base import KEY_MEMO_ENTRIES, ball_level
-from iccdec.groups.semidirect import CACHED_POWERS, mat_mul
+from iccdec.groups.semidirect import CACHED_POWERS, mat_inverse_unimodular, mat_mul
 from conftest import CyclicFreeProductOracle, bs12_pinch_reduce, enumerable_corpus_groups
 
 
@@ -323,6 +324,48 @@ def test_finite_table_validation():
     table = cyclic_table(4)
     assert [table.inv(i) for i in range(4)] == [0, 3, 2, 1]
     assert sorted(len(s) for s in table.subgroups()) == [1, 2, 4]
+
+
+def _permutation_table(n: int) -> FiniteGroupTable:
+    """S_n, composing as (a b)(k) = a(b(k)); the identity sorts first."""
+    elements = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(elements)}
+    return FiniteGroupTable([[index[tuple(a[k] for k in b)] for b in elements] for a in elements])
+
+
+@pytest.mark.parametrize(
+    "table, count",
+    [(cyclic_table(12), 6), (_permutation_table(3), 6), (_permutation_table(4), 30)],
+    ids=["Z/12", "S3", "S4"],
+)
+def test_table_subgroups_are_closed_and_complete(table, count):
+    subgroups = table.subgroups()
+    assert len(subgroups) == count
+    for s in subgroups:
+        assert all(table.mul(a, b) in s for a in s for b in s)
+        assert all(table.inv(a) in s for a in s)
+
+
+def test_unimodular_inverse_of_ranks_one_to_three():
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for _ in range(300):
+            # a product of random elementary and sign-flip matrices
+            m = identity
+            for _ in range(rng.randint(0, 8)):
+                step = [list(row) for row in identity]
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i == j:
+                    step[i][i] = rng.choice((1, -1))
+                else:
+                    step[i][j] = rng.randint(-3, 3)
+                m = mat_mul(m, tuple(map(tuple, step)))
+            inverse = mat_inverse_unimodular(m)
+            assert mat_mul(inverse, m) == identity
+            assert mat_mul(m, inverse) == identity
+    with pytest.raises(GroupUsageError):
+        mat_inverse_unimodular(((2, 0), (0, 1)))
 
 
 def test_fiber_extension_trefoil_relations():

@@ -1,6 +1,8 @@
 """The ICC decision combinators and their contracts."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from iccdec.groups import (
     free_group,
     reduce_word,
 )
+from iccdec.groups.semidirect import mat_det
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates
 from iccdec.rules import (
     MonodromyClass,
@@ -40,6 +43,7 @@ from iccdec.rules import (
     icc_index_two_lift,
     icc_surface,
     icc_torus_bundle,
+    _integer_kernel_vector,
 )
 from iccdec.verdict import Status, Verdict, Witness, Citation
 
@@ -393,6 +397,50 @@ def test_torus_bundle_trace_minus_two_witness():
     assert report.stabilized
     assert report.counts_by_radius[-1] == 2
     assert {c.payload for c in report.conjugates} == {((1, 0), 0), ((-1, 0), 0)}
+
+
+# ---------------------------------------------------------------------------
+# kernel vectors of phi^j - I
+
+
+@st.composite
+def _square_matrices(draw):
+    """1x1 to 3x3 integer matrices; three in four get a column (or, after
+    transposing, a row) that is an integer combination of the others."""
+    n = draw(st.integers(1, 3))
+    m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(0, 3)):
+        j = draw(st.integers(0, n - 1))
+        coefficients = [0 if k == j else draw(st.integers(-2, 2)) for k in range(n)]
+        for row in m:
+            row[j] = sum(c * x for c, x in zip(coefficients, row))
+    if draw(st.booleans()):
+        m = [list(column) for column in zip(*m)]
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=_square_matrices())
+def test_integer_kernel_vector_is_the_first_free_column_vector(m):
+    # the properties below fix the vector uniquely: the primitive kernel
+    # vector that is zero past the first column j dependent on the columns
+    # before it, and positive at j
+    vector = _integer_kernel_vector(m)
+    assert (vector is None) == (mat_det(m) != 0)
+    if vector is None:
+        return
+    assert all(sum(x * v for x, v in zip(row, vector)) == 0 for row in m)
+    assert gcd(*vector) == 1
+    j = max(k for k, v in enumerate(vector) if v)
+    assert vector[j] > 0
+    assert any(mat_det(tuple(row[:j] for row in rows)) for rows in combinations(m, j))
+
+
+def test_integer_kernel_vector_examples():
+    assert _integer_kernel_vector(((0, 1), (0, 0))) == (1, 0)
+    assert _integer_kernel_vector(((2, 4), (3, 6))) == (-2, 1)
+    assert _integer_kernel_vector(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == (1, -2, 1)
+    assert _integer_kernel_vector(((1, 0), (0, 1))) is None
 
 
 # ---------------------------------------------------------------------------

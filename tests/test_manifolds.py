@@ -1,11 +1,13 @@
 """Seifert presentations, Poincare-variety normalization, and the theorem
 engine for manifolds, knots and links."""
 
+import json
 import random
 from math import gcd
 
 import pytest
 
+from iccdec.cli import main
 from iccdec.groups import (
     GroupUsageError,
     INFINITE,
@@ -121,6 +123,64 @@ def test_lens_orders_match_determinant_formula():
         assert actual == expected
         if sg.realization is not None and sg.fiber_element is not None and expected:
             assert len(enumerate_ball(sg.realization, 1)) <= expected + 2
+
+
+def _lens_lattice_check(fibers, b):
+    """(order of Z^2 / L, order of h in it), 0 meaning infinite, found by
+    brute force for the relation lattice L of the closed S^2 base.
+
+    The relations q_i^a_i h^b_i and q1 q2 h^b on (q1, h), after
+    q2 = -q1 - b h and with missing fibers as (1, 0) in front, span L =
+    <(a1, b1), (-a2, b2 - a2 b)>.  The least positive first coordinate x0
+    in L and the least k > 0 with (0, k) in L give the index x0 k; both are
+    reached with coefficients at most max(a1, a2) in absolute value.
+    """
+    (a1, b1), (a2, b2) = [(1, 0)] * (2 - len(fibers)) + list(fibers)
+    r1, r2 = (a1, b1), (-a2, b2 - a2 * b)
+    bound = max(a1, a2)
+    points = {
+        (s * r1[0] + t * r2[0], s * r1[1] + t * r2[1])
+        for s in range(-bound, bound + 1)
+        for t in range(-bound, bound + 1)
+    }
+    x0 = min(x for x, _ in points if x > 0)
+    h_order = min((y for x, y in points if x == 0 and y > 0), default=0)
+    return x0 * h_order, h_order
+
+
+def test_lens_carrier_matches_the_relation_lattice():
+    fibers = [(a, c) for a in range(2, 5) for c in range(-4, 5) if gcd(a, c) == 1]
+    data = [()] + [(f,) for f in fibers] + [(f, g) for f in fibers for g in fibers]
+    groups_z = 0
+    for b in range(-3, 4):
+        for exceptional in data:
+            sg = seifert_group(SeifertInvariants(0, True, 0, exceptional, b))
+            order, h_order = _lens_lattice_check(exceptional, b)
+            assert (0 if sg.order == INFINITE else sg.order) == order
+            h = sg.fiber_element
+            assert sg.realization.gen_name == ("c" if len(exceptional) == 2 else "h")
+            if order:
+                assert len(enumerate_ball(sg.realization, order)) == order
+                assert min(k for k in range(1, order + 1) if (h ** k).is_identity()) == h_order
+            else:
+                groups_z += 1
+                assert h_order == 0 and not h.is_identity()
+    assert groups_z > 20
+
+
+def test_lens_group_z_prints_the_fiber_as_the_positive_power(tmp_path, capsys):
+    # fibers (3, -5), (3, -4) with b = -3: a1 = a2 and b2 = a1 b - b1, so
+    # the group is Z and h = c^a1
+    piece = {
+        "kind": "seifert", "base_genus": 0, "base_orientable": True, "boundary_components": 0,
+        "euler_obstruction": -3, "exceptional_fibers": [[3, -5], [3, -4]],
+    }
+    path = tmp_path / "lens.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "type": "manifold", "orientable": True, "pieces": [piece]}
+    ))
+    assert main(["decide", str(path)]) == 0
+    assert "witness: fiber class h = c^3 (" in capsys.readouterr().out
 
 
 def test_finiteness_routing():

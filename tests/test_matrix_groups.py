@@ -6,6 +6,8 @@ import random
 from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iccdec.cli import main
 from iccdec.eisenstein import (
@@ -28,6 +30,8 @@ from iccdec.groups import (
     enumerate_ball,
 )
 from iccdec.groups.semidirect import CACHED_POWERS
+from iccdec.rules import decide_structured_group
+from iccdec.verdict import FINITE_GROUP_WITNESS, Status
 
 
 def test_ring_law_examples():
@@ -297,6 +301,32 @@ def test_matrix_group_order_is_exact(generators, order):
     if order != INFINITE:
         elements, _ = ball_with_lengths(group, order)
         assert len(elements) == order
+
+
+_FIGURE_EIGHT_B = ((1, 0), (0, 0)), ((0, -1), (1, 0))
+_POOL = (_I, _MINUS_I, _S, _ORDER6, _DIAG_W, _PARABOLIC, _FIGURE_EIGHT_B)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(generators=st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+def test_matrix_group_order_and_verdict_agree_with_the_ball(generators):
+    # grow the ball one radius at a time: it is exhausted exactly when the
+    # group is finite, and a finite group has at most MAX_FINITE_ORDER elements
+    group = MatrixGroupSL2Eisenstein(generators)
+    radius, size = 0, 1
+    while size <= MAX_FINITE_ORDER:
+        grown = len(enumerate_ball(group, radius + 1))
+        if grown == size:
+            break
+        radius, size = radius + 1, grown
+    verdict = decide_structured_group(group)
+    if size <= MAX_FINITE_ORDER:
+        assert group.order() == size
+        assert verdict.status is Status.NOT_ICC
+        assert verdict.witness == FINITE_GROUP_WITNESS
+    else:
+        assert group.order() == INFINITE
+        assert verdict.status is Status.UNKNOWN
 
 
 def test_matrix_group_order_is_computed_on_first_use():
