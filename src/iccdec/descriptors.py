@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from ._lazy import lazy_module
-from .groups.base import INFINITE, FiniteGroupTable, GroupUsageError, Letter, StructuredGroup
+from .groups.base import INFINITE, FiniteGroupTable, GroupUsageError, Letter, Record, StructuredGroup
 from .groups.cyclic import FiniteCyclic, InfiniteCyclic
 from .groups.free_product import FreeProduct
 
@@ -49,8 +48,7 @@ class DescriptorError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(Record):
     kind: str  # "group" | "manifold" | "knot" | "link"
     group: Optional[StructuredGroup] = None
     manifold: Optional[manifolds.ManifoldDescriptor] = None
@@ -212,12 +210,22 @@ _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 class _GroupBuild:
     """What the constructions of one group descriptor share: the generator
-    names claimed so far and the number of constructions parsed."""
+    names claimed so far, the names its surface groups claim (read on the
+    first default name), and the number of constructions parsed."""
 
-    def __init__(self):
+    def __init__(self, data):
+        self.data = data
         self.used: set[str] = set()
+        self.reserved: Optional[set[str]] = None
         self.cursor = 0
         self.constructions = 0
+
+    def free(self, name: str) -> bool:
+        """Whether name is claimed by nothing, now or later, so that it can be
+        handed out as a default."""
+        if self.reserved is None:
+            self.reserved = _surface_names(self.data)
+        return name not in self.used and name not in self.reserved
 
     def claim(self, name: str, path: str) -> str:
         if name in self.used:
@@ -233,10 +241,36 @@ class _GroupBuild:
         while self.cursor < len(_DEFAULT_NAMES):
             candidate = _DEFAULT_NAMES[self.cursor]
             self.cursor += 1
-            if candidate not in self.used:
+            if self.free(candidate):
                 self.used.add(candidate)
                 return candidate
         raise DescriptorError(path, "ran out of default generator names; name them explicitly")
+
+
+# The keys under which a construction nests others, in the order parsed.
+_NESTED = {"amalgam": ("left", "right"), "hnn": ("base",), "direct_with_finite": ("h",)}
+
+
+def _surface_names(data) -> set[str]:
+    """The names of the surface groups among the first MAX_CONSTRUCTIONS
+    constructions in data, in parse order; one that fails to parse has none."""
+    names: set[str] = set()
+    stack = [data]
+    for _ in range(MAX_CONSTRUCTIONS):
+        if not stack:
+            break
+        node = stack.pop()
+        for key, body in node.items() if isinstance(node, dict) else ():
+            if key == "free_product" and isinstance(body, list):
+                stack += reversed(body)
+            elif key in _NESTED and isinstance(body, dict):
+                stack += [body.get(part) for part in reversed(_NESTED[key])]
+            elif key == "surface_group" and isinstance(body, dict):
+                try:
+                    names.update(_surface(_Fields(body, ""), "", _GroupBuild(None)).generator_names())
+                except (DescriptorError, GroupUsageError):
+                    pass
+    return names
 
 
 def _parse_table(fields: _Fields) -> FiniteGroupTable:
@@ -307,7 +341,7 @@ def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
 def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     base = body.construction("base", build)
     letter = body.get("stable_letter", str, None)
-    if letter is None and "t" not in build.used:
+    if letter is None and build.free("t"):
         letter = "t"
     letter = (
         build.claim(letter, f"{body.path}.stable_letter")
@@ -504,7 +538,7 @@ def parse_descriptor_data(data) -> Descriptor:
     if kind == "group":
         construction = fields.get("construction")
         fields.finish()
-        group = _parse_construction(construction, "$.construction", _GroupBuild())
+        group = _parse_construction(construction, "$.construction", _GroupBuild(construction))
         return Descriptor(kind, group=group)
     parse = _TOP_LEVEL.get(kind)
     if parse is None:

@@ -7,14 +7,12 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .groups.base import INFINITE, GroupUsageError, StructuredGroup, unique_names
+from .groups.base import INFINITE, GroupUsageError, Record, StructuredGroup, unique_names
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+class EisensteinInt(Record):
     a: int
     b: int
 

@@ -23,6 +23,47 @@ class NotEnumerableError(GroupUsageError):
     """Raised when a construction has no implemented element arithmetic."""
 
 
+class Record:
+    """A frozen value type.  Its fields are the names annotated in the class
+    body, in order, and a class attribute is a field's default.  Instances
+    are equal when their types and fields are, and hash as their fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # one __init__ per class, which sets each field and then calls
+        # __post_init__ when the class has one
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        params = ["self"] + [f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in cls._fields]
+        body = [f"_set(self, {n!r}, {n})" for n in cls._fields] or ["pass"]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__({', '.join(params)}):\n    {'; '.join(body)}", namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 INFINITE = math.inf
 
 Letter = tuple[str, int]  # generator name, exponent

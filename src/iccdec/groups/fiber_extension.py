@@ -17,13 +17,10 @@ lifted powers xj^0..xj^(alpha_j - 1) as coset representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .base import INFINITE, GroupElement, GroupUsageError, StructuredGroup, unique_names
+from .base import INFINITE, GroupElement, GroupUsageError, Record, StructuredGroup, unique_names
 
 
-@dataclass(frozen=True)
-class TorsionPart:
+class TorsionPart(Record):
     """Generator x with x^order = h^fiber_carry; commutes with h."""
 
     name: str
@@ -35,8 +32,7 @@ class TorsionPart:
             raise GroupUsageError("torsion part order must be >= 2")
 
 
-@dataclass(frozen=True)
-class FreePart:
+class FreePart(Record):
     """Infinite-order generator x with x h x^-1 = h^sign."""
 
     name: str

@@ -12,13 +12,13 @@ is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Union
 
 from ._lazy import lazy_module
-from .groups.base import INFINITE, GroupElement, GroupUsageError, Letter, StructuredGroup, multiply
+from .groups.base import (
+    INFINITE, GroupElement, GroupUsageError, Letter, Record, StructuredGroup, multiply,
+)
 from .groups.cyclic import FiniteCyclic, InfiniteCyclic
 from .groups.fiber_extension import FiberExtension, FreePart, TorsionPart
 from .groups.free_product import FreeProduct
@@ -41,8 +41,7 @@ rules = lazy_module("iccdec.rules")
 # descriptor types
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(Record):
     base_genus: int
     base_orientable: bool
     boundary_components: int
@@ -71,26 +70,16 @@ class SeifertInvariants:
     def closed(self) -> bool:
         return self.boundary_components == 0
 
-    def orbifold_euler_characteristic(self) -> Fraction:
-        base = 2 - 2 * self.base_genus if self.base_orientable else 2 - self.base_genus
-        base -= self.boundary_components
-        return Fraction(base) - sum(
-            Fraction(alpha - 1, alpha) for alpha, _ in self.exceptional_fibers
-        )
 
-
-@dataclass(frozen=True)
-class SeifertPiece:
+class SeifertPiece(Record):
     invariants: SeifertInvariants
 
 
-@dataclass(frozen=True)
-class HyperbolicPiece:
+class HyperbolicPiece(Record):
     finite_volume: bool = True
 
 
-@dataclass(frozen=True)
-class TorusBundlePiece:
+class TorusBundlePiece(Record):
     monodromy: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
@@ -102,18 +91,15 @@ class TorusBundlePiece:
         object.__setattr__(self, "monodromy", matrix)
 
 
-@dataclass(frozen=True)
-class SphereBundlePiece:
+class SphereBundlePiece(Record):
     orientable_bundle: bool
 
 
-@dataclass(frozen=True)
-class HomotopySpherePiece:
+class HomotopySpherePiece(Record):
     pass
 
 
-@dataclass(frozen=True)
-class OtherIrreduciblePiece:
+class OtherIrreduciblePiece(Record):
     pi1_order: float  # an int, or INFINITE
     normal_cyclic_infinite_subgroup: Optional[bool] = None
     contains_nonstandard_p2xi: Optional[bool] = None
@@ -139,8 +125,7 @@ PrimePiece = Union[
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(Record):
     orientable: bool
     pieces: tuple[PrimePiece, ...]
     boundary_spheres_capped: bool = False
@@ -151,8 +136,7 @@ class ManifoldDescriptor:
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
 
-@dataclass(frozen=True)
-class TorusKnot:
+class TorusKnot(Record):
     p: int
     q: int
 
@@ -163,21 +147,18 @@ class TorusKnot:
             raise GroupUsageError("torus knot parameters must be coprime")
 
 
-@dataclass(frozen=True)
-class HyperbolicKnot:
+class HyperbolicKnot(Record):
     pass
 
 
-@dataclass(frozen=True)
-class OtherKnot:
+class OtherKnot(Record):
     is_torus: bool
 
 
 KnotDescriptor = Union[TorusKnot, HyperbolicKnot, OtherKnot]
 
 
-@dataclass(frozen=True)
-class LinkDescriptor:
+class LinkDescriptor(Record):
     components: int
     is_seifert_fiber_union: Optional[bool] = None
 
@@ -205,8 +186,7 @@ def poincare_variety(m: ManifoldDescriptor) -> ManifoldDescriptor:
 # Seifert presentations and realizations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     generators: tuple[str, ...]
     relators: tuple[tuple[Letter, ...], ...]
 
@@ -218,8 +198,7 @@ class Presentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
 
-@dataclass(frozen=True)
-class SeifertGroupResult:
+class SeifertGroupResult(Record):
     """The fundamental group of a Seifert-fibered piece.
 
     presentation: the emitted generators/relators with h the fiber class.
@@ -338,8 +317,11 @@ def _seifert_realization(
             realization, fiber_element, p = _lens_realization(inv, suffix)
             return "exact", p if p else INFINITE, realization, fiber_element
         if n == 3:
-            chi = inv.orbifold_euler_characteristic()
-            euler_number = Fraction(b) - sum(Fraction(beta, alpha) for alpha, beta in fibers)
+            # the orbifold Euler characteristic 2 - sum (alpha - 1) / alpha and
+            # the Euler number b - sum beta / alpha, times the alphas' product
+            scale = prod(alpha for alpha, _ in fibers)
+            chi = 2 * scale - sum((alpha - 1) * (scale // alpha) for alpha, _ in fibers)
+            euler_number = b * scale - sum(beta * (scale // alpha) for alpha, beta in fibers)
             if chi > 0 and euler_number != 0:
                 return "finite_ge_3", INFINITE, None, None
         # chi <= 0 (or euler number 0, or more fibers): infinite, no realization
@@ -381,8 +363,7 @@ def seifert_group(inv: SeifertInvariants, suffix: str = "") -> SeifertGroupResul
 # the normalization: read by the decision, the carrier and the explain trace
 
 
-@dataclass(frozen=True)
-class NormalPiece:
+class NormalPiece(Record):
     """A piece of the Poincare variety with what the decision reads of its
     group: the order class and, for a Seifert piece, its Seifert group."""
 
@@ -392,8 +373,7 @@ class NormalPiece:
     seifert: Optional[SeifertGroupResult]  # unsuffixed
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(Record):
     """The Poincare variety of a manifold descriptor, piece by piece."""
 
     pieces: tuple[NormalPiece, ...]

@@ -9,13 +9,13 @@ distinct canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 from .groups.base import (
     GroupElement,
     GroupUsageError,
+    Record,
     StructuredGroup,
     ball_level,
     ball_with_lengths,
@@ -24,8 +24,7 @@ from .groups.base import (
 )
 
 
-@dataclass(frozen=True)
-class ClassBallReport:
+class ClassBallReport(Record):
     """Conjugates of an element reachable with conjugators of bounded length."""
 
     element: GroupElement
@@ -133,8 +132,7 @@ def fc_center_candidates(
     return [g for g in nontrivial if closes[g.payload]]
 
 
-@dataclass(frozen=True)
-class WitnessSequence:
+class WitnessSequence(Record):
     """Conjugators realizing pairwise-distinct conjugates for every target.
 
     verified is True when the sequence has the requested length and, for

@@ -7,18 +7,18 @@ witness with a finite conjugacy class (or the finite-group marker).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._lazy import executed, lazy_module
 from .groups.base import (
     INFINITE,
     GroupElement,
     GroupUsageError,
+    NotEnumerableError,
     StructuredGroup,
     conjugate,
     multiply,
@@ -69,10 +69,6 @@ def icc_free_product(order_left, order_right) -> Verdict:
     )
 
 
-def _subgroup_elements(group: StructuredGroup, payloads: Sequence) -> list[GroupElement]:
-    return [group.element(p) for p in payloads]
-
-
 def _is_normal_under_generators(
     ambient: StructuredGroup, subgroup: list[GroupElement]
 ) -> bool:
@@ -120,9 +116,7 @@ def icc_amalgam(
         if all(
             _is_normal_under_generators(
                 group.factors[side],
-                _subgroup_elements(
-                    group.factors[side], [group.edge.embeds[side][i] for i in sorted(sub)]
-                ),
+                [group.factors[side].element(group.edge.embeds[side][i]) for i in sorted(sub)],
             )
             for side in (0, 1)
         ):
@@ -407,11 +401,8 @@ def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
 def decide_structured_group(group: StructuredGroup) -> Verdict:
     """Route a structured group through the applicable combinators."""
     if isinstance(group, FiniteCyclic):
-        if group.n == 1:
-            return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", "trivial group"))
-        return not_icc(
-            FINITE_GROUP_WITNESS, Citation("ICC definition", f"finite cyclic of order {group.n}")
-        )
+        detail = "trivial group" if group.n == 1 else f"finite cyclic of order {group.n}"
+        return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
     if isinstance(group, InfiniteCyclic):
         return not_icc(
             Witness(
@@ -431,7 +422,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             inner = decide_structured_group(group.factors[side])
             witness = inner.witness
             if witness is not None and witness.kind == "element":
-                witness = replace(witness, element=group.embed(side, witness.element))
+                witness = Witness(witness.description, group.embed(side, witness.element), "element")
             return Verdict(inner.status, inner.reasons, witness)
         last = sides[-1]
         verdict = icc_free_product(INFINITE if len(sides) > 2 else orders[sides[0]], orders[last])
@@ -439,9 +430,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             right = group.embed(last, group.factors[last].generators()[0][1])
             element = multiply(group.generators()[0][1], right)  # left factor's first generator
             witness = Witness(
-                description=f"translation {element!r} (conjugacy class of size 2)",
-                element=element,
-                kind="element",
+                f"translation {element!r} (conjugacy class of size 2)", element, "element"
             )
             return Verdict(verdict.status, verdict.reasons, witness)
         return verdict
@@ -451,26 +440,17 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
     if executed(hnn) and isinstance(group, hnn.Hnn):
         return icc_hnn(group, decide_structured_group(group.base))
     if executed(semidirect) and isinstance(group, semidirect.SemidirectZnByZ):
-        witness_element = _semidirect_finite_orbit_witness(group)
-        if witness_element is not None:
+        element = _semidirect_finite_orbit_witness(group)
+        if element is not None:
+            witness = Witness(
+                f"lattice vector {element!r} with finite monodromy orbit", element, "element"
+            )
             if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
                 kind = classify_monodromy(group.phi)
                 detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
-                return not_icc(
-                    Witness(
-                        description=f"lattice vector {witness_element!r} with finite monodromy orbit",
-                        element=witness_element,
-                        kind="element",
-                    ),
-                    Citation("Lemma 10", detail),
-                    Citation("Finite class witness"),
-                )
+                return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
             return not_icc(
-                Witness(
-                    description=f"lattice vector {witness_element!r} with finite monodromy orbit",
-                    element=witness_element,
-                    kind="element",
-                ),
+                witness,
                 Citation("Finite class witness", "the orbit of the vector under the action is finite"),
             )
         if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
@@ -485,14 +465,15 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
     if executed(direct_product) and isinstance(group, direct_product.DirectWithFinite):
         if group.f.size == 1:
             return decide_structured_group(group.h)
-        element = group.finite_element(1)
+        try:
+            element = group.finite_element(1)
+        except NotEnumerableError:
+            # h has no normal form to write its identity in; it is 1
+            witness = Witness(f"finite-factor element (1, {group.f.names[1]})")
+        else:
+            witness = Witness(f"finite-factor element {element!r}", element, "element")
         return not_icc(
-            Witness(
-                description=f"finite-factor element {element!r}",
-                element=element,
-                kind="element",
-            ),
-            Citation("Finite direct factor", f"finite factor of order {group.f.size}"),
+            witness, Citation("Finite direct factor", f"finite factor of order {group.f.size}")
         )
     if executed(surface) and isinstance(group, surface.SurfaceGroup):
         verdict = icc_surface(group.genus, group.orientable, group.boundary_components)

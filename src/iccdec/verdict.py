@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .citations import CITATIONS
-from .groups.base import GroupElement, GroupUsageError
+from .groups.base import GroupElement, GroupUsageError, Record
 
 
 class Status(Enum):
@@ -16,8 +15,7 @@ class Status(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(Record):
     label: str
     detail: str = ""
 
@@ -32,8 +30,7 @@ class Citation:
 ReasonChain = tuple[Citation, ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """The finite-conjugacy-class evidence attached to a NotICC verdict.
 
     kind: "element" (a concrete group element), "symbolic" (a described
@@ -55,8 +52,7 @@ class Witness:
 FINITE_GROUP_WITNESS = Witness(description="group is finite", kind="finite")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: Status
     reasons: ReasonChain
     witness: Optional[Witness] = None

@@ -16,6 +16,7 @@ from iccdec.descriptors import (
     parse_word,
 )
 from iccdec.groups import GroupUsageError
+from iccdec.rules import decide_structured_group
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +538,29 @@ def test_cli_surface_names_are_claimed_before_default_names(tmp_path, capsys):
     assert data["reasons"][0]["label"] == "Prop 3(i)"
 
 
+_TORUS = {"surface_group": {"genus": 1, "orientable": True, "boundary_components": 0}}
+_BS12 = {"hnn": {"base": {"infinite_cyclic": {}}, "edge": {
+    "kind": "cyclic_power", "domain_power": 1, "range_power": 2}}}
+
+
 @pytest.mark.parametrize(
-    "factors",
-    [[{"cyclic": 3}, _PROJECTIVE_PLANE], [_PROJECTIVE_PLANE, _PROJECTIVE_PLANE]],
-    ids=["z3-p2", "p2-p2"],
+    "factors, names",
+    [([{"cyclic": 3}, _PROJECTIVE_PLANE], "b, a"), ([_BS12, _TORUS], "a, b, e1, t")],
+    ids=["z3-p2", "bs12-torus"],
 )
+def test_default_names_skip_a_later_surface_s_names(tmp_path, capsys, factors, names):
+    # the default names 'a' and stable letter 't' were handed out before the
+    # surface claimed them, and the surface then failed on them
+    path = _write_group(tmp_path, {"free_product": factors})
+    assert main(["decide", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("status: ICC\n") and "  - Prop 3(i)" in out
+    assert main(["explain", "--json", path]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert f"designated generators: {names}" in trace
+
+
+@pytest.mark.parametrize("factors", [[_PROJECTIVE_PLANE, _PROJECTIVE_PLANE]], ids=["p2-p2"])
 def test_cli_surface_name_clash_is_placed_at_the_surface(tmp_path, capsys, factors):
     assert main(["decide", _write_group(tmp_path, {"free_product": factors})]) == 1
     captured = capsys.readouterr()
@@ -553,9 +572,8 @@ def test_cli_surface_name_clash_is_placed_at_the_surface(tmp_path, capsys, facto
 
 def test_hnn_over_a_torus_takes_a_default_stable_letter():
     # the torus claims 't', so the stable letter is the first free default
-    torus = {"surface_group": {"genus": 1, "orientable": True, "boundary_components": 0}}
     edge = {"kind": "finite", "order": 1, "table": [[0]], "embed_domain": ["1"], "embed_range": ["1"]}
-    construction = {"hnn": {"base": torus, "edge": edge}}
+    construction = {"hnn": {"base": _TORUS, "edge": edge}}
     descriptor = parse_descriptor_data(
         {"schema_version": 1, "type": "group", "construction": construction}
     )
@@ -615,12 +633,8 @@ _TRIVIAL_EDGE = {"order": 1, "table": [[0]]}
                 "kind": "finite", **_TRIVIAL_EDGE, "embed_domain": ["1"], "embed_range": ["1"]}}},
             ["decide"],
         ),
-        (
-            {"direct_with_finite": {"h": _GENUS_2, "f": {"order": 2, "table": [[0, 1], [1, 0]]}}},
-            ["decide"],
-        ),
     ],
-    ids=["enumerate", "witness", "amalgam", "hnn", "direct product"],
+    ids=["enumerate", "witness", "amalgam", "hnn"],
 )
 def test_surface_without_normal_form_still_errors_where_payloads_are_needed(
     tmp_path, capsys, construction, command
@@ -630,6 +644,37 @@ def test_surface_without_normal_form_still_errors_where_payloads_are_needed(
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert _NO_NORMAL_FORM in captured.err
+
+
+@pytest.mark.parametrize("command", [["decide"], ["decide", "--json"], ["explain", "--json"]])
+def test_finite_direct_factor_of_a_surface_without_normal_form_is_not_icc(
+    tmp_path, capsys, command
+):
+    # the finite factor alone settles NotICC; building the element witness
+    # needed the surface's identity, and the call ended in an error
+    f = {"order": 2, "table": [[0, 1], [1, 0]], "names": ["1", "z"]}
+    path = _write_group(tmp_path, {"direct_with_finite": {"h": _GENUS_2, "f": f}})
+    assert main([*command, path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == ["decide"]:
+        assert captured.out.startswith("status: NotICC\nwitness: finite-factor element (1, z)\n")
+        return
+    out = json.loads(captured.out)
+    assert out["status"] == "NotICC"
+    assert out["reasons"][0]["label"] == "Finite direct factor"
+    assert out["witness"] == {
+        "description": "finite-factor element (1, z)", "element": None, "kind": "symbolic"
+    }
+
+
+def test_finite_direct_factor_of_an_enumerable_group_keeps_its_element(corpus_dir):
+    # the same text as the symbolic witness above, with the element attached
+    group = load_descriptor(corpus_path(corpus_dir, "group_f2_x_z2.json")).group
+    witness = decide_structured_group(group).witness
+    assert witness.kind == "element"
+    assert witness.description == "finite-factor element (1, z)"
+    assert witness.element == group.finite_element(1)
 
 
 def test_cli_explain(corpus_dir, capsys):

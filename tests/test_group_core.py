@@ -39,6 +39,14 @@ from iccdec.groups import (
 )
 from iccdec.groups.base import KEY_MEMO_ENTRIES, ball_level
 from iccdec.groups.semidirect import CACHED_POWERS, mat_inverse_unimodular, mat_mul
+from iccdec.manifolds import (
+    HomotopySpherePiece,
+    HyperbolicKnot,
+    SeifertInvariants,
+    TorusBundlePiece,
+    TorusKnot,
+)
+from iccdec.verdict import Citation, Witness
 from conftest import CyclicFreeProductOracle, bs12_pinch_reduce, enumerable_corpus_groups
 
 
@@ -603,3 +611,62 @@ def test_key_memo_stops_storing_at_its_cap():
     for payload in payloads:
         assert group.payload_key(payload) == _reference_key(group, payload)
     assert len(group._syllable_keys) == KEY_MEMO_ENTRIES
+
+
+# ---------------------------------------------------------------------------
+# Record: the frozen value type of verdicts, descriptors and reports
+
+
+def test_records_compare_by_type_and_fields():
+    assert HomotopySpherePiece() != HyperbolicKnot()
+    assert HomotopySpherePiece() == HomotopySpherePiece()
+    assert HomotopySpherePiece().__eq__(HyperbolicKnot()) is NotImplemented
+    assert TorusKnot(2, 3) == TorusKnot(2, 3) and TorusKnot(2, 3) is not TorusKnot(2, 3)
+    assert hash(TorusKnot(2, 3)) == hash(TorusKnot(2, 3)) == hash((2, 3))
+    assert TorusKnot(2, 3) != TorusKnot(3, 2)
+    assert TorusKnot(2, 3) != (2, 3)
+    assert len({Citation("Prop 3(i)"), Citation("Prop 3(i)", ""), Citation("Lemma 10")}) == 2
+
+
+def test_records_take_keywords_and_defaults():
+    assert Citation("Prop 3(i)").detail == ""
+    assert Citation(detail="x", label="Prop 3(i)") == Citation("Prop 3(i)", "x")
+    witness = Witness("group is finite", kind="finite")
+    assert (witness.element, witness.kind) == (None, "finite")
+    assert SeifertInvariants(0, True, 1).exceptional_fibers == ()
+    with pytest.raises(TypeError):
+        TorusKnot(2)
+    with pytest.raises(TypeError):
+        TorusKnot(2, 3, 5)
+
+
+def test_records_are_frozen():
+    knot = TorusKnot(2, 3)
+    with pytest.raises(AttributeError):
+        knot.p = 5
+    with pytest.raises(AttributeError):
+        del knot.q
+    with pytest.raises(AttributeError):
+        knot.extra = 1
+    assert (knot.p, knot.q) == (2, 3)
+
+
+def test_records_keep_their_checks_and_normalizations():
+    with pytest.raises(GroupUsageError):
+        TorusKnot(2, 4)
+    with pytest.raises(GroupUsageError):
+        Citation("no such label")
+    piece = TorusBundlePiece([[True, 1], [0, 1]])
+    assert piece.monodromy == ((1, 1), (0, 1))
+    assert all(type(x) is int for row in piece.monodromy for x in row)
+
+
+def test_records_print_as_the_dataclasses_did():
+    assert repr(Citation("Prop 3(i)", "factor orders 3 and 2")) == (
+        "Citation(label='Prop 3(i)', detail='factor orders 3 and 2')"
+    )
+    assert repr(SeifertInvariants(0, True, 0, ((2, 1), (3, -1)), -1)) == (
+        "SeifertInvariants(base_genus=0, base_orientable=True, boundary_components=0, "
+        "exceptional_fibers=((2, 1), (3, -1)), euler_obstruction=-1)"
+    )
+    assert repr(HomotopySpherePiece()) == "HomotopySpherePiece()"

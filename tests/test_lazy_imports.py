@@ -101,17 +101,24 @@ for name, module in ours.items():
     if parent and vars(sys.modules[parent]).get(child) is not module:
         unbound.append(name)
 executed = sorted(n for n, m in ours.items() if type(m) is types.ModuleType)
-print(json.dumps({"executed": executed, "unbound": unbound}), file=sys.stderr)
+report = {"executed": executed, "unbound": unbound, "modules": sorted(sys.modules)}
+print(json.dumps(report), file=sys.stderr)
 """
+# What the interpreter loads by itself, with the json the probes report in.
+_BARE = "import json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
 
 
-def _probe(*argv) -> dict:
+def _run(program, *argv):
     src = os.path.dirname(os.path.dirname(iccdec.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True
     )
-    report = json.loads(proc.stderr.splitlines()[-1])
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _probe(*argv) -> dict:
+    report = _run(_PROBE, *argv)
     assert report["unbound"] == []
     return report
 
@@ -179,3 +186,15 @@ def test_matrix_decide_executes_no_other_construction(corpus_dir):
     assert constructions == {"iccdec.groups.base", "iccdec.groups.cyclic", "iccdec.groups.free_product"}
     assert "iccdec.eisenstein" in executed
     assert len(executed) < 18
+
+
+@pytest.mark.parametrize("command", [["decide"], ["explain", "--json"]])
+@pytest.mark.parametrize(
+    "name", ["group_bs12.json", "manifold_trefoil_plus_sphere.json", "knot_trefoil.json"]
+)
+def test_a_call_loads_no_costly_standard_module(corpus_dir, command, name):
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions pulls
+    # in decimal and numbers: milliseconds of every call's start-up
+    loaded = set(_probe(*command, os.path.join(corpus_dir, name))["modules"])
+    loaded -= set(_run(_BARE))
+    assert not loaded & {"dataclasses", "inspect", "fractions"}

@@ -3,6 +3,8 @@ engine for manifolds, knots and links."""
 
 import json
 import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -466,3 +468,21 @@ def test_manifold_group_realizations():
         manifold_group(ManifoldDescriptor(False, (HyperbolicPiece(True),)))
     with pytest.raises(GroupUsageError):
         manifold_group(ManifoldDescriptor(True, (HyperbolicPiece(True),)))
+
+
+def test_three_fiber_signs_match_exact_fractions():
+    # the three-fiber case reads only the signs of the orbifold Euler
+    # characteristic and the Euler number, compared here with Fraction
+    pairs = [
+        (alpha, beta)
+        for alpha in range(2, 8)
+        for beta in range(1 - alpha, alpha)
+        if gcd(alpha, beta) == 1
+    ]
+    for fibers in combinations_with_replacement(pairs, 3):
+        chi = 2 - sum(Fraction(alpha - 1, alpha) for alpha, _ in fibers)
+        for b in range(-3, 4):
+            euler_number = b - sum(Fraction(beta, alpha) for alpha, beta in fibers)
+            expected = "finite_ge_3" if chi > 0 and euler_number != 0 else "exact"
+            result = seifert_group(SeifertInvariants(0, True, 0, fibers, b))
+            assert result.order_kind == expected, (fibers, b)
