@@ -4,9 +4,10 @@ Schema version 1.  Top level: {"schema_version": 1, "type": ..., ...} with
 type one of "group", "manifold", "knot", "link".  Unknown fields are
 rejected; all numbers must be exact integers; null in an optional field
 means the field is absent.  A group descriptor holds at most
-MAX_CONSTRUCTIONS constructions, and a multiplication table at most
-MAX_TABLE_ORDER elements.  Error messages carry the JSON path of the
-offending value.
+MAX_CONSTRUCTIONS constructions, a multiplication table at most
+MAX_TABLE_ORDER elements, and a surface (a surface group, or the base of a
+Seifert piece) genus and boundary count at most MAX_SURFACE_COUNT each.
+Error messages carry the JSON path of the offending value.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ MAX_CONSTRUCTIONS = 64
 # FiniteGroupTable checks associativity in O(order^3) steps, so a table's
 # order is checked against this before any row is read.
 MAX_TABLE_ORDER = 64
+# A surface's genus and its boundary count each become as many generators,
+# relators or factors, so each is checked against this before anything is built.
+MAX_SURFACE_COUNT = 64
 
 
 class DescriptorError(ValueError):
@@ -208,69 +212,65 @@ _LIST = (None,)
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+class _Reserve(Exception):
+    """A construction fixes for itself a name that a default already holds:
+    parse again with the name reserved.  Not a GroupUsageError, which _at
+    would report as an error.  Its one argument is the name."""
+
+
 class _GroupBuild:
     """What the constructions of one group descriptor share: the generator
-    names claimed so far, the names its surface groups claim (read on the
-    first default name), and the number of constructions parsed."""
+    names claimed so far (each marked True when it is a default), the names
+    no default may take, the number of constructions parsed, and the first
+    error of a group over an edge (see hold)."""
 
-    def __init__(self, data):
-        self.data = data
-        self.used: set[str] = set()
-        self.reserved: Optional[set[str]] = None
+    def __init__(self, reserved: set[str]):
+        self.used: dict[str, bool] = {}
+        self.reserved = reserved
         self.cursor = 0
         self.constructions = 0
-
-    def free(self, name: str) -> bool:
-        """Whether name is claimed by nothing, now or later, so that it can be
-        handed out as a default."""
-        if self.reserved is None:
-            self.reserved = _surface_names(self.data)
-        return name not in self.used and name not in self.reserved
+        self.error: Optional[DescriptorError] = None
 
     def claim(self, name: str, path: str) -> str:
         if name in self.used:
             raise DescriptorError(path, f"generator name {name!r} is not unique")
-        self.used.add(name)
+        self.used[name] = False
         return name
 
     def claim_all(self, group: StructuredGroup, path: str) -> None:
+        """Claim the names that the group fixes for itself; one that a
+        default holds is reserved, and the descriptor parsed again."""
         for name in group.generator_names():
+            if self.used.get(name):
+                raise _Reserve(name)
             self.claim(name, path)
 
-    def fresh(self, path: str) -> str:
-        while self.cursor < len(_DEFAULT_NAMES):
-            candidate = _DEFAULT_NAMES[self.cursor]
+    def name(self, fields: _Fields, key: str, path: str, preferred: Optional[str] = None) -> str:
+        """The name the file gives at key, claimed; else a default name:
+        preferred if it is free, else the next free one of _DEFAULT_NAMES."""
+        name = fields.get(key, str, None)
+        if name is not None:
+            return self.claim(name, f"{fields.path}.{key}")
+        name = preferred
+        while name is None or name in self.used or name in self.reserved:
+            if self.cursor == len(_DEFAULT_NAMES):
+                raise DescriptorError(
+                    path, "ran out of default generator names; name them explicitly"
+                )
+            name = _DEFAULT_NAMES[self.cursor]
             self.cursor += 1
-            if self.free(candidate):
-                self.used.add(candidate)
-                return candidate
-        raise DescriptorError(path, "ran out of default generator names; name them explicitly")
+        self.used[name] = True
+        return name
 
-
-# The keys under which a construction nests others, in the order parsed.
-_NESTED = {"amalgam": ("left", "right"), "hnn": ("base",), "direct_with_finite": ("h",)}
-
-
-def _surface_names(data) -> set[str]:
-    """The names of the surface groups among the first MAX_CONSTRUCTIONS
-    constructions in data, in parse order; one that fails to parse has none."""
-    names: set[str] = set()
-    stack = [data]
-    for _ in range(MAX_CONSTRUCTIONS):
-        if not stack:
-            break
-        node = stack.pop()
-        for key, body in node.items() if isinstance(node, dict) else ():
-            if key == "free_product" and isinstance(body, list):
-                stack += reversed(body)
-            elif key in _NESTED and isinstance(body, dict):
-                stack += [body.get(part) for part in reversed(_NESTED[key])]
-            elif key == "surface_group" and isinstance(body, dict):
-                try:
-                    names.update(_surface(_Fields(body, ""), "", _GroupBuild(None)).generator_names())
-                except (DescriptorError, GroupUsageError):
-                    pass
-    return names
+    def hold(self, path: str, error: ValueError, group: StructuredGroup) -> StructuredGroup:
+        """group, in place of a group over an edge that failed with error.  The
+        edge's words read the names claimed so far, and a construction parsed
+        later may still take a default name that one reads; so the first such
+        error is raised when the parse ends, unless a re-parse comes first."""
+        if self.error is None:
+            described = isinstance(error, DescriptorError)
+            self.error = error if described else DescriptorError(path, str(error))
+        return group
 
 
 def _parse_table(fields: _Fields) -> FiniteGroupTable:
@@ -286,12 +286,23 @@ def _parse_table(fields: _Fields) -> FiniteGroupTable:
     return _at(fields.path, FiniteGroupTable, table, names)
 
 
+def _surface_count(fields: _Fields, key: str) -> int:
+    """A genus or boundary count, checked against MAX_SURFACE_COUNT."""
+    value = fields.get(key, int)
+    if value > MAX_SURFACE_COUNT:
+        what = "genus at most {}" if key.endswith("genus") else "at most {} boundary components"
+        raise DescriptorError(
+            f"{fields.path}.{key}", f"a surface has {what.format(MAX_SURFACE_COUNT)}, not {value}"
+        )
+    return value
+
+
 def _embed_words(group: StructuredGroup, fields: _Fields, key: str) -> list:
     path = f"{fields.path}.{key}"
-    payloads = []
-    for i, text in enumerate(fields.array(key, _LIST, str)):
-        payloads.append(_at(f"{path}[{i}]", _word_payload, group, text))
-    return payloads
+    return [
+        _at(f"{path}[{i}]", _word_payload, group, text)
+        for i, text in enumerate(fields.array(key, _LIST, str))
+    ]
 
 
 def _word_payload(group: StructuredGroup, text: str):
@@ -305,15 +316,11 @@ def _word_payload(group: StructuredGroup, text: str):
 
 def _cyclic(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     order = fields.get("cyclic", int)
-    name = fields.get("name", str, None)
-    name = build.claim(name, f"{path}.name") if name is not None else build.fresh(path)
-    return FiniteCyclic(order, name)
+    return FiniteCyclic(order, build.name(fields, "name", path))
 
 
 def _infinite_cyclic(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    name = body.get("name", str, None)
-    name = build.claim(name, f"{body.path}.name") if name is not None else build.fresh(path)
-    return InfiniteCyclic(name)
+    return InfiniteCyclic(build.name(body, "name", path))
 
 
 def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -330,40 +337,39 @@ def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredG
 def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     left = body.construction("left", build)
     right = body.construction("right", build)
-    edge = body.nested("edge")
-    table = _parse_table(edge)
-    embed_left = _embed_words(left, edge, "embed_left")
-    embed_right = _embed_words(right, edge, "embed_right")
-    edge.finish()
-    return amalgam.Amalgam(left, right, amalgam.AmalgamEdge(table, embed_left, embed_right))
+    try:
+        edge = body.nested("edge")
+        table = _parse_table(edge)
+        embed_left = _embed_words(left, edge, "embed_left")
+        embed_right = _embed_words(right, edge, "embed_right")
+        edge.finish()
+        return amalgam.Amalgam(left, right, amalgam.AmalgamEdge(table, embed_left, embed_right))
+    except (DescriptorError, GroupUsageError) as exc:
+        return build.hold(path, exc, left)
 
 
 def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     base = body.construction("base", build)
-    letter = body.get("stable_letter", str, None)
-    if letter is None and build.free("t"):
-        letter = "t"
-    letter = (
-        build.claim(letter, f"{body.path}.stable_letter")
-        if letter is not None
-        else build.fresh(path)
-    )
-    edge = body.nested("edge")
-    edge_kind = edge.get("kind", str)
-    if edge_kind == "cyclic_power":
-        hnn_edge = hnn.CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
-    elif edge_kind == "finite":
-        table = _parse_table(edge)
-        hnn_edge = hnn.FiniteHnnEdge(
-            table,
-            _embed_words(base, edge, "embed_domain"),
-            _embed_words(base, edge, "embed_range"),
-            edge.array("iso", _LIST, int, None),
-        )
-    else:
-        raise DescriptorError(f"{edge.path}.kind", f"unknown edge kind {edge_kind!r}")
-    edge.finish()
-    return hnn.Hnn(base, hnn_edge, stable_letter=letter)
+    letter = build.name(body, "stable_letter", path, "t")
+    try:
+        edge = body.nested("edge")
+        edge_kind = edge.get("kind", str)
+        if edge_kind == "cyclic_power":
+            hnn_edge = hnn.CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
+        elif edge_kind == "finite":
+            table = _parse_table(edge)
+            hnn_edge = hnn.FiniteHnnEdge(
+                table,
+                _embed_words(base, edge, "embed_domain"),
+                _embed_words(base, edge, "embed_range"),
+                edge.array("iso", _LIST, int, None),
+            )
+        else:
+            raise DescriptorError(f"{edge.path}.kind", f"unknown edge kind {edge_kind!r}")
+        edge.finish()
+        return hnn.Hnn(base, hnn_edge, stable_letter=letter)
+    except (DescriptorError, GroupUsageError) as exc:
+        return build.hold(path, exc, base)
 
 
 def _semidirect(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -384,7 +390,9 @@ def _direct_with_finite(body: _Fields, path: str, build: _GroupBuild) -> Structu
 
 def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
     group = surface.SurfaceGroup(
-        body.get("genus", int), body.get("orientable", bool), body.get("boundary_components", int)
+        _surface_count(body, "genus"),
+        body.get("orientable", bool),
+        _surface_count(body, "boundary_components"),
     )
     build.claim_all(group, path)
     return group
@@ -457,9 +465,9 @@ _PI1_FLAGS = ("normal_cyclic_infinite_subgroup", "contains_nonstandard_p2xi", "s
 def _seifert(fields: _Fields) -> manifolds.PrimePiece:
     return manifolds.SeifertPiece(
         manifolds.SeifertInvariants(
-            fields.get("base_genus", int),
+            _surface_count(fields, "base_genus"),
             fields.get("base_orientable", bool),
-            fields.get("boundary_components", int),
+            _surface_count(fields, "boundary_components"),
             fields.array("exceptional_fibers", (None, (2, "expected [alpha, beta]")), int, ()),
             fields.get("euler_obstruction", int, None),
         )
@@ -538,8 +546,20 @@ def parse_descriptor_data(data) -> Descriptor:
     if kind == "group":
         construction = fields.get("construction")
         fields.finish()
-        group = _parse_construction(construction, "$.construction", _GroupBuild(construction))
-        return Descriptor(kind, group=group)
+        reserved: set[str] = set()
+        while True:
+            build = _GroupBuild(reserved)
+            try:
+                group = _parse_construction(construction, "$.construction", build)
+            except _Reserve as signal:
+                # a reserved name is never a default again: each parse reserves a new one
+                reserved.add(signal.args[0])
+                continue
+            except DescriptorError as exc:
+                raise build.error or exc from None  # an edge's error came first
+            if build.error is not None:
+                raise build.error
+            return Descriptor(kind, group=group)
     parse = _TOP_LEVEL.get(kind)
     if parse is None:
         raise DescriptorError("$.type", f"unknown descriptor type {kind!r}")

@@ -13,55 +13,33 @@ from functools import cached_property
 
 from .base import (
     INFINITE,
+    FiniteEdge,
     FiniteGroupTable,
     GroupElement,
     GroupUsageError,
     KeyMemo,
     StructuredGroup,
-    least_coset_rep,
     syllable_key_memo,
     unique_names,
 )
 
 
-class AmalgamEdge:
+class AmalgamEdge(FiniteEdge):
     """A finite subgroup embedded in both factors of an amalgam."""
 
-    def __init__(
-        self,
-        table: FiniteGroupTable,
-        embed_left: list,
-        embed_right: list,
-    ):
-        self.table = table
-        self.embeds = (tuple(embed_left), tuple(embed_right))
-        for side_name, images in (("left", embed_left), ("right", embed_right)):
-            if len(images) != table.size:
-                raise GroupUsageError(f"{side_name} embedding must list one image per edge element")
-            if len(set(images)) != table.size:
-                raise GroupUsageError(f"{side_name} embedding is not injective")
-
-    def validate_against(self, factors: tuple[StructuredGroup, StructuredGroup]) -> None:
-        for side, factor in enumerate(factors):
-            images = self.embeds[side]
-            if images[0] != factor.identity_payload():
-                raise GroupUsageError("edge identity must embed to the factor identity")
-            for i in range(self.table.size):
-                for j in range(self.table.size):
-                    lhs = factor.multiply_payloads(images[i], images[j])
-                    if lhs != images[self.table.mul(i, j)]:
-                        raise GroupUsageError("edge embedding is not a homomorphism")
+    def __init__(self, table: FiniteGroupTable, embed_left: list, embed_right: list):
+        super().__init__(table, (embed_left, embed_right))
 
     def signature(self):
         return ("edge", self.table.signature(), self.embeds)
 
 
-def _step_memo(factor: StructuredGroup, images: tuple, table: FiniteGroupTable) -> KeyMemo:
+def _step_memo(factor: StructuredGroup, edge: AmalgamEdge, side: int) -> KeyMemo:
     """The reduction step of an amalgam on one side, memoized.  It refers to
     the factor and the edge, never to the amalgam, so the amalgam is freed
     by reference count."""
     multiply = factor.multiply_payloads
-    lookup = {p: i for i, p in enumerate(images)}
+    images, lookup = edge.embeds[side], edge.lookups[side]
 
     def step(part):
         edge_idx, top, payload = part
@@ -72,9 +50,7 @@ def _step_memo(factor: StructuredGroup, images: tuple, table: FiniteGroupTable) 
             current = multiply(top, current)
             if current in lookup:
                 return True, None, lookup[current]
-        rep, idx = least_coset_rep(factor, current, images)
-        # rep = current * images[idx], so current = rep * images[idx]^-1
-        return top is not None, rep, table.inv(idx)
+        return (top is not None, *edge.coset_step(factor, side, current))
 
     return KeyMemo(step)
 
@@ -86,36 +62,25 @@ class Amalgam(StructuredGroup):
     def __init__(self, left: StructuredGroup, right: StructuredGroup, edge: AmalgamEdge):
         self.factors = (left, right)
         self.edge = edge
-        edge.validate_against(self.factors)
+        edge.check_homomorphisms(self.factors)
         unique_names([g.generator_names() for g in self.factors])
 
     def signature(self):
-        return (
-            "amalgam",
-            self.factors[0].signature(),
-            self.factors[1].signature(),
-            self.edge.signature(),
-        )
+        return ("amalgam", *(f.signature() for f in self.factors), self.edge.signature())
 
     def identity_payload(self):
         return ((), 0)
 
     def factor_index(self, side: int) -> float:
         """[G_side : E], or INFINITE."""
-        total = self.factors[side].order()
-        if total == INFINITE:
-            return INFINITE
-        return total // self.edge.table.size
+        return self.edge.index(self.factors[side])
 
     @cached_property
     def _steps(self) -> tuple[KeyMemo, KeyMemo]:
         """The memo of one reduction step, per side: (edge index, same-side
         top payload or None, factor payload) -> (pop the top, representative
         pushed or None, edge index carried on)."""
-        return tuple(
-            _step_memo(factor, images, self.edge.table)
-            for factor, images in zip(self.factors, self.edge.embeds)
-        )
+        return tuple(_step_memo(f, self.edge, side) for side, f in enumerate(self.factors))
 
     def _absorb(self, stack: list, edge_idx: int, side: int, payload) -> int:
         """Multiply the normal form (stack, edge_idx) by a factor element."""
@@ -192,12 +157,9 @@ class Amalgam(StructuredGroup):
         return "".join(parts) if parts else "1"
 
     def order(self):
-        left_index = self.factor_index(0)
-        right_index = self.factor_index(1)
-        if left_index == 1:
-            return self.factors[1].order()
-        if right_index == 1:
-            return self.factors[0].order()
+        for side in (0, 1):
+            if self.factor_index(side) == 1:
+                return self.factors[1 - side].order()
         return INFINITE
 
     def describe(self):

@@ -205,12 +205,7 @@ class StructuredGroup(ABC):
         return dict(self.generators())
 
     def generator_element(self, name: str) -> GroupElement:
-        table = self.generator_map()
-        if name not in table:
-            raise GroupUsageError(
-                f"unknown generator {name!r}; this group has {sorted(table)}"
-            )
-        return table[name]
+        return self.reduce_letters([(name, 1)])
 
     def reduce_letters(self, letters: Iterable[Letter]) -> GroupElement:
         """Evaluate a sequence of (generator name, exponent) pairs."""
@@ -470,19 +465,55 @@ def syllable_key_memo(factors: Sequence[StructuredGroup]) -> KeyMemo:
     return KeyMemo(lambda syllable: (syllable[0], keys[syllable[0]](syllable[1])))
 
 
-def least_coset_rep(group: StructuredGroup, payload, images: Sequence) -> tuple[Any, int]:
-    """The canonical representative of the coset payload*E, where images
-    lists the payloads of the finite subgroup E: the coset member
-    payload*images[i] with the least payload key, returned with its index i."""
-    multiply = group.multiply_payloads
-    key = group.payload_key
-    best = best_key = best_idx = None
-    for idx, image in enumerate(images):
-        candidate = multiply(payload, image)
-        candidate_key = key(candidate)
-        if best_idx is None or candidate_key < best_key:
-            best, best_key, best_idx = candidate, candidate_key, idx
-    return best, best_idx
+class FiniteEdge:
+    """A finite group E, given by its table, embedded in two groups (its
+    sides): embeds[side] lists the image payload of each element of E, the
+    identity's first, and lookups[side] maps an image back to its index.
+    Amalgams and HNN extensions over a finite edge check, index and reduce
+    by E through this."""
+
+    SIDES = ("left", "right")  # the sides as error messages name them
+    OWNER = "factor"  # what a side's group is called
+
+    def __init__(self, table: FiniteGroupTable, embeds: Sequence[Sequence]):
+        self.table = table
+        self.embeds = tuple(map(tuple, embeds))
+        for side, images in zip(self.SIDES, self.embeds):
+            if len(images) != table.size:
+                raise GroupUsageError(f"{side} embedding must list one image per edge element")
+            if len(set(images)) != table.size:
+                raise GroupUsageError(f"{side} embedding is not injective")
+        self.lookups = tuple({p: i for i, p in enumerate(images)} for images in self.embeds)
+
+    def check_homomorphisms(self, groups: Sequence[StructuredGroup]) -> None:
+        """That each side's images form a homomorphic image of E in its group."""
+        n, mul = self.table.size, self.table.mul
+        for group, images in zip(groups, self.embeds):
+            if images[0] != group.identity_payload():
+                raise GroupUsageError(f"edge identity must embed to the {self.OWNER} identity")
+            for i in range(n):
+                for j in range(n):
+                    if group.multiply_payloads(images[i], images[j]) != images[mul(i, j)]:
+                        raise GroupUsageError("edge embedding is not a homomorphism")
+
+    def index(self, group: StructuredGroup) -> float:
+        """[group : E] for the group of a side, or INFINITE."""
+        total = group.order()
+        return INFINITE if total == INFINITE else total // self.table.size
+
+    def coset_step(self, group: StructuredGroup, side: int, payload) -> tuple[Any, int]:
+        """(rep, i) with rep the canonical representative of the coset
+        payload*E in the group of the side, its member with the least
+        payload key, and payload = rep * embeds[side][i]."""
+        multiply, key = group.multiply_payloads, group.payload_key
+        best = best_key = best_idx = None
+        for idx, image in enumerate(self.embeds[side]):
+            candidate = multiply(payload, image)
+            candidate_key = key(candidate)
+            if best_idx is None or candidate_key < best_key:
+                best, best_key, best_idx = candidate, candidate_key, idx
+        # best = payload * image, so payload = best * image^-1
+        return best, self.table.inv(best_idx)
 
 
 def unique_names(groups_names: Iterable[Iterable[str]]) -> None:

@@ -5,7 +5,27 @@ from __future__ import annotations
 from .base import INFINITE, GroupUsageError, StructuredGroup
 
 
-class FiniteCyclic(StructuredGroup):
+class _OneGenerator(StructuredGroup):
+    """A cyclic group on the generator gen_name, with integer payloads: the
+    power of the generator, and 0 for the identity."""
+
+    gen_name: str
+
+    def identity_payload(self):
+        return 0
+
+    def render_payload(self, payload):
+        return [(self.gen_name, payload)] if payload else []
+
+    def payload_str(self, payload):
+        if payload == 0:
+            return "1"
+        if payload == 1:
+            return self.gen_name
+        return f"{self.gen_name}^{payload}"
+
+
+class FiniteCyclic(_OneGenerator):
     """Z/n, n >= 1, written multiplicatively on one generator."""
 
     def __init__(self, n: int, name: str = "a"):
@@ -16,9 +36,6 @@ class FiniteCyclic(StructuredGroup):
 
     def signature(self):
         return ("finite_cyclic", self.n, self.gen_name)
-
-    def identity_payload(self):
-        return 0
 
     def multiply_payloads(self, a, b):
         return (a + b) % self.n
@@ -34,16 +51,6 @@ class FiniteCyclic(StructuredGroup):
     def payload_key(self, payload):
         return (payload,)
 
-    def render_payload(self, payload):
-        return [(self.gen_name, payload)] if payload else []
-
-    def payload_str(self, payload):
-        if payload == 0:
-            return "1"
-        if payload == 1:
-            return self.gen_name
-        return f"{self.gen_name}^{payload}"
-
     def order(self):
         return self.n
 
@@ -51,7 +58,7 @@ class FiniteCyclic(StructuredGroup):
         return f"Z/{self.n}"
 
 
-class InfiniteCyclic(StructuredGroup):
+class InfiniteCyclic(_OneGenerator):
     """Z, written multiplicatively on one generator (default name t)."""
 
     def __init__(self, name: str = "t"):
@@ -59,9 +66,6 @@ class InfiniteCyclic(StructuredGroup):
 
     def signature(self):
         return ("infinite_cyclic", self.gen_name)
-
-    def identity_payload(self):
-        return 0
 
     def multiply_payloads(self, a, b):
         return a + b
@@ -74,16 +78,6 @@ class InfiniteCyclic(StructuredGroup):
 
     def payload_key(self, payload):
         return (abs(payload), 0 if payload >= 0 else 1)
-
-    def render_payload(self, payload):
-        return [(self.gen_name, payload)] if payload else []
-
-    def payload_str(self, payload):
-        if payload == 0:
-            return "1"
-        if payload == 1:
-            return self.gen_name
-        return f"{self.gen_name}^{payload}"
 
     def order(self):
         return INFINITE

@@ -20,11 +20,11 @@ from functools import cached_property
 
 from .base import (
     INFINITE,
+    FiniteEdge,
     FiniteGroupTable,
     GroupUsageError,
     KeyMemo,
     StructuredGroup,
-    least_coset_rep,
     unique_names,
 )
 from .cyclic import InfiniteCyclic
@@ -70,43 +70,32 @@ class HnnEdge(ABC):
         """(A proper in base, B proper in base)."""
 
 
-class FiniteHnnEdge(HnnEdge):
+class FiniteHnnEdge(FiniteEdge, HnnEdge):
     """A and B are copies of a finite table group inside the base.
 
     iso[i] gives the index of phi(domain[i]) among the range images, i.e.
     phi(embed_domain[i]) = embed_range[iso[i]].
     """
 
+    SIDES = ("domain", "range")
+    OWNER = "base"
+
     def __init__(self, table: FiniteGroupTable, embed_domain: list, embed_range: list, iso=None):
-        self.table = table
-        if iso is None:
-            iso = list(range(table.size))
-        if sorted(iso) != list(range(table.size)):
+        self.iso = tuple(range(table.size) if iso is None else iso)
+        if sorted(self.iso) != list(range(table.size)):
             raise GroupUsageError("iso must be a permutation of the edge indices")
-        self.iso = tuple(iso)
         self.iso_inv = tuple(self.iso.index(i) for i in range(table.size))
-        if len(embed_domain) != table.size or len(embed_range) != table.size:
-            raise GroupUsageError("embeddings must list one image per edge element")
-        if len(set(embed_domain)) != table.size or len(set(embed_range)) != table.size:
-            raise GroupUsageError("edge embeddings must be injective")
-        self.embed_domain = tuple(embed_domain)
-        self.embed_range = tuple(embed_range)
+        super().__init__(table, (embed_domain, embed_range))
+        self.embed_domain, self.embed_range = self.embeds
+        self._domain_lookup, self._range_lookup = self.lookups
 
     def validate_against(self, base):
-        for images in (self.embed_domain, self.embed_range):
-            if images[0] != base.identity_payload():
-                raise GroupUsageError("edge identity must embed to the base identity")
-            for i in range(self.table.size):
-                for j in range(self.table.size):
-                    if base.multiply_payloads(images[i], images[j]) != images[self.table.mul(i, j)]:
-                        raise GroupUsageError("edge embedding is not a homomorphism")
+        self.check_homomorphisms((base, base))
         # phi must be an isomorphism of the abstract edge group
         for i in range(self.table.size):
             for j in range(self.table.size):
                 if self.iso[self.table.mul(i, j)] != self.table.mul(self.iso[i], self.iso[j]):
                     raise GroupUsageError("iso is not an automorphism of the edge group")
-        self._domain_lookup = {p: i for i, p in enumerate(self.embed_domain)}
-        self._range_lookup = {p: i for i, p in enumerate(self.embed_range)}
 
     def signature(self):
         return ("finite_edge", self.table.signature(), self.embed_domain, self.embed_range, self.iso)
@@ -123,21 +112,16 @@ class FiniteHnnEdge(HnnEdge):
     def iso_preimage(self, base, payload):
         return self.embed_domain[self.iso_inv[self._range_lookup[payload]]]
 
-    def _rep(self, base, payload, images):
-        rep, idx = least_coset_rep(base, payload, images)
-        return rep, images[self.table.inv(idx)]
-
     def domain_rep(self, base, payload):
-        return self._rep(base, payload, self.embed_domain)
+        rep, idx = self.coset_step(base, 0, payload)
+        return rep, self.embed_domain[idx]
 
     def range_rep(self, base, payload):
-        return self._rep(base, payload, self.embed_range)
+        rep, idx = self.coset_step(base, 1, payload)
+        return rep, self.embed_range[idx]
 
     def proper_sides(self, base):
-        total = base.order()
-        if total == INFINITE:
-            return (True, True)
-        return (self.table.size < total, self.table.size < total)
+        return (self.index(base) > 1,) * 2
 
 
 class CyclicPowerEdge(HnnEdge):

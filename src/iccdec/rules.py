@@ -69,18 +69,27 @@ def icc_free_product(order_left, order_right) -> Verdict:
     )
 
 
-def _is_normal_under_generators(
-    ambient: StructuredGroup, subgroup: list[GroupElement]
-) -> bool:
-    """Whether the finite subgroup is closed under conjugation by the
-    ambient group's designated generators (hence normal, since the subgroup
-    is finite and the generators generate)."""
-    member_payloads = {g.payload for g in subgroup}
-    for _, gen in ambient.generators():
-        for s in subgroup:
-            if conjugate(s, gen).payload not in member_payloads:
-                return False
-    return True
+def _normal_edge_subgroup(table, sides) -> int:
+    """The order of the first of table.subgroups() past the trivial one whose
+    image is normal in each (ambient group, image payloads of the edge) of
+    sides, or 0.  The generators generate, so a finite subgroup that each of
+    them conjugates into itself is normal."""
+    for sub in table.subgroups():
+        if len(sub) > 1 and all(
+            _is_normal_under_generators(ambient, [images[i] for i in sorted(sub)])
+            for ambient, images in sides
+        ):
+            return len(sub)
+    return 0
+
+
+def _is_normal_under_generators(ambient: StructuredGroup, payloads: list) -> bool:
+    members = set(payloads)
+    return all(
+        conjugate(ambient.element(p), gen).payload in members
+        for _, gen in ambient.generators()
+        for p in payloads
+    )
 
 
 def icc_amalgam(
@@ -110,23 +119,15 @@ def icc_amalgam(
     # Prop 3(iii): a nontrivial subgroup of the finite edge group that is
     # normal in both factors would have to be ICC, which a finite group
     # never is; so the condition holds exactly when no such subgroup exists.
-    for sub in group.edge.table.subgroups():
-        if len(sub) == 1:
-            continue
-        if all(
-            _is_normal_under_generators(
-                group.factors[side],
-                [group.factors[side].element(group.edge.embeds[side][i]) for i in sorted(sub)],
+    order = _normal_edge_subgroup(group.edge.table, list(zip(group.factors, group.edge.embeds)))
+    if order:
+        return unknown(
+            Citation(
+                "Prop 3(iii)",
+                f"a subgroup of the edge group of order {order} is normal in "
+                "both factors but finite, so the hypothesis fails",
             )
-            for side in (0, 1)
-        ):
-            return unknown(
-                Citation(
-                    "Prop 3(iii)",
-                    f"a subgroup of the edge group of order {len(sub)} is normal in "
-                    "both factors but finite, so the hypothesis fails",
-                )
-            )
+        )
     return icc(
         Citation("Prop 3(iii)", "no nontrivial edge subgroup is normal in both factors")
     )
@@ -166,20 +167,15 @@ def icc_hnn(group: hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
             )
         )
     assert isinstance(edge, hnn.FiniteHnnEdge)
-    for sub in edge.table.subgroups():
-        if len(sub) == 1:
-            continue
-        members = [
-            group.element(((), edge.embed_domain[i])) for i in sorted(sub)
-        ]
-        if _is_normal_under_generators(group, members):
-            return unknown(
-                Citation(
-                    "Prop 3(v)",
-                    f"a subgroup of the associated subgroup of order {len(sub)} is "
-                    "normal in the extension but finite, so the hypothesis fails",
-                )
+    order = _normal_edge_subgroup(edge.table, [(group, [((), p) for p in edge.embed_domain])])
+    if order:
+        return unknown(
+            Citation(
+                "Prop 3(v)",
+                f"a subgroup of the associated subgroup of order {order} is "
+                "normal in the extension but finite, so the hypothesis fails",
             )
+        )
     return icc(
         Citation("Prop 3(v)", "no nontrivial associated subgroup is normal in the extension")
     )

@@ -5,8 +5,11 @@ the three knot forms, links, tables, words, matrices and names.  The full
 error text is pinned, JSON path included.
 """
 
+import json
+
 import pytest
 
+from iccdec.cli import main
 from iccdec.descriptors import DescriptorError, parse_descriptor_data
 
 
@@ -126,6 +129,18 @@ CASES = {
         amalgam(embed_right=["1", "b"]),
         '$.construction: edge embedding is not a homomorphism',
     ),
+    "amalgam: embedding length": (
+        amalgam(embed_left=["1"]),
+        '$.construction: left embedding must list one image per edge element',
+    ),
+    "amalgam: embedding not injective": (
+        amalgam(embed_right=["1", "1"]),
+        '$.construction: right embedding is not injective',
+    ),
+    "amalgam: edge identity": (
+        amalgam(embed_left=["a", "1"]),
+        '$.construction: edge identity must embed to the factor identity',
+    ),
     "hnn: cyclic_power model": (
         hnn_power(0, 1),
         '$.construction: domain power must be an integer >= 1',
@@ -141,6 +156,26 @@ CASES = {
     "hnn: iso entry": (
         hnn_finite(iso=[0, "1"]),
         '$.construction.hnn.edge.iso[1]: expected an exact integer',
+    ),
+    "hnn: embedding length": (
+        hnn_finite(embed_domain=["1"]),
+        '$.construction: domain embedding must list one image per edge element',
+    ),
+    "hnn: embedding not injective": (
+        hnn_finite(embed_domain=["z", "z"]),
+        '$.construction: domain embedding is not injective',
+    ),
+    "hnn: edge identity": (
+        hnn_finite(embed_domain=["z", "1"]),
+        '$.construction: edge identity must embed to the base identity',
+    ),
+    "hnn: iso not a permutation": (
+        hnn_finite(iso=[0, 0]),
+        '$.construction: iso must be a permutation of the edge indices',
+    ),
+    "hnn: iso not an automorphism": (
+        hnn_finite(iso=[1, 0]),
+        '$.construction: iso is not an automorphism of the edge group',
     ),
     "semidirect: matrix entry": (
         group({"semidirect_zn_by_z": {"rank": 2, "matrix": [[2, 1], [1.0, 1]]}}),
@@ -315,3 +350,27 @@ def test_error_text_is_pinned(label):
     with pytest.raises(DescriptorError) as err:
         parse_descriptor_data(document)
     assert str(err.value) == message
+
+
+_EDGE_ROWS = [
+    "amalgam: embedding length",
+    "amalgam: embedding not injective",
+    "amalgam: edge identity",
+    "hnn: embedding length",
+    "hnn: embedding not injective",
+    "hnn: edge identity",
+    "hnn: iso not a permutation",
+    "hnn: iso not an automorphism",
+]
+
+
+@pytest.mark.parametrize("label", _EDGE_ROWS)
+def test_edge_error_text_through_decide(label, tmp_path, capsys):
+    # the checks FiniteEdge makes for amalgams and HNN extensions alike
+    document, message = CASES[label]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(document))
+    assert main(["decide", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -8,6 +8,7 @@ from iccdec import cli, descriptors
 from iccdec.cli import main
 from iccdec.descriptors import (
     MAX_CONSTRUCTIONS,
+    MAX_SURFACE_COUNT,
     MAX_TABLE_ORDER,
     DescriptorError,
     format_word,
@@ -294,7 +295,67 @@ def test_table_order_limit_admits_64(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "NotICC"
 
 
-def test_schema_table_order_maximum_is_the_parser_limit():
+_SURFACE_COUNTS = [
+    ("surface_group", "genus", f"genus at most {MAX_SURFACE_COUNT}"),
+    (
+        "surface_group",
+        "boundary_components",
+        f"at most {MAX_SURFACE_COUNT} boundary components",
+    ),
+    ("seifert", "base_genus", f"genus at most {MAX_SURFACE_COUNT}"),
+    ("seifert", "boundary_components", f"at most {MAX_SURFACE_COUNT} boundary components"),
+]
+
+
+def _surface_file(tmp_path, kind, key, value):
+    """A surface group, or a manifold of one Seifert piece, with value at key
+    and genus 1 and one boundary component otherwise; and the JSON path of
+    its fields."""
+    if kind == "surface_group":
+        surface = {"genus": 1, "orientable": True, "boundary_components": 1, key: value}
+        data = {"schema_version": 1, "type": "group", "construction": {kind: surface}}
+        path = "$.construction.surface_group"
+    else:
+        piece = {
+            "kind": "seifert", "base_genus": 1, "base_orientable": True,
+            "boundary_components": 1, "exceptional_fibers": [], key: value,
+        }
+        data = {"schema_version": 1, "type": "manifold", "orientable": True, "pieces": [piece]}
+        path = "$.pieces[0]"
+    file = tmp_path / "surface.json"
+    file.write_text(json.dumps(data))
+    return str(file), path
+
+
+@pytest.mark.parametrize("kind, key, bound", _SURFACE_COUNTS)
+def test_surface_count_limit_admits_64(tmp_path, capsys, kind, key, bound):
+    file, _ = _surface_file(tmp_path, kind, key, MAX_SURFACE_COUNT)
+    assert main(["decide", file]) == 0
+    expected = "status: ICC\n" if kind == "surface_group" else "status: NotICC\n"
+    assert capsys.readouterr().out.startswith(expected)
+
+
+@pytest.mark.parametrize("value", [MAX_SURFACE_COUNT + 1, 10**9])
+@pytest.mark.parametrize("kind, key, bound", _SURFACE_COUNTS)
+def test_surface_count_limit_rejects_before_building(
+    monkeypatch, tmp_path, capsys, kind, key, bound, value
+):
+    # each unit of genus or boundary became generators, relators or factors:
+    # a genus of 200,000 took over a second and 150 MB to decide
+    def build(*args):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr("iccdec.groups.surface.SurfaceGroup", build)
+    monkeypatch.setattr("iccdec.manifolds.SeifertInvariants", build)
+    file, path = _surface_file(tmp_path, kind, key, value)
+    assert main(["decide", file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.{key}: a surface has {bound}, not {value}\n"
+
+
+def _schema_maxima(key: str) -> list:
+    """The maximum of every property named key in the descriptor schema."""
     from importlib import resources
 
     schema = json.loads(
@@ -305,8 +366,8 @@ def test_schema_table_order_maximum_is_the_parser_limit():
     def walk(node):
         if isinstance(node, dict):
             properties = node.get("properties", {})
-            if "order" in properties and "table" in properties:
-                maxima.append(properties["order"].get("maximum"))
+            if key in properties:
+                maxima.append(properties[key].get("maximum"))
             for value in node.values():
                 walk(value)
         elif isinstance(node, list):
@@ -314,8 +375,21 @@ def test_schema_table_order_maximum_is_the_parser_limit():
                 walk(value)
 
     walk(schema)
+    return maxima
+
+
+def test_schema_table_order_maximum_is_the_parser_limit():
     # direct_with_finite, the amalgam edge and the HNN edge
-    assert maxima == [MAX_TABLE_ORDER] * 3
+    assert _schema_maxima("order") == [MAX_TABLE_ORDER] * 3
+
+
+@pytest.mark.parametrize(
+    "key, count",
+    # the surface group's genus and boundary count, and a Seifert piece's
+    [("genus", 1), ("base_genus", 1), ("boundary_components", 2)],
+)
+def test_schema_surface_count_maximum_is_the_parser_limit(key, count):
+    assert _schema_maxima(key) == [MAX_SURFACE_COUNT] * count
 
 
 def test_cli_rejects_deep_nesting_with_one_line(tmp_path, capsys):
@@ -541,12 +615,21 @@ def test_cli_surface_names_are_claimed_before_default_names(tmp_path, capsys):
 _TORUS = {"surface_group": {"genus": 1, "orientable": True, "boundary_components": 0}}
 _BS12 = {"hnn": {"base": {"infinite_cyclic": {}}, "edge": {
     "kind": "cyclic_power", "domain_power": 1, "range_power": 2}}}
+# Z ⋊ Z, the Klein bottle group: it fixes 'e1' and 't' for itself as the torus does
+_KLEIN_SEMIDIRECT = {"semidirect_zn_by_z": {"rank": 1, "matrix": [[-1]]}}
 
 
 @pytest.mark.parametrize(
     "factors, names",
-    [([{"cyclic": 3}, _PROJECTIVE_PLANE], "b, a"), ([_BS12, _TORUS], "a, b, e1, t")],
-    ids=["z3-p2", "bs12-torus"],
+    [
+        ([{"cyclic": 3}, _PROJECTIVE_PLANE], "b, a"),
+        ([_BS12, _TORUS], "a, b, e1, t"),
+        # the stable letter's default 't' used to fail at Z ⋊ Z
+        ([_BS12, _KLEIN_SEMIDIRECT], "a, b, e1, t"),
+        # 'a' is reserved on one parse and 't' on the next
+        ([{"cyclic": 3}, _BS12, _PROJECTIVE_PLANE, _TORUS], "b, c, d, a, e1, t"),
+    ],
+    ids=["z3-p2", "bs12-torus", "bs12-semidirect", "z3-bs12-p2-torus"],
 )
 def test_default_names_skip_a_later_surface_s_names(tmp_path, capsys, factors, names):
     # the default names 'a' and stable letter 't' were handed out before the
@@ -558,6 +641,99 @@ def test_default_names_skip_a_later_surface_s_names(tmp_path, capsys, factors, n
     assert main(["explain", "--json", path]) == 0
     trace = json.loads(capsys.readouterr().out)["trace"]
     assert f"designated generators: {names}" in trace
+
+
+_Z_NAMED_T = {"infinite_cyclic": {"name": "t"}}
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (
+            [_Z_NAMED_T, _KLEIN_SEMIDIRECT],
+            "$.construction.free_product[1]: generator name 't' is not unique",
+        ),
+        (
+            [_KLEIN_SEMIDIRECT, _Z_NAMED_T],
+            "$.construction.free_product[1].infinite_cyclic.name: generator name 't' is not unique",
+        ),
+        (
+            [{"cyclic": 2}, {"infinite_cyclic": {"name": "a"}}, _PROJECTIVE_PLANE],
+            "$.construction.free_product[1].infinite_cyclic.name: generator name 'a' is not unique",
+        ),
+    ],
+    ids=["named-then-fixed", "fixed-then-named", "default-named-fixed"],
+)
+def test_a_name_the_file_gives_is_never_reserved(tmp_path, capsys, factors, message):
+    # only a default yields to a fixed name; a given name that clashes is an
+    # error where the clash is found
+    assert main(["decide", _write_group(tmp_path, {"free_product": factors})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+_Z2_EDGE = {"order": 2, "table": [[0, 1], [1, 0]]}
+
+
+def _amalgam_over_z2(left, word):
+    edge = dict(_Z2_EDGE, embed_left=["1", word], embed_right=["1", "z^2"])
+    return {"amalgam": {"left": left, "right": {"cyclic": 4, "name": "z"}, "edge": edge}}
+
+
+def _hnn_over_z2(word):
+    edge = dict(_Z2_EDGE, kind="finite", embed_domain=["1", word], embed_range=["1", word])
+    return {"hnn": {"base": {"cyclic": 2}, "edge": edge}}
+
+
+@pytest.mark.parametrize(
+    "factors, names",
+    [
+        ([_amalgam_over_z2({"cyclic": 2}, "b"), _PROJECTIVE_PLANE], "b, z, a"),
+        # on the first parse 'b' is the order-3 generator, not a homomorphism
+        (
+            [_amalgam_over_z2({"free_product": [{"cyclic": 2}, {"cyclic": 3}]}, "b"),
+             _PROJECTIVE_PLANE],
+            "b, c, z, a",
+        ),
+        ([_hnn_over_z2("b"), _PROJECTIVE_PLANE], "b, t, a"),
+    ],
+    ids=["amalgam-p2", "amalgam-z2-z3-p2", "hnn-p2"],
+)
+def test_an_edge_word_names_the_generators_of_the_last_parse(tmp_path, capsys, factors, names):
+    # the projective plane displaces the default 'a' only after the edge's
+    # words are met; an edge's error waits until the parse ends
+    path = _write_group(tmp_path, {"free_product": factors})
+    assert main(["decide", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("status: ICC\n") and "  - Prop 3(i)" in out
+    assert main(["explain", "--json", path]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert f"designated generators: {names}" in trace
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (
+            [_amalgam_over_z2({"cyclic": 2}, "a"), _PROJECTIVE_PLANE],
+            "$.construction.free_product[0].amalgam.edge.embed_left[1]: "
+            "unknown generator 'a'; this group has ['b']",
+        ),
+        # the edge's error comes first in parse order, before the unknown field
+        (
+            [_amalgam_over_z2({"cyclic": 2}, "q"), {"cyclic": 3, "size": 3}],
+            "$.construction.free_product[0].amalgam.edge.embed_left[1]: "
+            "unknown generator 'q'; this group has ['a']",
+        ),
+    ],
+    ids=["displaced-word", "edge-error-first"],
+)
+def test_an_edge_error_is_raised_when_the_parse_ends(tmp_path, capsys, factors, message):
+    assert main(["decide", _write_group(tmp_path, {"free_product": factors})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("factors", [[_PROJECTIVE_PLANE, _PROJECTIVE_PLANE]], ids=["p2-p2"])

@@ -44,6 +44,7 @@ from iccdec.rules import (
     icc_surface,
     icc_torus_bundle,
     _integer_kernel_vector,
+    _normal_edge_subgroup,
 )
 from iccdec.verdict import Status, Verdict, Witness, Citation
 
@@ -259,16 +260,48 @@ def test_hnn_properness_precondition():
     assert "Hypotheses not met" in verdict.labels()
 
 
+def _s3():
+    """S3 as a direct product with the trivial group: its table names the
+    three transpositions s, u, v (indices 1 to 3) and the rotations r, w."""
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(3))
+
+    index = {p: i for i, p in enumerate(perms)}
+    table = FiniteGroupTable(
+        [[index[compose(p, q)] for q in perms] for p in perms],
+        names=["1", "s", "u", "v", "r", "w"],
+    )
+    return DirectWithFinite(FiniteCyclic(1, "z0"), table)
+
+
 @st.composite
 def _hnn_extensions(draw):
-    """BS(m, n) as a cyclic_power edge over Z, or a trivial or Z/2 finite
-    edge over a free product of two factors."""
-    if draw(st.booleans()):
+    """BS(m, n) as a cyclic_power edge over Z; a trivial or Z/2 finite edge
+    over a free product of two factors or over Z/2k; or over S3, a Z/2 edge
+    between two transpositions or a Z/3 edge on the rotations."""
+    kind = draw(st.sampled_from(["cyclic_power", "free_product", "cyclic", "s3"]))
+    if kind == "cyclic_power":
         m, n = draw(st.integers(1, 3)), draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         return Hnn(InfiniteCyclic("a"), CyclicPowerEdge(m, n))
-    factors = [_factor(draw(_FACTOR), name) for name in "pq"]
-    base = FreeProduct(*(factor for factor, _ in factors))
-    order_two = [reduce_word(base, word).payload for _, word in factors if word is not None]
+    if kind == "s3":
+        base = _s3()
+        if draw(st.booleans()):
+            domain, range_ = (draw(st.integers(1, 3)) for _ in "dr")
+            edge = FiniteHnnEdge(cyclic_table(2), [(0, 0), (0, domain)], [(0, 0), (0, range_)])
+        else:
+            rotations = [(0, 0), (0, 4), (0, 5)]
+            iso = draw(st.sampled_from([[0, 1, 2], [0, 2, 1]]))
+            edge = FiniteHnnEdge(cyclic_table(3), rotations, rotations, iso)
+        return Hnn(base, edge)
+    if kind == "cyclic":
+        base, word = _factor(draw(st.sampled_from([2, 4, 6])), "p")
+        order_two = [reduce_word(base, word).payload]
+    else:
+        factors = [_factor(draw(_FACTOR), name) for name in "pq"]
+        base = FreeProduct(*(factor for factor, _ in factors))
+        order_two = [reduce_word(base, word).payload for _, word in factors if word is not None]
     identity = base.identity_payload()
     if order_two and draw(st.booleans()):
         domain, range_ = draw(st.sampled_from(order_two)), draw(st.sampled_from(order_two))
@@ -278,10 +311,84 @@ def _hnn_extensions(draw):
     return Hnn(base, edge)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(group=_hnn_extensions())
 def test_hnn_verdicts_agree_with_the_oracle(group):
     _assert_icc_agrees_with_the_oracle(group)
+
+
+# ---------------------------------------------------------------------------
+# the finite edge's index and the normality scan, against brute force
+
+
+def _order_and_conjugators(group):
+    """(|group|, all its elements) when its radius-4 ball is exhausted, as
+    the ball of every finite group drawn here is (Z/6 has diameter 3); else
+    (INFINITE, the radius-2 ball).  Conjugating a finite subgroup by a ball
+    that holds the generators keeps it in itself exactly when the
+    generators do."""
+    elements, lengths = ball_with_lengths(group, 4)
+    if lengths[-1] < 4:
+        return len(elements), elements
+    return INFINITE, [e for e, n in zip(elements, lengths) if n <= 2]
+
+
+def _brute_normal_edge_subgroup(table, sides):
+    """The order of the first nontrivial edge subgroup, in table.subgroups()
+    order, that each (ambient group, images, conjugators) of sides maps into
+    itself under every conjugator; 0 when there is none."""
+    for sub in table.subgroups():
+        if len(sub) > 1 and all(
+            {conjugate(ambient.element(images[i]), c).payload for i in sub for c in conjugators}
+            == {images[i] for i in sub}
+            for ambient, images, conjugators in sides
+        ):
+            return len(sub)
+    return 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(group=_amalgams())
+def test_amalgam_edge_index_and_normality_scan_agree_with_brute_force(group):
+    edge = group.edge
+    sides = []
+    for side, (factor, images) in enumerate(zip(group.factors, edge.embeds)):
+        order, conjugators = _order_and_conjugators(factor)
+        assert group.factor_index(side) == (
+            INFINITE if order == INFINITE else order // edge.table.size
+        )
+        sides.append((factor, images, conjugators))
+    expected = _brute_normal_edge_subgroup(edge.table, sides)
+    assert _normal_edge_subgroup(edge.table, [side[:2] for side in sides]) == expected
+    verdict = icc_amalgam(group)
+    if verdict.labels() == ["Prop 3(iii)"]:
+        assert verdict.status is (Status.UNKNOWN if expected else Status.ICC)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(group=_hnn_extensions())
+def test_hnn_edge_index_and_normality_scan_agree_with_brute_force(group):
+    # a cyclic_power edge <a^m> has index m in Z by its definition and is
+    # decided without the scan; the finite edges are what is audited here
+    edge = group.edge
+    if isinstance(edge, CyclicPowerEdge):
+        return
+    order, base_elements = _order_and_conjugators(group.base)
+    index = INFINITE if order == INFINITE else order // edge.table.size
+    assert edge.index(group.base) == index
+    assert edge.proper_sides(group.base) == (index > 1, index > 1)
+    # t, its inverse and the base generate the extension
+    t = group.generator_element(group.stable_letter)
+    conjugators = [t, ~t] + [group.element(((), e.payload)) for e in base_elements]
+    images = [((), p) for p in edge.embed_domain]
+    expected = _brute_normal_edge_subgroup(edge.table, [(group, images, conjugators)])
+    verdict = icc_hnn(group)
+    if index > 1:
+        assert verdict.labels() == ["Prop 3(v)"]
+        assert verdict.status is (Status.UNKNOWN if expected else Status.ICC)
+        assert (f"of order {expected} " in verdict.reasons[0].detail) == bool(expected)
+    else:
+        assert verdict.labels() == ["Hypotheses not met"]
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +639,7 @@ def test_amalgam_index_three_two_edge_not_normal_in_large_factor():
     # (3, 2); the edge is normal in the index-2 side (index-2 subgroups
     # always are) but not in S3, so no nontrivial edge subgroup is normal in
     # both factors and the amalgam is ICC
-    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(3))
-
-    index = {p: i for i, p in enumerate(perms)}
-    table = FiniteGroupTable(
-        [[index[compose(p, q)] for q in perms] for p in perms],
-        names=["1", "s", "u", "v", "r", "w"],
-    )
-    s3 = DirectWithFinite(FiniteCyclic(1, "z0"), table)
+    s3 = _s3()
     z4 = FiniteCyclic(4, "c")
     edge = AmalgamEdge(
         cyclic_table(2),

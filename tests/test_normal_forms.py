@@ -35,7 +35,7 @@ from iccdec.groups import (
     enumerate_ball,
     free_group,
 )
-from iccdec.groups.base import KEY_MEMO_ENTRIES, least_coset_rep
+from iccdec.groups.base import KEY_MEMO_ENTRIES
 from iccdec.manifolds import SeifertInvariants, seifert_group
 from conftest import load_corpus_descriptor
 
@@ -101,7 +101,10 @@ def _ref_amalgam_absorb(group, stack, edge_idx, side, payload):
     if stack and stack[-1][0] == side:
         _, prev = stack.pop()
         return _ref_amalgam_absorb(group, stack, 0, side, ref_mul(factor, prev, current))
-    rep, idx = least_coset_rep(factor, current, images)
+    rep, idx = min(
+        ((ref_mul(factor, current, image), idx) for idx, image in enumerate(images)),
+        key=lambda candidate: factor.payload_key(candidate[0]),
+    )
     stack.append((side, rep))
     return group.edge.table.inv(idx)
 
@@ -417,7 +420,7 @@ def test_products_match_reference_with_a_small_memo(name, entries, monkeypatch):
 
 
 # the coset searches that a memoized step makes only on its first call
-_SEARCHES = ("base.py:least_coset_rep", "hnn.py:_balanced_rep")
+_SEARCHES = ("base.py:coset_step", "hnn.py:_balanced_rep")
 
 
 def _products(counts, group):
