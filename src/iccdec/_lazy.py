@@ -1,40 +1,14 @@
 """Deferred imports, so that a CLI call executes only the modules it uses.
 
-lazy_module defers a module-level edge between submodules; executed tells
-whether such a module has run; exports gives a package PEP 562 attribute
-hooks that import a public name's submodule on first use.
+exports gives a package PEP 562 attribute hooks that import a public name's
+submodule, or the submodule itself, on first use.  A module that defers an
+edge to a sibling reaches it through its package at the point of use (for
+example groups.hnn.Hnn), so the first use runs under the import system's
+module lock and every later one is a plain attribute read.
 """
 
 import importlib
-import importlib.util
 import sys
-from types import ModuleType
-
-
-def lazy_module(name: str):
-    """The module called name, executed on its first attribute access.
-
-    Like an executed import, it is bound on its parent package at once, so
-    `from package import module` stays a plain attribute hit.  Before
-    Python 3.12 the loader does not serialize that first access between
-    threads."""
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-def executed(module) -> bool:
-    """Whether module, as lazy_module returns it, has run.  Until it has,
-    none of its classes exists, so no object is an instance of one; the
-    test itself runs nothing."""
-    return type(module) is ModuleType
 
 
 def exports(package: str, table: dict[str, tuple[str, ...]]):

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import iccdec
+
 from .citations import CITATIONS
 from .descriptors import (
     Descriptor,
@@ -27,17 +29,15 @@ from .groups.base import INFINITE, GroupUsageError, NotEnumerableError, Structur
 from .oracle import conjugacy_class_ball, strong_icc_witness
 from .verdict import Status, Verdict
 
-# The commands import the rule engine and the manifold engine where they
-# use them: a call decides one kind of descriptor and needs only one.
+# The commands reach the rule engine and the manifold engine through the
+# package, which executes each on first use: a call decides one kind of
+# descriptor and needs only one.
 
 
 def _decide(descriptor: Descriptor) -> Verdict:
     if descriptor.kind == "group":
-        from .rules import decide_structured_group
-
-        return decide_structured_group(descriptor.group)
-    from . import manifolds
-
+        return iccdec.rules.decide_structured_group(descriptor.group)
+    manifolds = iccdec.manifolds
     if descriptor.kind == "manifold":
         manifold = descriptor.manifold
         if manifold.orientable:
@@ -51,8 +51,7 @@ def _decide(descriptor: Descriptor) -> Verdict:
 def _enumerable_group(descriptor: Descriptor) -> tuple[StructuredGroup, str]:
     if descriptor.kind == "group":
         return descriptor.group, "structured group"
-    from . import manifolds
-
+    manifolds = iccdec.manifolds
     if descriptor.kind == "manifold":
         return manifolds.manifold_group(descriptor.manifold)
     if descriptor.kind == "knot":
@@ -147,9 +146,7 @@ def _cmd_decide(args) -> int:
 def _cmd_explain(args) -> int:
     descriptor = load_descriptor(args.file)
     if descriptor.kind == "manifold":
-        from .manifolds import explain_manifold
-
-        verdict, normal = explain_manifold(descriptor.manifold)
+        verdict, normal = iccdec.manifolds.explain_manifold(descriptor.manifold)
     else:
         verdict, normal = _decide(descriptor), None
     trace = _explain_trace(descriptor, normal)

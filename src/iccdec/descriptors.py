@@ -16,20 +16,12 @@ import json
 import re
 from typing import Optional
 
-from ._lazy import lazy_module
+import iccdec
+
+from . import groups
 from .groups.base import INFINITE, FiniteGroupTable, GroupUsageError, Letter, Record, StructuredGroup
 from .groups.cyclic import FiniteCyclic, InfiniteCyclic
 from .groups.free_product import FreeProduct
-
-# Executed on first use: a call parses one kind of descriptor, which needs
-# either the manifold types or some of the group constructions.
-amalgam = lazy_module("iccdec.groups.amalgam")
-direct_product = lazy_module("iccdec.groups.direct_product")
-hnn = lazy_module("iccdec.groups.hnn")
-semidirect = lazy_module("iccdec.groups.semidirect")
-surface = lazy_module("iccdec.groups.surface")
-eisenstein = lazy_module("iccdec.eisenstein")
-manifolds = lazy_module("iccdec.manifolds")
 
 SCHEMA_VERSION = 1
 # Nested constructions are parsed recursively.  A flat free_product checks
@@ -55,9 +47,9 @@ class DescriptorError(ValueError):
 class Descriptor(Record):
     kind: str  # "group" | "manifold" | "knot" | "link"
     group: Optional[StructuredGroup] = None
-    manifold: Optional[manifolds.ManifoldDescriptor] = None
-    knot: Optional[manifolds.KnotDescriptor] = None
-    link: Optional[manifolds.LinkDescriptor] = None
+    manifold: Optional[iccdec.manifolds.ManifoldDescriptor] = None
+    knot: Optional[iccdec.manifolds.KnotDescriptor] = None
+    link: Optional[iccdec.manifolds.LinkDescriptor] = None
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +319,9 @@ def _free_product(fields: _Fields, path: str, build: _GroupBuild) -> StructuredG
     factors = fields.get("free_product", list)
     if len(factors) < 2:
         raise DescriptorError(f"{path}.free_product", "needs at least two factors")
-    groups = [
-        _parse_construction(f, f"{path}.free_product[{i}]", build)
-        for i, f in enumerate(factors)
-    ]
-    return FreeProduct(*groups)
+    return FreeProduct(
+        *(_parse_construction(f, f"{path}.free_product[{i}]", build) for i, f in enumerate(factors))
+    )
 
 
 def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
@@ -343,7 +333,9 @@ def _amalgam(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
         embed_left = _embed_words(left, edge, "embed_left")
         embed_right = _embed_words(right, edge, "embed_right")
         edge.finish()
-        return amalgam.Amalgam(left, right, amalgam.AmalgamEdge(table, embed_left, embed_right))
+        return groups.amalgam.Amalgam(
+            left, right, groups.amalgam.AmalgamEdge(table, embed_left, embed_right)
+        )
     except (DescriptorError, GroupUsageError) as exc:
         return build.hold(path, exc, left)
 
@@ -355,10 +347,12 @@ def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
         edge = body.nested("edge")
         edge_kind = edge.get("kind", str)
         if edge_kind == "cyclic_power":
-            hnn_edge = hnn.CyclicPowerEdge(edge.get("domain_power", int), edge.get("range_power", int))
+            hnn_edge = groups.hnn.CyclicPowerEdge(
+                edge.get("domain_power", int), edge.get("range_power", int)
+            )
         elif edge_kind == "finite":
             table = _parse_table(edge)
-            hnn_edge = hnn.FiniteHnnEdge(
+            hnn_edge = groups.hnn.FiniteHnnEdge(
                 table,
                 _embed_words(base, edge, "embed_domain"),
                 _embed_words(base, edge, "embed_range"),
@@ -367,13 +361,13 @@ def _hnn(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
         else:
             raise DescriptorError(f"{edge.path}.kind", f"unknown edge kind {edge_kind!r}")
         edge.finish()
-        return hnn.Hnn(base, hnn_edge, stable_letter=letter)
+        return groups.hnn.Hnn(base, hnn_edge, stable_letter=letter)
     except (DescriptorError, GroupUsageError) as exc:
         return build.hold(path, exc, base)
 
 
 def _semidirect(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    group = semidirect.SemidirectZnByZ(body.get("rank", int), body.array("matrix", _ROWS))
+    group = groups.semidirect.SemidirectZnByZ(body.get("rank", int), body.array("matrix", _ROWS))
     build.claim_all(group, path)
     return group
 
@@ -385,11 +379,11 @@ def _direct_with_finite(body: _Fields, path: str, build: _GroupBuild) -> Structu
     f.finish()
     for name in table.names[1:]:
         build.claim(name, path)
-    return direct_product.DirectWithFinite(h, table)
+    return groups.direct_product.DirectWithFinite(h, table)
 
 
 def _surface(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    group = surface.SurfaceGroup(
+    group = groups.surface.SurfaceGroup(
         _surface_count(body, "genus"),
         body.get("orientable", bool),
         _surface_count(body, "boundary_components"),
@@ -409,14 +403,14 @@ def _eisenstein(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup
     names = body.array("names", _LIST, str, None)
     for name in names or ():
         build.claim(name, path)
-    group = eisenstein.MatrixGroupSL2Eisenstein(generators, names)
+    group = iccdec.eisenstein.MatrixGroupSL2Eisenstein(generators, names)
     if names is None:
         build.claim_all(group, path)
     return group
 
 
 def _figure_eight(body: _Fields, path: str, build: _GroupBuild) -> StructuredGroup:
-    group = eisenstein.figure8_group()
+    group = iccdec.eisenstein.figure8_group()
     build.claim_all(group, path)
     return group
 
@@ -462,9 +456,9 @@ def _parse_construction(data, path: str, build: _GroupBuild) -> StructuredGroup:
 _PI1_FLAGS = ("normal_cyclic_infinite_subgroup", "contains_nonstandard_p2xi", "seifert_mod_p")
 
 
-def _seifert(fields: _Fields) -> manifolds.PrimePiece:
-    return manifolds.SeifertPiece(
-        manifolds.SeifertInvariants(
+def _seifert(fields: _Fields) -> iccdec.manifolds.PrimePiece:
+    return iccdec.manifolds.SeifertPiece(
+        iccdec.manifolds.SeifertInvariants(
             _surface_count(fields, "base_genus"),
             fields.get("base_orientable", bool),
             _surface_count(fields, "boundary_components"),
@@ -474,26 +468,30 @@ def _seifert(fields: _Fields) -> manifolds.PrimePiece:
     )
 
 
-def _other_irreducible(fields: _Fields) -> manifolds.PrimePiece:
+def _other_irreducible(fields: _Fields) -> iccdec.manifolds.PrimePiece:
     order = INFINITE if fields.get("pi1_order") == "infinite" else fields.get("pi1_order", int)
-    return manifolds.OtherIrreduciblePiece(
+    return iccdec.manifolds.OtherIrreduciblePiece(
         order, *(fields.get(key, bool, None) for key in _PI1_FLAGS)
     )
 
 
 _PIECES = {
     "seifert": _seifert,
-    "hyperbolic": lambda fields: manifolds.HyperbolicPiece(fields.get("finite_volume", bool, True)),
-    "torus_bundle": lambda fields: manifolds.TorusBundlePiece(fields.array("monodromy", _ROWS)),
-    "sphere_bundle": lambda fields: manifolds.SphereBundlePiece(
+    "hyperbolic": lambda fields: iccdec.manifolds.HyperbolicPiece(
+        fields.get("finite_volume", bool, True)
+    ),
+    "torus_bundle": lambda fields: iccdec.manifolds.TorusBundlePiece(
+        fields.array("monodromy", _ROWS)
+    ),
+    "sphere_bundle": lambda fields: iccdec.manifolds.SphereBundlePiece(
         fields.get("orientable_bundle", bool)
     ),
-    "homotopy_sphere": lambda fields: manifolds.HomotopySpherePiece(),
+    "homotopy_sphere": lambda fields: iccdec.manifolds.HomotopySpherePiece(),
     "other_irreducible": _other_irreducible,
 }
 
 
-def _parse_piece(data, path: str) -> manifolds.PrimePiece:
+def _parse_piece(data, path: str) -> iccdec.manifolds.PrimePiece:
     fields = _Fields(data, path)
     kind = fields.get("kind", str)
     parse = _PIECES.get(kind)
@@ -504,34 +502,35 @@ def _parse_piece(data, path: str) -> manifolds.PrimePiece:
     return piece
 
 
-def _parse_manifold(fields: _Fields) -> manifolds.ManifoldDescriptor:
+def _parse_manifold(fields: _Fields) -> iccdec.manifolds.ManifoldDescriptor:
     orientable = fields.get("orientable", bool)
     pieces = tuple(
         _parse_piece(p, f"{fields.path}.pieces[{i}]")
         for i, p in enumerate(fields.get("pieces", list))
     )
     capped = fields.get("boundary_spheres_capped", bool, False)
-    return manifolds.ManifoldDescriptor(orientable, pieces, capped)
+    return iccdec.manifolds.ManifoldDescriptor(orientable, pieces, capped)
 
 
-def _parse_knot(fields: _Fields) -> manifolds.KnotDescriptor:
+def _parse_knot(fields: _Fields) -> iccdec.manifolds.KnotDescriptor:
     if "torus" in fields.data:
-        return manifolds.TorusKnot(*fields.array("torus", ((2, "expected [p, q]"),)))
+        return iccdec.manifolds.TorusKnot(*fields.array("torus", ((2, "expected [p, q]"),)))
     if "hyperbolic" in fields.data:
         if not fields.get("hyperbolic", bool):
             raise DescriptorError(f"{fields.path}.hyperbolic", "must be true when present")
-        return manifolds.HyperbolicKnot()
+        return iccdec.manifolds.HyperbolicKnot()
     if "other" in fields.data:
         body = fields.nested("other")
-        knot = manifolds.OtherKnot(body.get("is_torus", bool))
+        knot = iccdec.manifolds.OtherKnot(body.get("is_torus", bool))
         body.finish()
         return knot
     raise DescriptorError(fields.path, "knot needs one of: torus, hyperbolic, other")
 
 
-def _parse_link(fields: _Fields) -> manifolds.LinkDescriptor:
+def _parse_link(fields: _Fields) -> iccdec.manifolds.LinkDescriptor:
     components = fields.get("components", int)
-    return manifolds.LinkDescriptor(components, fields.get("is_seifert_fiber_union", bool, None))
+    fibered = fields.get("is_seifert_fiber_union", bool, None)
+    return iccdec.manifolds.LinkDescriptor(components, fibered)
 
 
 _TOP_LEVEL = {"manifold": _parse_manifold, "knot": _parse_knot, "link": _parse_link}

@@ -52,7 +52,7 @@ class SurfaceGroup(StructuredGroup):
     def _carrier(self) -> StructuredGroup:
         if self._realization is None:
             raise NotEnumerableError(
-                "this surface group has no implemented normal form (closed, "
+                f"{self.describe()} has no implemented normal form (closed, "
                 "negative Euler characteristic)"
             )
         return self._realization

@@ -15,7 +15,8 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import Optional, Union
 
-from ._lazy import lazy_module
+import iccdec
+
 from .groups.base import (
     INFINITE, GroupElement, GroupUsageError, Letter, Record, StructuredGroup, multiply,
 )
@@ -32,9 +33,6 @@ from .verdict import (
     not_icc,
     unknown,
 )
-
-# Executed on first use: only a torus bundle piece needs the group rules.
-rules = lazy_module("iccdec.rules")
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +346,13 @@ def _seifert_realization(
     return "exact", INFINITE, None, None
 
 
-def seifert_group(inv: SeifertInvariants, suffix: str = "") -> SeifertGroupResult:
+def seifert_group(inv: SeifertInvariants) -> SeifertGroupResult:
     """Emit the fibered presentation, the distinguished fiber class h, and an
     enumerable realization when the data is in the computable family."""
-    generators = _seifert_generators(inv, suffix)
-    fiber_name = "h" + suffix
+    generators = _seifert_generators(inv, "")
     return SeifertGroupResult(
-        inv, _seifert_presentation(inv, *generators, fiber_name), fiber_name,
-        inv.base_orientable, *_seifert_realization(inv, suffix, generators),
+        inv, _seifert_presentation(inv, *generators, "h"), "h",
+        inv.base_orientable, *_seifert_realization(inv, "", generators),
     )
 
 
@@ -617,7 +614,8 @@ def _decide_manifold(m: ManifoldDescriptor, normal: Optional[Normalization] = No
         )
     if isinstance(piece, TorusBundlePiece):
         if int_mat_det(piece.monodromy) == 1:
-            return rules.icc_torus_bundle(piece.monodromy)
+            # only a torus bundle piece executes the group rules
+            return iccdec.rules.icc_torus_bundle(piece.monodromy)
         if orientable:
             raise GroupUsageError(
                 "an orientable manifold cannot carry a determinant -1 torus bundle piece"

@@ -13,7 +13,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from ._lazy import executed, lazy_module
+from . import groups
 from .groups.base import (
     INFINITE,
     GroupElement,
@@ -23,8 +23,6 @@ from .groups.base import (
     conjugate,
     multiply,
 )
-from .groups.cyclic import FiniteCyclic, InfiniteCyclic
-from .groups.free_product import FreeProduct
 from .verdict import (
     FINITE_GROUP_WITNESS,
     Citation,
@@ -35,17 +33,6 @@ from .verdict import (
     not_icc,
     unknown,
 )
-
-# Executed on first use.  decide_structured_group tests a class only once
-# its module has run, so a group loads the modules of its own constructions
-# and no others.
-amalgam = lazy_module("iccdec.groups.amalgam")
-direct_product = lazy_module("iccdec.groups.direct_product")
-fiber_extension = lazy_module("iccdec.groups.fiber_extension")
-hnn = lazy_module("iccdec.groups.hnn")
-semidirect = lazy_module("iccdec.groups.semidirect")
-surface = lazy_module("iccdec.groups.surface")
-eisenstein = lazy_module("iccdec.eisenstein")
 
 
 class MonodromyClass(Enum):
@@ -93,11 +80,11 @@ def _is_normal_under_generators(ambient: StructuredGroup, payloads: list) -> boo
 
 
 def icc_amalgam(
-    group: amalgam.Amalgam,
+    group: groups.amalgam.Amalgam,
     factor_verdicts: tuple[Optional[Verdict], Optional[Verdict]] = (None, None),
 ) -> Verdict:
     """Prop 3(ii)/(iii) for amalgams over finite edge subgroups."""
-    if not isinstance(group, amalgam.Amalgam):
+    if not isinstance(group, groups.amalgam.Amalgam):
         raise GroupUsageError("icc_amalgam requires an amalgam construction")
     indices = (group.factor_index(0), group.factor_index(1))
     if not (
@@ -133,9 +120,9 @@ def icc_amalgam(
     )
 
 
-def icc_hnn(group: hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
+def icc_hnn(group: groups.hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
     """Prop 3(iv)/(v) for HNN extensions."""
-    if not isinstance(group, hnn.Hnn):
+    if not isinstance(group, groups.hnn.Hnn):
         raise GroupUsageError("icc_hnn requires an HNN construction")
     proper = group.edge.proper_sides(group.base)
     if not (proper[0] or proper[1]):
@@ -147,7 +134,7 @@ def icc_hnn(group: hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
             Status.ICC, base_verdict.reasons + (Citation("Prop 3(iv)", "the base group is ICC"),)
         )
     edge = group.edge
-    if isinstance(edge, hnn.CyclicPowerEdge):
+    if isinstance(edge, groups.hnn.CyclicPowerEdge):
         # Subgroups of <a^m> are <a^(m k)>.  Such a subgroup is normal in the
         # extension iff conjugation by t and t^-1 preserves it, which forces
         # |m| = |n|; then it is infinite cyclic, hence not ICC.
@@ -166,7 +153,7 @@ def icc_hnn(group: hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
                 f"in the extension (powers {edge.m} and {edge.n} differ in size)",
             )
         )
-    assert isinstance(edge, hnn.FiniteHnnEdge)
+    assert isinstance(edge, groups.hnn.FiniteHnnEdge)
     order = _normal_edge_subgroup(edge.table, [(group, [((), p) for p in edge.embed_domain])])
     if order:
         return unknown(
@@ -215,7 +202,7 @@ def icc_index_two_lift(
     )
 
 
-def _as_matrix(phi) -> semidirect.Matrix:
+def _as_matrix(phi) -> groups.semidirect.Matrix:
     matrix = tuple(tuple(int(x) for x in row) for row in phi)
     if len(matrix) != 2 or any(len(r) != 2 for r in matrix):
         raise GroupUsageError("a monodromy matrix must be 2x2")
@@ -225,7 +212,7 @@ def _as_matrix(phi) -> semidirect.Matrix:
 def classify_monodromy(phi) -> MonodromyClass:
     """Spectral type of a 2x2 integer matrix with determinant +-1."""
     matrix = _as_matrix(phi)
-    det = semidirect.mat_det(matrix)
+    det = groups.semidirect.mat_det(matrix)
     if det not in (1, -1):
         raise GroupUsageError("monodromy must have determinant +1 or -1")
     trace = matrix[0][0] + matrix[1][1]
@@ -240,9 +227,9 @@ def classify_monodromy(phi) -> MonodromyClass:
     return MonodromyClass.PARABOLIC if trace == 0 else MonodromyClass.HYPERBOLIC
 
 
-def _primitive_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, int]]:
+def _primitive_kernel_vector(m: groups.semidirect.Matrix) -> Optional[tuple[int, int]]:
     """A primitive integer kernel vector of a singular 2x2 matrix, or None."""
-    if semidirect.mat_det(m) != 0:
+    if groups.semidirect.mat_det(m) != 0:
         return None
     for p, q in m:
         if (p, q) != (0, 0):
@@ -254,7 +241,7 @@ def _primitive_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, int]]:
 def icc_torus_bundle(phi) -> Verdict:
     """Lemma 10's trichotomy for orientable torus bundles."""
     matrix = _as_matrix(phi)
-    if semidirect.mat_det(matrix) != 1:
+    if groups.semidirect.mat_det(matrix) != 1:
         raise GroupUsageError(
             "torus bundle monodromy must have determinant +1 (orientable bundle)"
         )
@@ -270,7 +257,7 @@ def icc_torus_bundle(phi) -> Verdict:
             tuple(matrix[i][j] - (sign if i == j else 0) for j in range(2)) for i in range(2)
         )
         vector = _primitive_kernel_vector(shifted)
-        group = semidirect.SemidirectZnByZ(2, matrix)
+        group = groups.semidirect.SemidirectZnByZ(2, matrix)
         element = group.element((vector, 0))
         size = "{v}" if sign == 1 else "{v, -v}"
         return not_icc(
@@ -347,7 +334,9 @@ def icc_surface(genus: int, orientable: bool, boundary_components: int) -> Verdi
     )
 
 
-def _semidirect_finite_orbit_witness(group: semidirect.SemidirectZnByZ) -> Optional[GroupElement]:
+def _semidirect_finite_orbit_witness(
+    group: groups.semidirect.SemidirectZnByZ,
+) -> Optional[GroupElement]:
     """An element with a finite conjugacy class, if the action admits one.
 
     Any root-of-unity eigenvalue of an integer matrix of rank <= 3 has order
@@ -358,7 +347,7 @@ def _semidirect_finite_orbit_witness(group: semidirect.SemidirectZnByZ) -> Optio
     """
     n = group.rank
     for j in range(1, 7):
-        if group.phi_power(j) == semidirect.identity_matrix(n):
+        if group.phi_power(j) == groups.semidirect.identity_matrix(n):
             return group.element(((0,) * n, j))
     for j in range(1, 7):
         power = group.phi_power(j)
@@ -371,7 +360,7 @@ def _semidirect_finite_orbit_witness(group: semidirect.SemidirectZnByZ) -> Optio
     return None
 
 
-def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
+def _integer_kernel_vector(m: groups.semidirect.Matrix) -> Optional[tuple[int, ...]]:
     """The primitive integer kernel vector that reduced row echelon form
     gives for its first free column, or None when det m != 0.
 
@@ -383,7 +372,8 @@ def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
     for j in range(n):
         for rows in combinations(m, j):
             vector = [
-                (-1) ** (j - k) * semidirect.mat_det(tuple(r[:k] + r[k + 1 : j + 1] for r in rows))
+                (-1) ** (j - k)
+                * groups.semidirect.mat_det(tuple(r[:k] + r[k + 1 : j + 1] for r in rows))
                 for k in range(j + 1)
             ]
             if vector[j]:
@@ -395,11 +385,19 @@ def _integer_kernel_vector(m: semidirect.Matrix) -> Optional[tuple[int, ...]]:
 
 
 def decide_structured_group(group: StructuredGroup) -> Verdict:
-    """Route a structured group through the applicable combinators."""
-    if isinstance(group, FiniteCyclic):
+    """Route a structured group through the applicable combinators.
+
+    A group routes by the name of its nearest class defined in this package,
+    so a subclass decides as its construction does, and no test executes
+    the module of a construction the group does not hold."""
+    for cls in type(group).__mro__:
+        if cls.__module__.startswith("iccdec."):
+            break
+    construction = cls.__name__
+    if construction == "FiniteCyclic":
         detail = "trivial group" if group.n == 1 else f"finite cyclic of order {group.n}"
         return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
-    if isinstance(group, InfiniteCyclic):
+    if construction == "InfiniteCyclic":
         return not_icc(
             Witness(
                 description=f"generator {group.gen_name}",
@@ -408,7 +406,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             ),
             Citation("Abelian infinite"),
         )
-    if isinstance(group, FreeProduct):
+    if construction == "FreeProduct":
         # decided as ((G0 * G1) * G2) * ...: order-1 factors drop out, and
         # the factors before the last remaining one form its left factor
         orders = [f.order() for f in group.factors]
@@ -430,18 +428,18 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             )
             return Verdict(verdict.status, verdict.reasons, witness)
         return verdict
-    if executed(amalgam) and isinstance(group, amalgam.Amalgam):
+    if construction == "Amalgam":
         factor_verdicts = tuple(decide_structured_group(f) for f in group.factors)
         return icc_amalgam(group, factor_verdicts)
-    if executed(hnn) and isinstance(group, hnn.Hnn):
+    if construction == "Hnn":
         return icc_hnn(group, decide_structured_group(group.base))
-    if executed(semidirect) and isinstance(group, semidirect.SemidirectZnByZ):
+    if construction == "SemidirectZnByZ":
         element = _semidirect_finite_orbit_witness(group)
         if element is not None:
             witness = Witness(
                 f"lattice vector {element!r} with finite monodromy orbit", element, "element"
             )
-            if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
+            if group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1:
                 kind = classify_monodromy(group.phi)
                 detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
                 return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
@@ -449,7 +447,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                 witness,
                 Citation("Finite class witness", "the orbit of the vector under the action is finite"),
             )
-        if group.rank == 2 and semidirect.mat_det(group.phi) == 1:
+        if group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1:
             return icc_torus_bundle(group.phi)
         return unknown(
             Citation(
@@ -458,7 +456,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                 "orientable torus-bundle trichotomy",
             )
         )
-    if executed(direct_product) and isinstance(group, direct_product.DirectWithFinite):
+    if construction == "DirectWithFinite":
         if group.f.size == 1:
             return decide_structured_group(group.h)
         try:
@@ -471,7 +469,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
         return not_icc(
             witness, Citation("Finite direct factor", f"finite factor of order {group.f.size}")
         )
-    if executed(surface) and isinstance(group, surface.SurfaceGroup):
+    if construction == "SurfaceGroup":
         verdict = icc_surface(group.genus, group.orientable, group.boundary_components)
         realization = group.realization()
         if (
@@ -493,7 +491,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                     ),
                 )
         return verdict
-    if executed(fiber_extension) and isinstance(group, fiber_extension.FiberExtension):
+    if construction == "FiberExtension":
         fiber = group.fiber()
         closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
         return not_icc(
@@ -505,7 +503,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
             Citation("Prop 2"),
         )
-    if executed(eisenstein) and isinstance(group, eisenstein.MatrixGroupSL2Eisenstein):
+    if construction == "MatrixGroupSL2Eisenstein":
         order = group.order()
         if order != INFINITE:
             detail = "trivial group" if order == 1 else f"finite matrix group of order {order}"

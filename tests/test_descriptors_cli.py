@@ -577,8 +577,8 @@ def test_cli_closed_surface_is_one_error_line(tmp_path, capsys, command, option)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: this surface group has no implemented normal form (closed, "
-        "negative Euler characteristic)\n"
+        "error: Surface(genus=2, orientable, boundary=0) has no implemented normal form "
+        "(closed, negative Euler characteristic)\n"
     )
 
 
@@ -820,6 +820,26 @@ def test_surface_without_normal_form_still_errors_where_payloads_are_needed(
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert _NO_NORMAL_FORM in captured.err
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--element", "a"], ["witness", "--set", "a"]])
+@pytest.mark.parametrize(
+    "genus, orientable, described",
+    [(2, True, "genus=2, orientable"), (3, False, "genus=3, non-orientable")],
+)
+def test_a_surface_factor_without_normal_form_is_named(
+    tmp_path, capsys, command, genus, orientable, described
+):
+    # the error used to read "this surface group has ...", naming no factor
+    surface = {"surface_group": {"genus": genus, "orientable": orientable, "boundary_components": 0}}
+    path = _write_group(tmp_path, {"free_product": [{"infinite_cyclic": {}}, surface]})
+    assert main([*command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Surface({described}, boundary=0) has no implemented normal form "
+        "(closed, negative Euler characteristic)\n"
+    )
 
 
 @pytest.mark.parametrize("command", [["decide"], ["decide", "--json"], ["explain", "--json"]])

@@ -23,6 +23,7 @@ from iccdec.groups import (
     INFINITE,
     InfiniteCyclic,
     SemidirectZnByZ,
+    StructuredGroup,
     SurfaceGroup,
     ball_with_lengths,
     conjugate,
@@ -632,6 +633,58 @@ def test_decide_structured_group_dispatch(dihedral, z2_star_z3, f2, bs12):
     assert surface.status is Status.ICC
     matrix_unknown = decide_structured_group(__import__("iccdec").figure8_group())
     assert matrix_unknown.status is Status.UNKNOWN
+
+
+class _Generator(InfiniteCyclic):
+    """A subclass of a construction, defined outside the package."""
+
+
+class _Trivial(StructuredGroup):
+    """The trivial group, a structured group that is no construction."""
+
+    def signature(self):
+        return ("Trivial",)
+
+    def identity_payload(self):
+        return ()
+
+    def multiply_payloads(self, a, b):
+        return ()
+
+    def invert_payload(self, a):
+        return ()
+
+    def generator_payloads(self):
+        return []
+
+    def payload_key(self, payload):
+        return ()
+
+    def render_payload(self, payload):
+        return []
+
+    def payload_str(self, payload):
+        return "1"
+
+    def order(self):
+        return 1
+
+
+def test_a_subclass_decides_as_its_construction():
+    verdict = decide_structured_group(_Generator("s"))
+    assert verdict.status is Status.NOT_ICC
+    assert verdict.labels() == ["Abelian infinite"]
+    assert verdict.witness.description == "generator s"
+
+
+@pytest.mark.parametrize(
+    "cls", [_Trivial, type("FreeProduct", (_Trivial,), {})], ids=["no_construction", "named"]
+)
+def test_a_group_that_is_no_construction_has_no_rule(cls):
+    # a class that only shares a construction's name is not that construction
+    with pytest.raises(GroupUsageError) as info:
+        decide_structured_group(cls())
+    assert str(info.value) == f"no decision rule for construction {cls.__name__}"
 
 
 def test_amalgam_index_three_two_edge_not_normal_in_large_factor():
