@@ -201,15 +201,12 @@ class StructuredGroup(ABC):
     def generators(self) -> list[tuple[str, GroupElement]]:
         return [(name, GroupElement(self, p)) for name, p in self.generator_payloads()]
 
-    def generator_map(self) -> dict[str, GroupElement]:
-        return dict(self.generators())
-
     def generator_element(self, name: str) -> GroupElement:
         return self.reduce_letters([(name, 1)])
 
     def reduce_letters(self, letters: Iterable[Letter]) -> GroupElement:
         """Evaluate a sequence of (generator name, exponent) pairs."""
-        table = self.generator_map()
+        table = dict(self.generators())
         acc = self.identity()
         for name, exp in letters:
             if name not in table:

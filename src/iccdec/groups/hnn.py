@@ -16,7 +16,7 @@ representatives are decidable by divisibility).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import cached_property
+from functools import cached_property, partial
 
 from .base import (
     INFINITE,
@@ -31,7 +31,11 @@ from .cyclic import InfiniteCyclic
 
 
 class HnnEdge(ABC):
-    """Associated subgroup pair A, B of the base, with iso phi: A -> B."""
+    """Associated subgroup pair A, B of the base, with iso phi: A -> B.
+
+    Its operations are indexed by side, as a FiniteEdge's are: side 0 is the
+    domain A, where t^-1 pinches, and side 1 is the range B, where t pinches.
+    """
 
     @abstractmethod
     def validate_against(self, base: StructuredGroup) -> None:
@@ -42,28 +46,17 @@ class HnnEdge(ABC):
         ...
 
     @abstractmethod
-    def domain_contains(self, base, payload) -> bool:
-        ...
+    def contains(self, side: int, payload) -> bool:
+        """Whether payload lies in the side's subgroup."""
 
     @abstractmethod
-    def range_contains(self, base, payload) -> bool:
-        ...
+    def carry(self, side: int, payload):
+        """phi(a) for a in A on side 0, phi^-1(b) for b in B on side 1."""
 
     @abstractmethod
-    def iso_image(self, base, payload):
-        """phi(a) for a in A."""
-
-    @abstractmethod
-    def iso_preimage(self, base, payload):
-        """phi^-1(b) for b in B."""
-
-    @abstractmethod
-    def domain_rep(self, base, payload):
-        """(rep, residual) with payload = rep * residual, residual in A."""
-
-    @abstractmethod
-    def range_rep(self, base, payload):
-        """(rep, residual) with payload = rep * residual, residual in B."""
+    def rep(self, base, side: int, payload):
+        """(rep, residual) with payload = rep * residual, residual in the
+        side's subgroup."""
 
     @abstractmethod
     def proper_sides(self, base) -> tuple[bool, bool]:
@@ -74,51 +67,42 @@ class FiniteHnnEdge(FiniteEdge, HnnEdge):
     """A and B are copies of a finite table group inside the base.
 
     iso[i] gives the index of phi(domain[i]) among the range images, i.e.
-    phi(embed_domain[i]) = embed_range[iso[i]].
+    phi(embeds[0][i]) = embeds[1][iso[i]].
     """
 
     SIDES = ("domain", "range")
     OWNER = "base"
 
     def __init__(self, table: FiniteGroupTable, embed_domain: list, embed_range: list, iso=None):
-        self.iso = tuple(range(table.size) if iso is None else iso)
-        if sorted(self.iso) != list(range(table.size)):
+        iso = tuple(range(table.size) if iso is None else iso)
+        if sorted(iso) != list(range(table.size)):
             raise GroupUsageError("iso must be a permutation of the edge indices")
-        self.iso_inv = tuple(self.iso.index(i) for i in range(table.size))
+        # isos[side] takes an element's index on the side to its image's
+        # index on the other side: phi, then phi^-1
+        self.isos = (iso, tuple(map(iso.index, range(table.size))))
         super().__init__(table, (embed_domain, embed_range))
-        self.embed_domain, self.embed_range = self.embeds
-        self._domain_lookup, self._range_lookup = self.lookups
 
     def validate_against(self, base):
         self.check_homomorphisms((base, base))
         # phi must be an isomorphism of the abstract edge group
+        iso = self.isos[0]
         for i in range(self.table.size):
             for j in range(self.table.size):
-                if self.iso[self.table.mul(i, j)] != self.table.mul(self.iso[i], self.iso[j]):
+                if iso[self.table.mul(i, j)] != self.table.mul(iso[i], iso[j]):
                     raise GroupUsageError("iso is not an automorphism of the edge group")
 
     def signature(self):
-        return ("finite_edge", self.table.signature(), self.embed_domain, self.embed_range, self.iso)
+        return ("finite_edge", self.table.signature(), *self.embeds, self.isos[0])
 
-    def domain_contains(self, base, payload):
-        return payload in self._domain_lookup
+    def contains(self, side, payload):
+        return payload in self.lookups[side]
 
-    def range_contains(self, base, payload):
-        return payload in self._range_lookup
+    def carry(self, side, payload):
+        return self.embeds[1 - side][self.isos[side][self.lookups[side][payload]]]
 
-    def iso_image(self, base, payload):
-        return self.embed_range[self.iso[self._domain_lookup[payload]]]
-
-    def iso_preimage(self, base, payload):
-        return self.embed_domain[self.iso_inv[self._range_lookup[payload]]]
-
-    def domain_rep(self, base, payload):
-        rep, idx = self.coset_step(base, 0, payload)
-        return rep, self.embed_domain[idx]
-
-    def range_rep(self, base, payload):
-        rep, idx = self.coset_step(base, 1, payload)
-        return rep, self.embed_range[idx]
+    def rep(self, base, side, payload):
+        rep, idx = self.coset_step(base, side, payload)
+        return rep, self.embeds[side][idx]
 
     def proper_sides(self, base):
         return (self.index(base) > 1,) * 2
@@ -129,6 +113,9 @@ class CyclicPowerEdge(HnnEdge):
 
     domain_power m >= 1 and range_power n != 0 (a negative n encodes an
     orientation-reversing identification, as in Klein-bottle style groups).
+    The powers are also the moduli of the sides: x % n == 0 exactly when
+    x % |n| == 0, and a coset of B has the same two balanced candidates
+    under n as under |n|.
     """
 
     def __init__(self, domain_power: int, range_power: int):
@@ -136,8 +123,8 @@ class CyclicPowerEdge(HnnEdge):
             raise GroupUsageError("domain power must be an integer >= 1")
         if not isinstance(range_power, int) or range_power == 0:
             raise GroupUsageError("range power must be a nonzero integer")
-        self.m = domain_power
-        self.n = range_power
+        self.powers = (domain_power, range_power)
+        self.m, self.n = self.powers
 
     def validate_against(self, base):
         if not isinstance(base, InfiniteCyclic):
@@ -146,30 +133,18 @@ class CyclicPowerEdge(HnnEdge):
     def signature(self):
         return ("cyclic_power_edge", self.m, self.n)
 
-    def domain_contains(self, base, payload):
-        return payload % self.m == 0
+    def contains(self, side, payload):
+        return payload % self.powers[side] == 0
 
-    def range_contains(self, base, payload):
-        return payload % abs(self.n) == 0
+    def carry(self, side, payload):
+        return payload // self.powers[side] * self.powers[1 - side]
 
-    def iso_image(self, base, payload):
-        return (payload // self.m) * self.n
-
-    def iso_preimage(self, base, payload):
-        return (payload // self.n) * self.m
-
-    @staticmethod
-    def _balanced_rep(base, payload, modulus):
+    def rep(self, base, side, payload):
+        modulus = self.powers[side]
         r = payload % modulus
         candidates = [r, r - modulus] if r else [0]
         rep = min(candidates, key=base.payload_key)
         return rep, payload - rep
-
-    def domain_rep(self, base, payload):
-        return self._balanced_rep(base, payload, self.m)
-
-    def range_rep(self, base, payload):
-        return self._balanced_rep(base, payload, abs(self.n))
 
     def proper_sides(self, base):
         return (self.m != 1, abs(self.n) != 1)
@@ -194,29 +169,21 @@ class Hnn(StructuredGroup):
 
     @cached_property
     def _reps(self) -> tuple[KeyMemo, KeyMemo]:
-        """The memos of a tail's (representative, residual) for the domain A
-        and for the range B.  They refer to the base and the edge, never to
-        the extension, so the extension is freed by reference count."""
-        base, edge = self.base, self.edge
-        return (
-            KeyMemo(lambda tail: edge.domain_rep(base, tail)),
-            KeyMemo(lambda tail: edge.range_rep(base, tail)),
-        )
+        """The memos of a tail's (representative, residual), one per side.
+        They refer to the base and the edge, never to the extension, so the
+        extension is freed by reference count."""
+        return tuple(KeyMemo(partial(self.edge.rep, self.base, side)) for side in (0, 1))
 
     def _absorb_t(self, payload, eps: int):
+        """Multiply the normal form payload by t^eps: t works on the range
+        (side 1), t^-1 on the domain (side 0)."""
         syllables, tail = payload
-        base, edge = self.base, self.edge
-        if eps == +1:
-            if syllables and syllables[-1][1] == -1 and edge.range_contains(base, tail):
-                rep = syllables[-1][0]
-                return (syllables[:-1], base.multiply_payloads(rep, edge.iso_preimage(base, tail)))
-            rep, residual = self._reps[1][tail]
-            return (syllables + ((rep, +1),), edge.iso_preimage(base, residual))
-        if syllables and syllables[-1][1] == +1 and edge.domain_contains(base, tail):
+        edge, side = self.edge, 1 if eps == 1 else 0
+        if syllables and syllables[-1][1] == -eps and edge.contains(side, tail):
             rep = syllables[-1][0]
-            return (syllables[:-1], base.multiply_payloads(rep, edge.iso_image(base, tail)))
-        rep, residual = self._reps[0][tail]
-        return (syllables + ((rep, -1),), edge.iso_image(base, residual))
+            return (syllables[:-1], self.base.multiply_payloads(rep, edge.carry(side, tail)))
+        rep, residual = self._reps[side][tail]
+        return (syllables + ((rep, eps),), edge.carry(side, residual))
 
     def multiply_payloads(self, a, b):
         mul = self.base.multiply_payloads

@@ -154,7 +154,7 @@ def icc_hnn(group: groups.hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Ve
             )
         )
     assert isinstance(edge, groups.hnn.FiniteHnnEdge)
-    order = _normal_edge_subgroup(edge.table, [(group, [((), p) for p in edge.embed_domain])])
+    order = _normal_edge_subgroup(edge.table, [(group, [((), p) for p in edge.embeds[0]])])
     if order:
         return unknown(
             Citation(

@@ -335,9 +335,9 @@ def test_acceptance_8_normal_form_suites(bs12):
                 assert not element.is_identity()
             for (rep1, eps1), (rep2, eps2) in zip(syllables, syllables[1:]):
                 if eps1 == -1 and eps2 == 1:
-                    assert not edge.range_contains(bs12.base, rep2)
+                    assert not edge.contains(1, rep2)
                 if eps1 == 1 and eps2 == -1:
-                    assert not edge.domain_contains(bs12.base, rep2)
+                    assert not edge.contains(0, rep2)
 
 
 # ---------------------------------------------------------------------------

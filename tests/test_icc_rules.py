@@ -381,7 +381,7 @@ def test_hnn_edge_index_and_normality_scan_agree_with_brute_force(group):
     # t, its inverse and the base generate the extension
     t = group.generator_element(group.stable_letter)
     conjugators = [t, ~t] + [group.element(((), e.payload)) for e in base_elements]
-    images = [((), p) for p in edge.embed_domain]
+    images = [((), p) for p in edge.embeds[0]]
     expected = _brute_normal_edge_subgroup(edge.table, [(group, images, conjugators)])
     verdict = icc_hnn(group)
     if index > 1:

@@ -21,9 +21,11 @@ from iccdec.cli import _enumerable_group
 from iccdec.groups import (
     Amalgam,
     AmalgamEdge,
+    CyclicPowerEdge,
     DirectWithFinite,
     FiberExtension,
     FiniteCyclic,
+    FiniteHnnEdge,
     FreePart,
     FreeProduct,
     Hnn,
@@ -132,18 +134,18 @@ def _ref_absorb_t(group, payload, eps):
     syllables, tail = payload
     stack = list(syllables)
     if eps == +1:
-        if stack and stack[-1][1] == -1 and edge.range_contains(base, tail):
+        if stack and stack[-1][1] == -1 and edge.contains(1, tail):
             rep, _ = stack.pop()
-            return (tuple(stack), ref_mul(base, rep, edge.iso_preimage(base, tail)))
-        rep, residual = edge.range_rep(base, tail)
+            return (tuple(stack), ref_mul(base, rep, edge.carry(1, tail)))
+        rep, residual = edge.rep(base, 1, tail)
         stack.append((rep, +1))
-        return (tuple(stack), edge.iso_preimage(base, residual))
-    if stack and stack[-1][1] == +1 and edge.domain_contains(base, tail):
+        return (tuple(stack), edge.carry(1, residual))
+    if stack and stack[-1][1] == +1 and edge.contains(0, tail):
         rep, _ = stack.pop()
-        return (tuple(stack), ref_mul(base, rep, edge.iso_image(base, tail)))
-    rep, residual = edge.domain_rep(base, tail)
+        return (tuple(stack), ref_mul(base, rep, edge.carry(0, tail)))
+    rep, residual = edge.rep(base, 0, tail)
     stack.append((rep, -1))
-    return (tuple(stack), edge.iso_image(base, residual))
+    return (tuple(stack), edge.carry(0, residual))
 
 
 def _ref_hnn_mul(group, a, b):
@@ -222,6 +224,14 @@ def _infinite_factor_amalgam():
     return Amalgam(left, right, edge)
 
 
+def _z5_square_iso():
+    # (Z/5 * Z/2) over the Z/5 factor on both sides, with phi(x) = x^2 of
+    # order 4, so phi^-1 is not phi
+    base = FreeProduct(FiniteCyclic(5, "x"), FiniteCyclic(2, "y"))
+    images = [()] + [((0, k),) for k in range(1, 5)]
+    return Hnn(base, FiniteHnnEdge(cyclic_table(5), images, images, [0, 2, 4, 1, 3]))
+
+
 def _nonorientable_seifert_piece():
     # base: a Moebius band with one more boundary circle and a (3, 1) fiber;
     # the base's orientation-reversing loop is a FreePart of sign -1
@@ -240,10 +250,14 @@ BUILDERS = {
     "s3_amalgam_s3": lambda: _corpus_group("group_s3_amalgam_s3.json"),
     "psl2z_amalgam": lambda: _corpus_group("group_psl2z_amalgam.json"),
     "infinite_factor_amalgam": _infinite_factor_amalgam,
-    # HNN extensions: finite edges with residuals, a cyclic-power edge
+    # HNN extensions: finite edges with residuals, cyclic-power edges with
+    # the domain the whole base and with both sides proper and a negative
+    # power, and a finite edge whose iso is not its own inverse
     "hnn_z_x_z2": lambda: _corpus_group("group_hnn_z_x_z2.json"),
     "hnn_icc_base": lambda: _corpus_group("group_hnn_icc_base.json"),
     "bs12": lambda: _corpus_group("group_bs12.json"),
+    "bs2_neg3": lambda: Hnn(InfiniteCyclic("a"), CyclicPowerEdge(2, -3)),
+    "z5_square_iso": _z5_square_iso,
     # fiber extensions: torus knots carry into the fiber; a sign -1 part
     "trefoil": lambda: _corpus_group("knot_trefoil.json"),
     "torus_knot_3_5": lambda: FiberExtension([TorsionPart("x", 3, 1), TorsionPart("y", 5, 1)]),
@@ -256,7 +270,7 @@ MEMOIZED = sorted(name for name, g in GROUPS.items() if isinstance(g, (Amalgam, 
 
 def test_groups_cover_each_construction():
     kinds = Counter(type(g).__name__ for g in GROUPS.values())
-    assert kinds == Counter(FreeProduct=4, Amalgam=3, Hnn=3, FiberExtension=3)
+    assert kinds == Counter(FreeProduct=4, Amalgam=3, Hnn=5, FiberExtension=3)
     signs = [p.sign for p in GROUPS["nonorientable_seifert"].parts if isinstance(p, FreePart)]
     assert -1 in signs
 
@@ -420,7 +434,7 @@ def test_products_match_reference_with_a_small_memo(name, entries, monkeypatch):
 
 
 # the coset searches that a memoized step makes only on its first call
-_SEARCHES = ("base.py:coset_step", "hnn.py:_balanced_rep")
+_SEARCHES = ("base.py:coset_step", "hnn.py:rep")
 
 
 def _products(counts, group):
