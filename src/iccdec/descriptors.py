@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Optional
 
 import iccdec
@@ -580,6 +581,11 @@ def load_descriptor(path: str) -> Descriptor:
         except UnicodeDecodeError as exc:
             raise DescriptorError(
                 path, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
+        except ValueError:  # an integer past the int-string conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise DescriptorError(
+                path, f"invalid JSON: an integer has more than {limit} digits"
             ) from None
     return parse_descriptor_data(data)
 

@@ -9,10 +9,9 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 
 class GroupUsageError(ValueError):
@@ -186,12 +185,6 @@ class StructuredGroup(ABC):
     def __hash__(self):
         return self._hashed_signature[0]
 
-    @cached_property
-    def _ball(self) -> tuple[threading.RLock, list[list[GroupElement]]]:
-        """The lock that serializes enumerations of this group, and the ball
-        levels enumerated so far; _ball_levels extends them."""
-        return threading.RLock(), [[self.identity()]]
-
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_payload())
 
@@ -285,47 +278,24 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
     return steps
 
 
-def _ball_levels(group: StructuredGroup, radius: int) -> list[list[GroupElement]]:
-    """The cached ball levels, extended to at least radius + 1 levels unless
-    the group is exhausted first, in which case the last level is empty.
-
-    Level r holds the elements of word length r in payload-key order.  Levels
-    are cached on the group instance and die with it; the group's own lock
-    keeps concurrent callers on the same group consistent, and callers on
-    other groups never wait for it.  The returned lists are shared: do not
-    mutate.
-    """
-    lock, levels = group._ball
-    with lock:
-        if len(levels) <= radius and levels[-1]:
-            mul = group.multiply_payloads
-            key = group.payload_key
-            steps = [s for s, _ in generator_steps(group)]
-            # the steps are closed under inverses, so a neighbour of level r
-            # lies in level r - 1, r or r + 1: only two levels are looked up
-            older = {e.payload for e in levels[-2]} if len(levels) > 1 else set()
-            newer = {e.payload for e in levels[-1]}
-            while len(levels) <= radius and levels[-1]:
-                fresh = {}
-                for e in levels[-1]:
-                    g = e.payload
-                    for s in steps:
-                        x = mul(g, s)
-                        if x not in newer and x not in older and x not in fresh:
-                            fresh[x] = None
-                older, newer = newer, fresh
-                levels.append([GroupElement(group, p) for p in sorted(fresh, key=key)])
-    return levels
-
-
-def ball_level(group: StructuredGroup, depth: int) -> list[GroupElement]:
-    """The elements of word length exactly depth, in ball order (empty past
-    the end of a finite group).  The list is shared with the cache: do not
-    mutate it."""
-    if depth < 0:
-        raise GroupUsageError("depth must be nonnegative")
-    levels = _ball_levels(group, depth)
-    return levels[depth] if depth < len(levels) else []
+def ball_levels(group: StructuredGroup) -> Iterator[list[GroupElement]]:
+    """Level 0, 1, 2, ... of the ball: level r holds the elements of word
+    length r in payload-key order.  Ends after the last nonempty level of a
+    finite group.  Each search owns its generator; the group keeps nothing."""
+    mul = group.multiply_payloads
+    steps = [s for s, _ in generator_steps(group)]
+    older, newer, level = set(), set(), [group.identity_payload()]
+    while level:
+        yield [GroupElement(group, p) for p in level]
+        # the steps are closed under inverses, so a neighbour of level r lies
+        # in level r - 1, r or r + 1: only the two previous levels are looked up
+        older, newer, fresh = newer, set(level), {}
+        for g in level:
+            for s in steps:
+                x = mul(g, s)
+                if x not in newer and x not in older:
+                    fresh[x] = None
+        level = sorted(fresh, key=group.payload_key)
 
 
 def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:
@@ -334,7 +304,7 @@ def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupEl
         raise GroupUsageError("radius must be nonnegative")
     elements: list[GroupElement] = []
     lengths: list[int] = []
-    for depth, level in enumerate(_ball_levels(group, radius)[: radius + 1]):
+    for depth, level in zip(range(radius + 1), ball_levels(group)):
         elements.extend(level)
         lengths.extend([depth] * len(level))
     return elements, lengths

@@ -365,7 +365,7 @@ class NormalPiece(Record):
     group: the order class and, for a Seifert piece, its Seifert group."""
 
     piece: PrimePiece
-    suffix: str  # appended to the piece's generator names in the carrier
+    suffix: str  # appended to the piece's generator names in a free-product carrier
     order_class: object  # 1, 2, or "3+"
     seifert: Optional[SeifertGroupResult]  # unsuffixed
 
@@ -386,7 +386,6 @@ def normalize(m: ManifoldDescriptor) -> Normalization:
     """The Poincare variety of m, each piece with its order class and, for a
     Seifert piece, its Seifert group, each computed once."""
     pieces = poincare_variety(m).pieces
-    multi = len(pieces) > 1
     normal = []
     for i, piece in enumerate(pieces):
         sg = seifert_group(piece.invariants) if isinstance(piece, SeifertPiece) else None
@@ -398,7 +397,7 @@ def normalize(m: ManifoldDescriptor) -> Normalization:
             order_class = piece.pi1_order
         else:
             order_class = "3+"
-        normal.append(NormalPiece(piece, f"_{i}" if multi else "", order_class, sg))
+        normal.append(NormalPiece(piece, f"_{i}", order_class, sg))
     return Normalization(
         tuple(normal), sum(isinstance(p, HomotopySpherePiece) for p in m.pieces)
     )
@@ -411,10 +410,10 @@ _CARRIER_NOTES = {
 }
 
 
-def _piece_carrier(p: NormalPiece) -> Optional[StructuredGroup]:
+def _piece_carrier(p: NormalPiece, suffix: str) -> Optional[StructuredGroup]:
     """The piece's group as an enumerable realization whose generator names
-    carry the piece's suffix, or None outside the computable family."""
-    piece, suffix = p.piece, p.suffix
+    carry suffix, or None outside the computable family."""
+    piece = p.piece
     if p.seifert is not None:
         if not suffix:
             return p.seifert.realization
@@ -430,12 +429,14 @@ def _piece_carrier(p: NormalPiece) -> Optional[StructuredGroup]:
 
 def _carrier(kept: list[NormalPiece]) -> tuple[StructuredGroup, str]:
     """The free product of the nontrivial piece groups as an enumerable
-    carrier, with a short provenance note."""
+    carrier, with a short provenance note.  Only a free product of two or
+    more pieces suffixes their generator names, so a lone piece's carrier
+    names its generators as the decision does."""
     if not kept:
         return FiniteCyclic(1, "u"), "trivial group (all pieces simply connected)"
     groups = []
     for p in kept:
-        group = _piece_carrier(p)
+        group = _piece_carrier(p, p.suffix if len(kept) > 1 else "")
         if group is None:
             raise GroupUsageError(
                 f"piece {type(p.piece).__name__} has no enumerable realization"
@@ -461,7 +462,6 @@ def _multi_piece_verdict(kept: list[NormalPiece]) -> Verdict:
             witness = Witness(
                 description=f"translation {element!r} of the infinite dihedral group",
                 element=element,
-                kind="element",
             )
         return not_icc(
             witness,
@@ -496,7 +496,6 @@ def _seifert_piece_verdict(sg: SeifertGroupResult, orientable_manifold: bool) ->
             description=f"fiber class {sg.fiber_name} = {sg.fiber_element!r} "
             f"(conjugacy class within {closure})",
             element=sg.fiber_element,
-            kind="element",
         )
     else:
         witness = Witness(
@@ -637,7 +636,6 @@ def _decide_manifold(m: ManifoldDescriptor, normal: Optional[Normalization] = No
             Witness(
                 description=f"generator {generator!r} of the infinite cyclic group",
                 element=generator,
-                kind="element",
             ),
             Citation("Abelian infinite", "the group of the sphere bundle is Z"),
         )
@@ -687,7 +685,6 @@ def decide_icc_knot(knot: KnotDescriptor) -> Verdict:
                 Witness(
                     description="meridian generator x of the unknot group Z",
                     element=group.element(1),
-                    kind="element",
                 ),
                 Citation("Cor 20", "the unknot is the (1, q) torus knot"),
                 Citation("Knot group infinite"),
@@ -697,7 +694,6 @@ def decide_icc_knot(knot: KnotDescriptor) -> Verdict:
             Witness(
                 description=f"central element x^{p} (= y^{q} = h) of the torus knot group",
                 element=group.fiber(),
-                kind="element",
             ),
             Citation("Cor 20", f"the ({p}, {q}) torus knot complement is Seifert"),
             Citation("Knot group infinite"),

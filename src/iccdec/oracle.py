@@ -17,7 +17,7 @@ from .groups.base import (
     GroupUsageError,
     Record,
     StructuredGroup,
-    ball_level,
+    ball_levels,
     ball_with_lengths,
     commutes_with_generators,
     generator_steps,
@@ -202,9 +202,9 @@ def strong_icc_witness(
     reached = [set() for _ in targets]  # conjugates by every scanned element
     gammas: list[GroupElement] = []
     used_radius = 0
-    for depth in range(search_radius + 1):
+    for depth, level in zip(range(search_radius + 1), ball_levels(group)):
         sizes = [len(r) for r in reached]
-        for w in ball_level(group, depth):
+        for w in level:
             p = w.payload
             p_inv = inv(p)
             conjugates = [mul(mul(p, f), p_inv) for f in payloads]

@@ -264,7 +264,6 @@ def icc_torus_bundle(phi) -> Verdict:
             Witness(
                 description=f"lattice eigenvector {element!r} with conjugacy class {size}",
                 element=element,
-                kind="element",
             ),
             Citation("Lemma 10", "parabolic monodromy, the bundle is Seifert"),
             Citation("Prop 2", "a Seifert group has a finite nontrivial conjugacy class"),
@@ -402,7 +401,6 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Witness(
                 description=f"generator {group.gen_name}",
                 element=group.element(1),
-                kind="element",
             ),
             Citation("Abelian infinite"),
         )
@@ -416,16 +414,14 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             inner = decide_structured_group(group.factors[side])
             witness = inner.witness
             if witness is not None and witness.kind == "element":
-                witness = Witness(witness.description, group.embed(side, witness.element), "element")
+                witness = Witness(witness.description, group.embed(side, witness.element))
             return Verdict(inner.status, inner.reasons, witness)
         last = sides[-1]
         verdict = icc_free_product(INFINITE if len(sides) > 2 else orders[sides[0]], orders[last])
         if verdict.status is Status.NOT_ICC:
             right = group.embed(last, group.factors[last].generators()[0][1])
             element = multiply(group.generators()[0][1], right)  # left factor's first generator
-            witness = Witness(
-                f"translation {element!r} (conjugacy class of size 2)", element, "element"
-            )
+            witness = Witness(f"translation {element!r} (conjugacy class of size 2)", element)
             return Verdict(verdict.status, verdict.reasons, witness)
         return verdict
     if construction == "Amalgam":
@@ -436,9 +432,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
     if construction == "SemidirectZnByZ":
         element = _semidirect_finite_orbit_witness(group)
         if element is not None:
-            witness = Witness(
-                f"lattice vector {element!r} with finite monodromy orbit", element, "element"
-            )
+            witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
             if group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1:
                 kind = classify_monodromy(group.phi)
                 detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
@@ -465,7 +459,7 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             # h has no normal form to write its identity in; it is 1
             witness = Witness(f"finite-factor element (1, {group.f.names[1]})")
         else:
-            witness = Witness(f"finite-factor element {element!r}", element, "element")
+            witness = Witness(f"finite-factor element {element!r}", element)
         return not_icc(
             witness, Citation("Finite direct factor", f"finite factor of order {group.f.size}")
         )
@@ -487,7 +481,6 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
                     Witness(
                         description=f"{verdict.witness.description}: {element!r}",
                         element=element,
-                        kind="element",
                     ),
                 )
         return verdict
@@ -498,7 +491,6 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
             Witness(
                 description=f"fiber generator h (conjugacy class within {closure})",
                 element=fiber,
-                kind="element",
             ),
             Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
             Citation("Prop 2"),

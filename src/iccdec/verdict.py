@@ -40,16 +40,16 @@ class Witness(Record):
 
     description: str
     element: Optional[GroupElement] = None
-    kind: str = "symbolic"
+    finite: bool = False
 
-    def __post_init__(self):
-        if self.kind not in ("element", "symbolic", "finite"):
-            raise GroupUsageError(f"unknown witness kind {self.kind!r}")
-        if self.kind == "element" and self.element is None:
-            raise GroupUsageError("an element witness must carry an element")
+    @property
+    def kind(self) -> str:
+        if self.element is not None:
+            return "element"
+        return "finite" if self.finite else "symbolic"
 
 
-FINITE_GROUP_WITNESS = Witness(description="group is finite", kind="finite")
+FINITE_GROUP_WITNESS = Witness(description="group is finite", finite=True)
 
 
 class Verdict(Record):

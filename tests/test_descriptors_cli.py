@@ -1,6 +1,7 @@
 """Descriptor files and the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -407,6 +408,19 @@ def test_non_utf8_file_is_a_descriptor_error_at_the_path(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{}")
     message = f"{path}: not UTF-8 text: invalid start byte at byte 0"
+    with pytest.raises(DescriptorError) as err:
+        load_descriptor(str(path))
+    assert err.value.path == str(path)
+    assert str(err.value) == message
+    assert main(["decide", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_overlong_integer_is_a_descriptor_error_at_the_path(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text('{"schema_version": 1, "components": ' + "9" * (limit + 1) + "}")
+    message = f"{path}: invalid JSON: an integer has more than {limit} digits"
     with pytest.raises(DescriptorError) as err:
         load_descriptor(str(path))
     assert err.value.path == str(path)

@@ -37,7 +37,7 @@ from iccdec.groups import (
     reduce_word,
     render_word,
 )
-from iccdec.groups.base import KEY_MEMO_ENTRIES, ball_level
+from iccdec.groups.base import KEY_MEMO_ENTRIES, ball_levels
 from iccdec.groups.semidirect import CACHED_POWERS, mat_inverse_unimodular, mat_mul
 from iccdec.manifolds import (
     HomotopySpherePiece,
@@ -210,32 +210,40 @@ def test_concurrent_enumeration_consistent():
     assert all(r == results[0] for r in results)
 
 
-def test_ball_lock_is_per_group():
-    # a thread that holds one group's ball lock does not stall an
-    # enumeration of another group
-    import threading
+def test_ball_levels_end_after_the_last_nonempty_level():
+    levels = [[e.payload for e in level] for level in ball_levels(FiniteCyclic(5))]
+    assert levels == [[0], [1, 4], [2, 3]]
+    lengths = [len(level) for _, level in zip(range(4), ball_levels(free_group(["x"])))]
+    assert lengths == [1, 2, 2, 2]
 
-    held_group = free_group(["x", "y"])
-    group = FreeProduct(FiniteCyclic(3, "p"), FiniteCyclic(4, "q"))
-    lock, _ = held_group._ball
-    held, release = threading.Event(), threading.Event()
 
-    def hold():
-        with lock:
-            held.set()
-            release.wait(30)
+def _count_calls(group, name):
+    """Record the calls to one method of this group instance."""
+    calls = []
+    method = getattr(group, name)
+    setattr(group, name, lambda *args: calls.append(args) or method(*args))
+    return calls
 
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert held.wait(30)
-        worker = threading.Thread(target=ball_level, args=(group, 3), daemon=True)
-        worker.start()
-        worker.join(10)
-        assert not worker.is_alive()
-    finally:
-        release.set()
-        holder.join()
+
+def test_ball_builds_no_level_past_the_radius():
+    # level 0 costs 4 products (x, x^-1, y, y^-1) and level 1 costs 16;
+    # level 2 is the last one read, so it is never expanded
+    group = free_group(["x", "y"])
+    products = _count_calls(group, "multiply_payloads")
+    elements, lengths = ball_with_lengths(group, 2)
+    assert (len(elements), lengths[-1]) == (17, 2)
+    assert len(products) == 20
+
+
+def test_witness_search_reads_the_generators_once():
+    from iccdec.oracle import strong_icc_witness
+
+    group = free_group(["x", "y"])
+    x = group.generator_element("x")
+    reads = _count_calls(group, "generator_payloads")
+    result = strong_icc_witness(group, [x], 60, 3)
+    assert result.used_radius == 3  # the search ran through four levels
+    assert len(reads) == 1
 
 
 def test_ball_cache_dies_with_its_group():
@@ -631,7 +639,7 @@ def test_records_compare_by_type_and_fields():
 def test_records_take_keywords_and_defaults():
     assert Citation("Prop 3(i)").detail == ""
     assert Citation(detail="x", label="Prop 3(i)") == Citation("Prop 3(i)", "x")
-    witness = Witness("group is finite", kind="finite")
+    witness = Witness("group is finite", finite=True)
     assert (witness.element, witness.kind) == (None, "finite")
     assert SeifertInvariants(0, True, 1).exceptional_fibers == ()
     with pytest.raises(TypeError):

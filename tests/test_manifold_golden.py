@@ -488,14 +488,14 @@ GOLDEN = {
     ),
     "nonor:s3+sb": (
         "1",
-        "e21dc9f2ef5f9fd221381d700a77777f530260a855f03b6be1912d9ce3ed35c4",
-        "f75e83c5b6a98b709d74f656992456d5f773b1299d95cb65c3a8a8538bdffb4c",
+        "193fad51a3b348a369e585a588092ffa321ea1ba21bcc858ef99254b4bf9bdc4",
+        "1620a50fb2db49668f6b04027bcd412780972cc3e0387695f50ac60eee6162b3",
         "83945a3960dbfef18dfcd1c1daedc70c63724dbc5e8623b666839e9fc9e76618",
     ),
     "nonor:s3+sb+hs": (
         "1",
-        "e21dc9f2ef5f9fd221381d700a77777f530260a855f03b6be1912d9ce3ed35c4",
-        "89f1efa755dbe110c8b4710802a18c9ad90bf16db3d1cbb369ca88046de3bfa0",
+        "193fad51a3b348a369e585a588092ffa321ea1ba21bcc858ef99254b4bf9bdc4",
+        "473373e042b6e91be06a59e431052e6fecb4247341763e0103d341b35b1a53fd",
         "83945a3960dbfef18dfcd1c1daedc70c63724dbc5e8623b666839e9fc9e76618",
     ),
     "nonor:s3+tb_parabolic": (
@@ -1003,10 +1003,10 @@ GOLDEN = {
         "468359f1d5ec8eb430cee2b5f7c4fc9827c4fc1e5c590de60a902eb335295591",
     ),
     "or:s3+lens3": (
-        "h_1",
+        "h",
         "b717567308bb1db3ac6702081e7871fe495245c1edea158f8c0e24bb62096eef",
         "92bda3093195568f99e62d8e529d8ddd58760a8927ea1191bbc085ae76db2d30",
-        "872f1d56c2a3aa59c3017b3724b8c77e2eba64fbc27e0bd9cc3e4414682b14e3",
+        "f7cefc09ac32bbe25d8acc3c4dfcf358773538c6352a9115025d8f7bde5f8a83",
     ),
     "or:s3+o2_std": (
         "1",
@@ -1015,10 +1015,10 @@ GOLDEN = {
         "def0e3114863111a034e6ff71988c6aad7a356e8adcccaafce50b411db67feae",
     ),
     "or:s3+rp3": (
-        "h_1",
+        "h",
         "b717567308bb1db3ac6702081e7871fe495245c1edea158f8c0e24bb62096eef",
         "70e228bec65bf2e2faa63c0c99087c6d0ee22f57ec3abe0867d528b3a6baaf1a",
-        "2ba35aebf1233da8f030fc6164f4fb537daef7710226c0e8d9f0a6247e56f829",
+        "696bfbacdab0249afbaac2218666118671c14d456d164d35ad10881ec0c3c56b",
     ),
     "or:s3+rp3+rp3": (
         "h_1",
@@ -1033,28 +1033,28 @@ GOLDEN = {
         "3251aaf40c5856526cd89f1e21af7817155a10e9009b54ea139473f810727df9",
     ),
     "or:s3+sb": (
-        "t_1",
-        "e21dc9f2ef5f9fd221381d700a77777f530260a855f03b6be1912d9ce3ed35c4",
-        "ea2ecabc8fc7ae856bc4597fbaf52500cadc333d46370b8deebce3335e8b6ea1",
-        "17d161e586fdb6074e33b0e0ebee8f69c577684ea9695d2dcf63acda0c841dd9",
+        "t",
+        "193fad51a3b348a369e585a588092ffa321ea1ba21bcc858ef99254b4bf9bdc4",
+        "3970de75d00c424d853bffe6b997e7763d0d7a1b444b785fc24eb8ff622bcb4f",
+        "9ae6ca8e16150791bb1a0e2efbd950b4c127275ac325e42958d09a657bd0897e",
     ),
     "or:s3+sb+hs": (
-        "t_1",
-        "e21dc9f2ef5f9fd221381d700a77777f530260a855f03b6be1912d9ce3ed35c4",
-        "125c0d98c745e696b5049538962406dc87500d47bd8f9d88a96f08dc80597f39",
-        "17d161e586fdb6074e33b0e0ebee8f69c577684ea9695d2dcf63acda0c841dd9",
+        "t",
+        "193fad51a3b348a369e585a588092ffa321ea1ba21bcc858ef99254b4bf9bdc4",
+        "36c41ec920335e68fdb3c3ecae502630335bfdf81a912e1b47faf2477f69160b",
+        "9ae6ca8e16150791bb1a0e2efbd950b4c127275ac325e42958d09a657bd0897e",
     ),
     "or:s3+tb_parabolic": (
-        "e1_1",
+        "e1",
         "a0a4ce13b7e2a65fc3b1f6bc1b628c9760c927e8a27b646e7a2be6b02ff07c9c",
         "7202e8f4141510b4bee63c66a7f51925c89f03b7892b7ec291cb648a7f01b073",
-        "90582bcf0a8ea90a2abe1a585eb81c5b4e134b337be3fadcf9db2131a85b1f4b",
+        "a619b597a99a1670685af4eebabbbb6191a88de56edaefad0d731d31d2b85ef8",
     ),
     "or:s3+trefoil": (
-        "q1_1",
+        "q1",
         "3419ecfa1d24d7688e4f6f8c0392e2407879650c738bbd97660e3e226bf825fa",
         "6c9811547b44f6ceb1342bfc576a9c66975c147620afbba74c7c2ecd57e9de31",
-        "51c06e9e3f7ee95a3e16961aee1e147342a5a6fbb6dd06f4c3adc3376b66c05d",
+        "12408b1a8e5e700478ba7ff1642d41430c19a085fc5bbecad73e3c0e5bfb0f29",
     ),
     "or:s3_fibers": (
         "1",

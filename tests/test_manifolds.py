@@ -185,6 +185,29 @@ def test_lens_group_z_prints_the_fiber_as_the_positive_power(tmp_path, capsys):
     assert "witness: fiber class h = c^3 (" in capsys.readouterr().out
 
 
+def test_enumerate_accepts_the_fiber_name_decide_prints(tmp_path, capsys):
+    # S^3 as Seifert data beside the trefoil complement: the S^3 piece is
+    # dropped, so the lone kept piece's carrier is not suffixed
+    s3 = {
+        "kind": "seifert", "base_genus": 0, "base_orientable": True, "boundary_components": 0,
+        "euler_obstruction": 1, "exceptional_fibers": [],
+    }
+    trefoil = {
+        "kind": "seifert", "base_genus": 0, "base_orientable": True, "boundary_components": 1,
+        "exceptional_fibers": [[2, 1], [3, 1]],
+    }
+    path = tmp_path / "s3_trefoil.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "type": "manifold", "orientable": True, "pieces": [s3, trefoil]}
+    ))
+    assert main(["decide", str(path), "--json"]) == 0
+    fiber = json.loads(capsys.readouterr().out)["witness"]["element"]
+    assert fiber == "h"
+    argv = ["enumerate", str(path), "--element", fiber, "--radius", "2", "--window", "1", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["counts_by_radius"] == [1, 1, 1]
+
+
 def test_finiteness_routing():
     poincare = seifert_group(SeifertInvariants(0, True, 0, ((2, 1), (3, 1), (5, 1)), -1))
     assert poincare.visibly_finite and not poincare.trivial
