@@ -265,37 +265,61 @@ def enumerate_ball(group: StructuredGroup, radius: int) -> list[GroupElement]:
     return elements
 
 
-def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any]]:
-    """The letters of a word of length one, as (payload, inverse payload)
-    pairs: the generators and their inverses, each inverse once and only
-    when it differs from its generator."""
-    steps = []
+def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any, int, int]]:
+    """The letters of a word of length one, each distinct payload once: the
+    generators and their inverses, as (payload, inverse payload, bit,
+    inverse bit).  The bit of step i is 1 << i, and the inverse bit is the
+    bit of the step whose payload is the inverse, so a search can mark on a
+    found element the step that leads back to where it was found from."""
+    letters: dict[Any, Any] = {}
     for _, payload in group.generator_payloads():
         inverse = group.invert_payload(payload)
-        steps.append((payload, inverse))
-        if inverse != payload:
-            steps.append((inverse, payload))
-    return steps
+        letters.setdefault(payload, inverse)
+        letters.setdefault(inverse, payload)
+    bits = {s: 1 << i for i, s in enumerate(letters)}
+    return [(s, s_inv, bits[s], bits[s_inv]) for s, s_inv in letters.items()]
 
 
-def ball_levels(group: StructuredGroup) -> Iterator[list[GroupElement]]:
-    """Level 0, 1, 2, ... of the ball: level r holds the elements of word
-    length r in payload-key order.  Ends after the last nonempty level of a
-    finite group.  Each search owns its generator; the group keeps nothing."""
+def ball_levels(group: StructuredGroup) -> Iterator[list]:
+    """Level 0, 1, 2, ... of the ball, as payloads: level r holds the
+    payloads of word length r in payload-key order.  Ends after the last
+    nonempty level of a finite group.  Each search owns its generator; the
+    group keeps nothing.
+
+    Each edge between found payloads is crossed once.  A found payload's
+    value in its level dict is a one-item list, so that marking it hashes
+    nothing more, holding a bit mask of its steps that lead to a found
+    payload: when g * s reaches x, found before or just now, x marks the
+    step s^-1, because x * s^-1 = g, and x never takes a marked step.  A
+    skipped step only lands on a found payload, so every level is the same
+    set as without skipping, and it is sorted the same.  The steps are
+    closed under inverses, so a neighbour of level r lies in level r - 1, r
+    or r + 1, and each step from level r back to level r - 1 is marked by
+    the time level r is expanded: the level r - 1 end of that edge was
+    expanded first, while its marks came only from payloads expanded before
+    it, none of them in level r, so it crossed the edge and marked the level
+    r end.  The dict of level r and the one being built are therefore the
+    only lookups.
+    """
     mul = group.multiply_payloads
-    steps = [s for s, _ in generator_steps(group)]
-    older, newer, level = set(), set(), [group.identity_payload()]
-    while level:
-        yield [GroupElement(group, p) for p in level]
-        # the steps are closed under inverses, so a neighbour of level r lies
-        # in level r - 1, r or r + 1: only the two previous levels are looked up
-        older, newer, fresh = newer, set(level), {}
+    steps = generator_steps(group)
+    current = {group.identity_payload(): [0]}
+    while current:
+        level = sorted(current, key=group.payload_key)
+        yield level
+        fresh = {}
         for g in level:
-            for s in steps:
+            skip = current[g][0]
+            for s, _, bit, back in steps:
+                if skip & bit:
+                    continue
                 x = mul(g, s)
-                if x not in newer and x not in older:
-                    fresh[x] = None
-        level = sorted(fresh, key=group.payload_key)
+                marks = current.get(x) or fresh.get(x)
+                if marks is None:
+                    fresh[x] = [back]
+                else:
+                    marks[0] |= back
+        current = fresh
 
 
 def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:
@@ -305,7 +329,7 @@ def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupEl
     elements: list[GroupElement] = []
     lengths: list[int] = []
     for depth, level in zip(range(radius + 1), ball_levels(group)):
-        elements.extend(level)
+        elements.extend(GroupElement(group, p) for p in level)
         lengths.extend([depth] * len(level))
     return elements, lengths
 

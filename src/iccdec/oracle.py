@@ -5,6 +5,10 @@ commutes with every designated generator, that is an exact proof that its
 conjugacy class is the singleton {g} (generators generate).  Class-ball
 counts are lower bounds for the true class sizes, because conjugates are
 distinct canonical forms.
+
+A search radius is at most MAX_SEARCH_RADIUS, checked before any work: a
+class ball lists one count per radius, so a larger radius costs memory even
+when the orbit has closed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ from .groups.base import (
     commutes_with_generators,
     generator_steps,
 )
+
+MAX_SEARCH_RADIUS = 10_000
+
+
+def _check_radius(radius: int) -> None:
+    if radius > MAX_SEARCH_RADIUS:
+        raise GroupUsageError(f"a search radius is at most {MAX_SEARCH_RADIUS}, not {radius}")
 
 
 class ClassBallReport(Record):
@@ -46,21 +57,35 @@ def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
     reached at r, so level r+1 is built from level r alone and an empty
     level ends the orbit.  Returns the nonempty levels among 0..depth.
 
+    Each edge between found conjugates is crossed once.  The value of a
+    conjugate in `seen` is a one-item list, so that marking it hashes
+    nothing more, holding a bit mask of its steps that lead to a found
+    conjugate: when s c s^-1 reaches x, found before or just now, x marks
+    the step s^-1, because s^-1 x s = c, and x never takes a marked step.
+    A skipped step only lands on a found conjugate, so every level is the
+    same set, found in the same order, as without skipping.
+
     The one orbit search: conjugacy_class_ball sorts the levels it returns,
     and fc_center_candidates only counts them.
     """
     mul = group.multiply_payloads
     steps = generator_steps(group)
     levels = [[g]]
-    seen = {g}
+    seen = {g: [0]}
     while len(levels) <= depth:
         fresh = []
         for c in levels[-1]:
-            for s, s_inv in steps:
+            skip = seen[c][0]
+            for s, s_inv, bit, back in steps:
+                if skip & bit:
+                    continue
                 x = mul(mul(s, c), s_inv)
-                if x not in seen:
-                    seen.add(x)
+                marks = seen.get(x)
+                if marks is None:
+                    seen[x] = [back]
                     fresh.append(x)
+                else:
+                    marks[0] |= back
         if not fresh:
             break
         levels.append(fresh)
@@ -85,6 +110,7 @@ def conjugacy_class_ball(
         raise GroupUsageError("element does not belong to the given group")
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
+    _check_radius(radius)
     key = g.group.payload_key
     levels = [sorted(level, key=key) for level in _class_levels(g.group, g.payload, radius)]
     sizes = [len(level) for level in levels] + [0] * (radius + 1 - len(levels))
@@ -119,6 +145,7 @@ def fc_center_candidates(
     """
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
+    _check_radius(radius)
     depth = radius - window + 1
     inv = group.invert_payload
     candidates, _ = ball_with_lengths(group, radius - window)
@@ -188,6 +215,7 @@ def strong_icc_witness(
         raise GroupUsageError("sequence length k must be >= 1")
     if search_radius < 0:
         raise GroupUsageError("search radius must be >= 0")
+    _check_radius(search_radius)
     if not targets:
         raise GroupUsageError("the target set must be nonempty")
     for f in targets:
@@ -204,15 +232,14 @@ def strong_icc_witness(
     used_radius = 0
     for depth, level in zip(range(search_radius + 1), ball_levels(group)):
         sizes = [len(r) for r in reached]
-        for w in level:
-            p = w.payload
+        for p in level:
             p_inv = inv(p)
             conjugates = [mul(mul(p, f), p_inv) for f in payloads]
             for c, r in zip(conjugates, reached):
                 r.add(c)
             if any(c in taken for c, taken in zip(conjugates, kept)):
                 continue
-            gammas.append(w)
+            gammas.append(GroupElement(group, p))
             used_radius = depth
             for c, taken in zip(conjugates, kept):
                 taken.add(c)

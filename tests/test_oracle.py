@@ -14,7 +14,8 @@ from iccdec.groups import (
     cyclic_table,
     enumerate_ball,
 )
-from iccdec.cli import _decide
+from iccdec.cli import _decide, main
+from iccdec.groups.base import ball_levels
 from iccdec.descriptors import parse_word
 from iccdec import oracle
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates, strong_icc_witness
@@ -51,6 +52,104 @@ def _enumerable_corpus(manifest, corpus_dir):
                 words.append(witness.element)
         out.append((name, group, words))
     return out
+
+
+def _naive_steps(group):
+    """Every generator payload and its inverse, repeats kept."""
+    steps = []
+    for _, p in group.generator_payloads():
+        steps += [p, group.invert_payload(p)]
+    return steps
+
+
+def _naive_levels(start, neighbours, depth):
+    """Breadth-first levels 0..depth from start: every neighbour of every
+    element of a level, one seen set, no step skipped.  Empty levels kept."""
+    levels, seen = [[start]], {start}
+    while len(levels) <= depth:
+        fresh = []
+        for c in levels[-1]:
+            for x in neighbours(c):
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
+        levels.append(fresh)
+    return levels
+
+
+def _naive_ball(group, radius):
+    mul, steps = group.multiply_payloads, _naive_steps(group)
+    levels = _naive_levels(group.identity_payload(), lambda g: [mul(g, s) for s in steps], radius)
+    return [sorted(level, key=group.payload_key) for level in levels]
+
+
+def _naive_orbit(group, g, depth):
+    mul, inv, steps = group.multiply_payloads, group.invert_payload, _naive_steps(group)
+    return _naive_levels(g, lambda c: [mul(mul(s, c), inv(s)) for s in steps], depth)
+
+
+def _count_products(monkeypatch, group):
+    calls = []
+    mul = group.multiply_payloads
+    monkeypatch.setattr(group, "multiply_payloads", lambda a, b: calls.append(1) or mul(a, b))
+    return calls
+
+
+def test_ball_levels_match_the_naive_search_on_the_corpus(manifest, corpus_dir):
+    for name, _, group in enumerable_corpus_groups(manifest, corpus_dir):
+        levels = [level for _, level in zip(range(5), ball_levels(group))]
+        expected = [level for level in _naive_ball(group, 4) if level]
+        assert levels == expected, name
+
+
+def test_class_levels_match_the_naive_search_on_the_corpus(manifest, corpus_dir):
+    for name, _, group in enumerable_corpus_groups(manifest, corpus_dir):
+        gens = [p for _, p in group.generator_payloads()]
+        for g in gens + [group.multiply_payloads(gens[0], gens[-1])]:
+            levels = [set(level) for level in oracle._class_levels(group, g, 5)]
+            expected = [set(level) for level in _naive_orbit(group, g, 5)]
+            assert levels == expected[: len(levels)], (name, g)
+            assert not any(expected[len(levels):]), (name, g)
+
+
+def test_orbit_search_skips_each_step_back(monkeypatch, f2):
+    # levels of sizes 1, 3, 8, 24: the naive search pays 4 conjugations for
+    # each of the 12 expanded conjugates (96 products); the step back along
+    # the edge a conjugate was found by is skipped, 36 conjugations in all
+    xy = f2.reduce_letters([("x", 1), ("y", 1)]).payload
+    products = _count_products(monkeypatch, f2)
+    levels = oracle._class_levels(f2, xy, 3)
+    assert [len(level) for level in levels] == [1, 3, 8, 24]
+    assert len(products) == 72
+
+
+def test_ball_search_skips_each_step_back(monkeypatch, corpus_dir):
+    # 1 + 4 + 8 + 12 + 16 = 41 elements; the naive search pays 4 products for
+    # each of the 25 elements of levels 0 to 3 (100)
+    group = load_corpus_descriptor(corpus_dir, "group_z2_lattice.json").group
+    products = _count_products(monkeypatch, group)
+    elements = enumerate_ball(group, 4)
+    assert len(elements) == 41
+    assert len(products) == 64
+
+
+@pytest.mark.parametrize(
+    "command, search",
+    [
+        (["enumerate", "--element", "e1", "--window", "1"], "_class_levels"),
+        (["witness", "--set", "e1"], "ball_levels"),
+    ],
+)
+def test_search_radius_is_bounded_before_any_work(monkeypatch, capsys, corpus_dir, command, search):
+    def refused(*args):
+        raise AssertionError("searched past the radius bound")
+
+    monkeypatch.setattr(oracle, search, refused)
+    path = str(corpus_dir / "group_z2_lattice.json")
+    for radius in (oracle.MAX_SEARCH_RADIUS + 1, 10**9):
+        assert main([command[0], path, *command[1:], "--radius", str(radius)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a search radius is at most {oracle.MAX_SEARCH_RADIUS}, not {radius}\n"
 
 
 # ---------------------------------------------------------------------------
