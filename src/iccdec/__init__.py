@@ -64,6 +64,7 @@ _EXPORTS = {
     ),
     "eisenstein": ("EisensteinInt", "MatrixGroupSL2Eisenstein", "figure8_group"),
     "groups": (),
+    "constructions": (),  # the parser of group descriptors, read by iccdec.descriptors
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names] + ["groups"]

@@ -101,14 +101,17 @@ class GroupElement:
             raise GroupUsageError("exponent must be an integer")
         if n < 0:
             return invert(self) ** (-n)
-        result = self.group.identity()
+        # square-and-multiply, with no product by the identity and no
+        # squaring after the last bit
+        result = None
         base = self
         while n:
             if n & 1:
-                result = multiply(result, base)
-            base = multiply(base, base)
+                result = base if result is None else multiply(result, base)
             n >>= 1
-        return result
+            if n:
+                base = multiply(base, base)
+        return self.group.identity() if result is None else result
 
     def is_identity(self) -> bool:
         return self.payload == self.group.identity_payload()
@@ -200,14 +203,15 @@ class StructuredGroup(ABC):
     def reduce_letters(self, letters: Iterable[Letter]) -> GroupElement:
         """Evaluate a sequence of (generator name, exponent) pairs."""
         table = dict(self.generators())
-        acc = self.identity()
+        acc = None
         for name, exp in letters:
             if name not in table:
                 raise GroupUsageError(
                     f"unknown generator {name!r}; this group has {sorted(table)}"
                 )
-            acc = multiply(acc, table[name] ** exp)
-        return acc
+            power = table[name] ** exp
+            acc = power if acc is None else multiply(acc, power)
+        return self.identity() if acc is None else acc
 
     def __repr__(self):
         return self.describe()

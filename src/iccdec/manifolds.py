@@ -17,13 +17,11 @@ from typing import Optional, Union
 
 import iccdec
 
+from . import groups
 from .groups.base import (
     INFINITE, GroupElement, GroupUsageError, Letter, Record, StructuredGroup, multiply,
 )
 from .groups.cyclic import FiniteCyclic, InfiniteCyclic
-from .groups.fiber_extension import FiberExtension, FreePart, TorsionPart
-from .groups.free_product import FreeProduct
-from .groups.semidirect import SemidirectZnByZ, mat_det as int_mat_det
 from .verdict import (
     FINITE_GROUP_WITNESS,
     Citation,
@@ -84,7 +82,7 @@ class TorusBundlePiece(Record):
         matrix = tuple(tuple(int(x) for x in row) for row in self.monodromy)
         if len(matrix) != 2 or any(len(r) != 2 for r in matrix):
             raise GroupUsageError("monodromy must be a 2x2 integer matrix")
-        if int_mat_det(matrix) not in (1, -1):
+        if groups.semidirect.mat_det(matrix) not in (1, -1):
             raise GroupUsageError("monodromy must have determinant +1 or -1")
         object.__setattr__(self, "monodromy", matrix)
 
@@ -303,11 +301,13 @@ def _seifert_realization(
     n = len(fibers)
     if not inv.closed:
         base, fiber_gens = generators
-        parts: list = [FreePart(name, sign) for name, sign in base]
+        extension = groups.fiber_extension
+        parts: list = [extension.FreePart(name, sign) for name, sign in base]
         parts += [
-            TorsionPart(name, alpha, -beta) for name, (alpha, beta) in zip(fiber_gens, fibers)
+            extension.TorsionPart(name, alpha, -beta)
+            for name, (alpha, beta) in zip(fiber_gens, fibers)
         ]
-        realization: StructuredGroup = FiberExtension(parts, fiber_name=fiber_name)
+        realization: StructuredGroup = extension.FiberExtension(parts, fiber_name=fiber_name)
         return "exact", INFINITE, realization, realization.fiber()
     b = inv.euler_obstruction
     if inv.base_orientable and inv.base_genus == 0:
@@ -327,7 +327,7 @@ def _seifert_realization(
         # central extension of Z^2: Z^3 when b = 0, integral Heisenberg-type
         # otherwise; carried by Z^2 x| Z with basis (b1, h) and letter a1
         phi = ((1, 0), (-b, 1))
-        realization = SemidirectZnByZ(
+        realization = groups.semidirect.SemidirectZnByZ(
             2, phi, exponent_name=f"a1{suffix}", basis_names=(f"b1{suffix}", fiber_name)
         )
         return "exact", INFINITE, realization, realization.element(((0, 1), 0))
@@ -335,7 +335,9 @@ def _seifert_realization(
         if b != 0:
             return "finite_ge_3", INFINITE, None, None  # dicyclic of order 4|b|
         # infinite dihedral: reflections r1, r2 with a1 = r1, h = r1 r2
-        realization = FreeProduct(FiniteCyclic(2, f"r1{suffix}"), FiniteCyclic(2, f"r2{suffix}"))
+        realization = groups.free_product.FreeProduct(
+            FiniteCyclic(2, f"r1{suffix}"), FiniteCyclic(2, f"r2{suffix}")
+        )
         fiber = realization.reduce_letters([(f"r1{suffix}", 1), (f"r2{suffix}", 1)])
         return "exact", INFINITE, realization, fiber
     elif not inv.base_orientable and inv.base_genus == 1 and n == 1:
@@ -419,9 +421,11 @@ def _piece_carrier(p: NormalPiece, suffix: str) -> Optional[StructuredGroup]:
             return p.seifert.realization
         inv = piece.invariants
         return _seifert_realization(inv, suffix, _seifert_generators(inv, suffix))[2]
-    if isinstance(piece, TorusBundlePiece) and int_mat_det(piece.monodromy) == 1:
-        return SemidirectZnByZ(2, piece.monodromy, exponent_name="t" + suffix,
-                               basis_names=(f"e1{suffix}", f"e2{suffix}"))
+    if isinstance(piece, TorusBundlePiece) and groups.semidirect.mat_det(piece.monodromy) == 1:
+        return groups.semidirect.SemidirectZnByZ(
+            2, piece.monodromy, exponent_name="t" + suffix,
+            basis_names=(f"e1{suffix}", f"e2{suffix}"),
+        )
     if isinstance(piece, SphereBundlePiece):
         return InfiniteCyclic("t" + suffix)
     return None
@@ -434,17 +438,17 @@ def _carrier(kept: list[NormalPiece]) -> tuple[StructuredGroup, str]:
     names its generators as the decision does."""
     if not kept:
         return FiniteCyclic(1, "u"), "trivial group (all pieces simply connected)"
-    groups = []
+    carriers = []
     for p in kept:
         group = _piece_carrier(p, p.suffix if len(kept) > 1 else "")
         if group is None:
             raise GroupUsageError(
                 f"piece {type(p.piece).__name__} has no enumerable realization"
             )
-        groups.append(group)
-    if len(groups) == 1:
-        return groups[0], _CARRIER_NOTES[type(kept[0].piece)]
-    return FreeProduct(*groups), f"free product of {len(kept)} piece groups"
+        carriers.append(group)
+    if len(carriers) == 1:
+        return carriers[0], _CARRIER_NOTES[type(kept[0].piece)]
+    return groups.free_product.FreeProduct(*carriers), f"free product of {len(kept)} piece groups"
 
 
 def _multi_piece_verdict(kept: list[NormalPiece]) -> Verdict:
@@ -612,7 +616,7 @@ def _decide_manifold(m: ManifoldDescriptor, normal: Optional[Normalization] = No
             Citation("Lemma 5", "the group is torsion-free with an ICC finite-index subgroup"),
         )
     if isinstance(piece, TorusBundlePiece):
-        if int_mat_det(piece.monodromy) == 1:
+        if groups.semidirect.mat_det(piece.monodromy) == 1:
             # only a torus bundle piece executes the group rules
             return iccdec.rules.icc_torus_bundle(piece.monodromy)
         if orientable:
@@ -670,8 +674,9 @@ def explain_manifold(m: ManifoldDescriptor) -> tuple[Verdict, Normalization]:
 
 def torus_knot_group(p: int, q: int) -> tuple[StructuredGroup, GroupElement]:
     """< x, y | x^p = y^q > with the central element x^p distinguished."""
-    group = FiberExtension(
-        [TorsionPart("x", p, 1), TorsionPart("y", q, 1)], fiber_name="h"
+    extension = groups.fiber_extension
+    group = extension.FiberExtension(
+        [extension.TorsionPart("x", p, 1), extension.TorsionPart("y", q, 1)], fiber_name="h"
     )
     return group, group.fiber()
 

@@ -23,7 +23,6 @@ from .groups.base import (
     StructuredGroup,
     ball_levels,
     ball_with_lengths,
-    commutes_with_generators,
     generator_steps,
 )
 
@@ -123,7 +122,9 @@ def conjugacy_class_ball(
         conjugates=tuple(GroupElement(g.group, c) for level in levels for c in level),
         counts_by_radius=counts_by_radius,
         stabilized=stabilized,
-        central_proven=commutes_with_generators(g),
+        # radius >= 1 builds orbit level 1, which is empty exactly when
+        # every generator and every inverse fixes g, that is when g is central
+        central_proven=len(levels) == 1,
     )
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from iccdec import cli, descriptors
+from iccdec import cli, constructions, descriptors
 from iccdec.cli import main
 from iccdec.descriptors import (
     MAX_CONSTRUCTIONS,
@@ -126,7 +126,7 @@ def test_schema_names_the_parsers_constructions_and_pieces():
     )
     definitions = schema["definitions"]
     construction_keys = set(definitions["construction"]["properties"]) - {"name"}
-    assert construction_keys == set(descriptors._CONSTRUCTIONS)
+    assert construction_keys == set(constructions._CONSTRUCTIONS)
     assert set(definitions["piece"]["properties"]["kind"]["enum"]) == set(descriptors._PIECES)
 
 
@@ -232,7 +232,7 @@ def test_construction_limit_rejects_before_building(monkeypatch, data, path):
     def build(*factors):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(descriptors, "FreeProduct", build)
+    monkeypatch.setattr("iccdec.groups.free_product.FreeProduct", build)
     with pytest.raises(DescriptorError) as err:
         parse_descriptor_data(data)
     assert err.value.path == path
@@ -278,7 +278,7 @@ def test_table_order_limit_rejects_before_reading_rows(
     def build(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(descriptors, "FiniteGroupTable", build)
+    monkeypatch.setattr(constructions, "FiniteGroupTable", build)
     rows = _cyclic_rows(order) if order == MAX_TABLE_ORDER + 1 else []
     file = tmp_path / "big_table.json"
     file.write_text(json.dumps(_group_with_table(kind, order, rows)))

@@ -142,6 +142,37 @@ def test_unknown_generator_rejected(dihedral):
         reduce_word(dihedral, [("zz", 1)])
 
 
+@pytest.mark.parametrize(
+    "word, products",
+    [
+        ([], 0),
+        ([("a", 0)], 0),
+        ([("a", 1), ("b", 1)], 1),  # the product of the two letters
+        ([("a", 8)], 3),  # three squarings
+        ([("a", 5), ("b", -3)], 6),  # a^5: 2 squarings + 1; b^-3: 1 + 1; then 1
+    ],
+)
+def test_reduce_letters_spends_no_product_on_the_identity(monkeypatch, word, products):
+    f2 = free_group(["a", "b"])
+    calls = []
+    mul = f2.multiply_payloads
+    monkeypatch.setattr(f2, "multiply_payloads", lambda x, y: calls.append(1) or mul(x, y))
+    element = f2.reduce_letters(word)
+    assert len(calls) == products
+    assert render_word(element) == [letter for letter in word if letter[1]]
+
+
+def test_power_matches_repeated_products(bs12, z2_star_z3):
+    for group in (bs12, z2_star_z3):
+        for _, g in group.generators():
+            g = multiply(g, group.generators()[-1][1])
+            expected = group.identity()
+            for n in range(10):
+                assert g**n == expected
+                assert g ** (-n) == invert(expected)
+                expected = multiply(expected, g)
+
+
 def test_reduce_render_fixpoint_spot_checks(bs12, z2_star_z3):
     rng = random.Random(5)
     for group in (bs12, z2_star_z3):

@@ -183,9 +183,38 @@ def test_matrix_decide_executes_no_other_construction(corpus_dir):
     # module of every construction class it tested first, 18 modules in all
     executed = _executed("decide", corpus_dir, "group_figure_eight_matrix.json")
     constructions = {name for name in executed if name.startswith("iccdec.groups.")}
-    assert constructions == {"iccdec.groups.base", "iccdec.groups.cyclic", "iccdec.groups.free_product"}
+    assert constructions == {"iccdec.groups.base", "iccdec.groups.cyclic"}
     assert "iccdec.eisenstein" in executed
     assert len(executed) < 18
+
+
+# the constructions a manifold, knot or link carrier may build, and the
+# parser of group descriptors
+_GROUP_BUILDING = {
+    "iccdec.groups.fiber_extension",
+    "iccdec.groups.semidirect",
+    "iccdec.groups.free_product",
+    "iccdec.constructions",
+}
+
+
+@pytest.mark.parametrize("command", ["decide", "explain"])
+@pytest.mark.parametrize(
+    "name",
+    ["link_hopf.json", "knot_figure_eight.json", "manifold_hyperbolic.json", "manifold_s2xs1.json"],
+)
+def test_a_call_that_builds_no_group_executes_no_construction(corpus_dir, command, name):
+    executed = _executed(command, corpus_dir, name)
+    assert "iccdec.manifolds" in executed
+    assert not executed & _GROUP_BUILDING
+
+
+@pytest.mark.parametrize("command", ["decide", "explain"])
+@pytest.mark.parametrize("name", ["group_torus_bundle_hyperbolic.json", "group_bs12.json"])
+def test_a_group_with_no_free_product_never_executes_it(corpus_dir, command, name):
+    executed = _executed(command, corpus_dir, name)
+    assert "iccdec.groups.free_product" not in executed
+    assert "iccdec.constructions" in executed
 
 
 @pytest.mark.parametrize("command", [["decide"], ["explain", "--json"]])

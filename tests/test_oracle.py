@@ -11,6 +11,7 @@ from iccdec.groups import (
     SemidirectZnByZ,
     TorsionPart,
     ball_with_lengths,
+    commutes_with_generators,
     cyclic_table,
     enumerate_ball,
 )
@@ -171,6 +172,22 @@ def test_trefoil_central_fiber_power():
     assert set(report.counts_by_radius) == {1}
     assert report.stabilized
     assert report.central_proven
+
+
+def test_central_proven_agrees_with_the_generator_test(manifest, corpus_dir):
+    # the radius 2 ball of each enumerable corpus group, and the element of
+    # its NotICC witness (a central fiber or a finite-class element)
+    central = 0
+    for name, descriptor, group in enumerable_corpus_groups(manifest, corpus_dir):
+        elements = enumerate_ball(group, 2)
+        witness = _decide(descriptor).witness
+        if witness is not None and witness.element is not None and witness.element.group == group:
+            elements.append(witness.element)
+        for g in elements:
+            report = conjugacy_class_ball(group, g, 1, 1)
+            assert report.central_proven == commutes_with_generators(g), (name, g)
+            central += report.central_proven and not g.is_identity()
+    assert central > 0
 
 
 def test_hyperbolic_lattice_vector_growth():
