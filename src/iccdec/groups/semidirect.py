@@ -148,7 +148,6 @@ class SemidirectZnByZ(StructuredGroup):
             raise GroupUsageError("phi must have determinant +1 or -1")
         self.rank = rank
         self.phi = matrix
-        self.phi_inv = mat_inverse_unimodular(matrix)
         self.exponent_name = exponent_name
         if basis_names is None:
             basis_names = tuple(f"e{i + 1}" for i in range(rank))
@@ -162,12 +161,21 @@ class SemidirectZnByZ(StructuredGroup):
     def signature(self):
         return ("semidirect_zn_by_z", self.rank, self.phi, self.exponent_name, self.basis_names)
 
+    @property
+    def phi_inv(self) -> Matrix:
+        return self.phi_power(-1)
+
     def phi_power(self, m: int) -> Matrix:
         """phi^m by repeated squaring (O(log |m|) products, no recursion),
-        cached for |m| <= CACHED_POWERS."""
+        cached for |m| <= CACHED_POWERS.  phi^-1 is computed on the first
+        negative power, and cached with them."""
         result = self._power_cache.get(m)
         if result is None:
-            step = self.phi if m > 0 else self.phi_inv
+            step = self.phi
+            if m < 0:
+                step = self._power_cache.get(-1)
+                if step is None:
+                    step = self._power_cache[-1] = mat_inverse_unimodular(self.phi)
             n = abs(m)
             while n:
                 if n & 1:

@@ -12,6 +12,7 @@ is not checked.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, prod
 from typing import Optional, Union
 
@@ -197,22 +198,38 @@ class Presentation(Record):
 class SeifertGroupResult(Record):
     """The fundamental group of a Seifert-fibered piece.
 
-    presentation: the emitted generators/relators with h the fiber class.
-    realization / fiber_element: an enumerable carrier and h inside it, when
-    the data lands in the computable family (None otherwise).
     order_kind: "exact" (order holds the value, INFINITE for infinite),
     "finite_ge_3" (finite, size not computed, at least 3), or
     "unknown_ge_3" (finiteness undetermined, order at least 3 either way).
+    The decision reads only these fields; the rest is built on first read:
+    presentation, the emitted generators/relators with h the fiber class,
+    and realization / fiber_element, an enumerable carrier and h inside it
+    when the data lands in the computable family (None otherwise).
     """
 
     invariants: SeifertInvariants
-    presentation: Presentation
     fiber_name: str
     fiber_central: bool
     order_kind: str
     order: float
-    realization: Optional[StructuredGroup]
-    fiber_element: Optional[GroupElement]
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        return _seifert_presentation(
+            self.invariants, *_seifert_generators(self.invariants, ""), self.fiber_name
+        )
+
+    @cached_property
+    def _realized(self) -> tuple[Optional[StructuredGroup], Optional[GroupElement]]:
+        return _seifert_realization(self.invariants, "")
+
+    @property
+    def realization(self) -> Optional[StructuredGroup]:
+        return self._realized[0]
+
+    @property
+    def fiber_element(self) -> Optional[GroupElement]:
+        return self._realized[1]
 
     @property
     def visibly_finite(self) -> bool:
@@ -271,36 +288,60 @@ def _seifert_presentation(
     return Presentation(tuple(names + fiber_gens + [h]), tuple(relators))
 
 
-def _lens_realization(
-    inv: SeifertInvariants, suffix: str
-) -> tuple[StructuredGroup, GroupElement, int]:
-    """Closed, orientable S^2 base, at most two exceptional fibers: the group
-    is cyclic.  Returns (group, fiber element, order) with 0 meaning Z.
+def _lens_order(inv: SeifertInvariants) -> Optional[tuple[int, int]]:
+    """(p, a1) when the base is a closed, orientable S^2 with at most two
+    exceptional fibers: the group is then Z/p, with 0 meaning Z, and the
+    fiber class is a1 times its generator.  None for other data.
 
     With missing fibers padded as (1, 0) in front, the relations on (q1, h)
     after q2 = -q1 - b h are the rows of R = [[a1, b1], [-a2, b2 - a2 b]].
     (q1, h) -> a1 h - b1 q1 maps Z^2 onto Z with kernel <(a1, b1)>, so the
     group is Z/|det R| and h -> a1 (Orlik, Seifert Manifolds, LNM 291).
     """
-    b = inv.euler_obstruction
     fibers = inv.exceptional_fibers
+    if not (inv.closed and inv.base_orientable and inv.base_genus == 0 and len(fibers) <= 2):
+        return None
+    b = inv.euler_obstruction
     (a1, b1), (a2, b2) = [(1, 0)] * (2 - len(fibers)) + list(fibers)
-    p = abs(a1 * (b2 - a2 * b) + a2 * b1)
-    name = ("c" if len(fibers) == 2 else "h") + suffix
-    group: StructuredGroup = FiniteCyclic(p, name) if p else InfiniteCyclic(name)
-    return group, group.element(a1 % p if p else a1), p
+    return abs(a1 * (b2 - a2 * b) + a2 * b1), a1
+
+
+def _seifert_order(inv: SeifertInvariants) -> tuple[str, float]:
+    """The order kind and order of a SeifertGroupResult."""
+    lens = _lens_order(inv)
+    if lens is not None:
+        return "exact", lens[0] or INFINITE
+    fibers = inv.exceptional_fibers
+    if inv.closed and inv.base_orientable and inv.base_genus == 0 and len(fibers) == 3:
+        # the orbifold Euler characteristic 2 - sum (alpha - 1) / alpha and
+        # the Euler number b - sum beta / alpha, times the alphas' product
+        scale = prod(alpha for alpha, _ in fibers)
+        chi = 2 * scale - sum((alpha - 1) * (scale // alpha) for alpha, _ in fibers)
+        b = inv.euler_obstruction
+        euler_number = b * scale - sum(beta * (scale // alpha) for alpha, beta in fibers)
+        if chi > 0 and euler_number != 0:
+            return "finite_ge_3", INFINITE
+    elif inv.closed and not inv.base_orientable and inv.base_genus == 1:
+        if not fibers and inv.euler_obstruction != 0:
+            return "finite_ge_3", INFINITE  # dicyclic of order 4|b|
+        if len(fibers) == 1:
+            # prism-type data: finite or infinite depending on the euler data,
+            # but of order >= 4 either way (the group surjects onto the base
+            # orbifold group, which has order 2*alpha)
+            return "unknown_ge_3", INFINITE
+    # infinite: chi <= 0, euler number 0 or more fibers on S^2, any other base
+    return "exact", INFINITE
 
 
 def _seifert_realization(
-    inv: SeifertInvariants, suffix: str, generators: tuple[list[tuple[str, int]], list[str]]
-) -> tuple[str, float, Optional[StructuredGroup], Optional[GroupElement]]:
-    """The order kind, order, realization and fiber element of a
-    SeifertGroupResult; generators is _seifert_generators(inv, suffix)."""
+    inv: SeifertInvariants, suffix: str
+) -> tuple[Optional[StructuredGroup], Optional[GroupElement]]:
+    """An enumerable carrier whose generator names carry suffix, and the
+    fiber class in it, or (None, None) outside the computable family."""
     fiber_name = "h" + suffix
     fibers = inv.exceptional_fibers
-    n = len(fibers)
     if not inv.closed:
-        base, fiber_gens = generators
+        base, fiber_gens = _seifert_generators(inv, suffix)
         extension = groups.fiber_extension
         parts: list = [extension.FreePart(name, sign) for name, sign in base]
         parts += [
@@ -308,54 +349,37 @@ def _seifert_realization(
             for name, (alpha, beta) in zip(fiber_gens, fibers)
         ]
         realization: StructuredGroup = extension.FiberExtension(parts, fiber_name=fiber_name)
-        return "exact", INFINITE, realization, realization.fiber()
+        return realization, realization.fiber()
+    lens = _lens_order(inv)
+    if lens is not None:
+        p, a1 = lens
+        name = ("c" if len(fibers) == 2 else "h") + suffix
+        group: StructuredGroup = FiniteCyclic(p, name) if p else InfiniteCyclic(name)
+        return group, group.element(a1 % p if p else a1)
+    if inv.base_genus != 1 or fibers:
+        return None, None
     b = inv.euler_obstruction
-    if inv.base_orientable and inv.base_genus == 0:
-        if n <= 2:
-            realization, fiber_element, p = _lens_realization(inv, suffix)
-            return "exact", p if p else INFINITE, realization, fiber_element
-        if n == 3:
-            # the orbifold Euler characteristic 2 - sum (alpha - 1) / alpha and
-            # the Euler number b - sum beta / alpha, times the alphas' product
-            scale = prod(alpha for alpha, _ in fibers)
-            chi = 2 * scale - sum((alpha - 1) * (scale // alpha) for alpha, _ in fibers)
-            euler_number = b * scale - sum(beta * (scale // alpha) for alpha, beta in fibers)
-            if chi > 0 and euler_number != 0:
-                return "finite_ge_3", INFINITE, None, None
-        # chi <= 0 (or euler number 0, or more fibers): infinite, no realization
-    elif inv.base_orientable and inv.base_genus == 1 and n == 0:
+    if inv.base_orientable:
         # central extension of Z^2: Z^3 when b = 0, integral Heisenberg-type
         # otherwise; carried by Z^2 x| Z with basis (b1, h) and letter a1
         phi = ((1, 0), (-b, 1))
         realization = groups.semidirect.SemidirectZnByZ(
             2, phi, exponent_name=f"a1{suffix}", basis_names=(f"b1{suffix}", fiber_name)
         )
-        return "exact", INFINITE, realization, realization.element(((0, 1), 0))
-    elif not inv.base_orientable and inv.base_genus == 1 and n == 0:
-        if b != 0:
-            return "finite_ge_3", INFINITE, None, None  # dicyclic of order 4|b|
-        # infinite dihedral: reflections r1, r2 with a1 = r1, h = r1 r2
-        realization = groups.free_product.FreeProduct(
-            FiniteCyclic(2, f"r1{suffix}"), FiniteCyclic(2, f"r2{suffix}")
-        )
-        fiber = realization.reduce_letters([(f"r1{suffix}", 1), (f"r2{suffix}", 1)])
-        return "exact", INFINITE, realization, fiber
-    elif not inv.base_orientable and inv.base_genus == 1 and n == 1:
-        # prism-type data: finite or infinite depending on the euler data,
-        # but of order >= 4 either way (the group surjects onto the base
-        # orbifold group, which has order 2*alpha)
-        return "unknown_ge_3", INFINITE, None, None
-    return "exact", INFINITE, None, None
+        return realization, realization.element(((0, 1), 0))
+    if b != 0:
+        return None, None  # dicyclic of order 4|b|
+    # infinite dihedral: reflections r1, r2 with a1 = r1, h = r1 r2
+    realization = groups.free_product.FreeProduct(
+        FiniteCyclic(2, f"r1{suffix}"), FiniteCyclic(2, f"r2{suffix}")
+    )
+    return realization, realization.reduce_letters([(f"r1{suffix}", 1), (f"r2{suffix}", 1)])
 
 
 def seifert_group(inv: SeifertInvariants) -> SeifertGroupResult:
-    """Emit the fibered presentation, the distinguished fiber class h, and an
-    enumerable realization when the data is in the computable family."""
-    generators = _seifert_generators(inv, "")
-    return SeifertGroupResult(
-        inv, _seifert_presentation(inv, *generators, "h"), "h",
-        inv.base_orientable, *_seifert_realization(inv, "", generators),
-    )
+    """The Seifert group with its distinguished fiber class h and its order;
+    its presentation and enumerable realization are built on first read."""
+    return SeifertGroupResult(inv, "h", inv.base_orientable, *_seifert_order(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +443,7 @@ def _piece_carrier(p: NormalPiece, suffix: str) -> Optional[StructuredGroup]:
     if p.seifert is not None:
         if not suffix:
             return p.seifert.realization
-        inv = piece.invariants
-        return _seifert_realization(inv, suffix, _seifert_generators(inv, suffix))[2]
+        return _seifert_realization(piece.invariants, suffix)[0]
     if isinstance(piece, TorusBundlePiece) and groups.semidirect.mat_det(piece.monodromy) == 1:
         return groups.semidirect.SemidirectZnByZ(
             2, piece.monodromy, exponent_name="t" + suffix,

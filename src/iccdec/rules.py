@@ -345,8 +345,9 @@ def _semidirect_finite_orbit_witness(
     a finite orbit.
     """
     n = group.rank
+    identity = groups.semidirect.identity_matrix(n)
     for j in range(1, 7):
-        if group.phi_power(j) == groups.semidirect.identity_matrix(n):
+        if group.phi_power(j) == identity:
             return group.element(((0,) * n, j))
     for j in range(1, 7):
         power = group.phi_power(j)
@@ -430,19 +431,22 @@ def decide_structured_group(group: StructuredGroup) -> Verdict:
     if construction == "Hnn":
         return icc_hnn(group, decide_structured_group(group.base))
     if construction == "SemidirectZnByZ":
+        torus_bundle = group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1
+        kind = classify_monodromy(group.phi) if torus_bundle else None
+        if kind is MonodromyClass.HYPERBOLIC:
+            # no root-of-unity eigenvalue, so no vector has a finite orbit
+            return icc_torus_bundle(group.phi)
+        # an elliptic or parabolic monodromy always has a finite-orbit vector
         element = _semidirect_finite_orbit_witness(group)
         if element is not None:
             witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
-            if group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1:
-                kind = classify_monodromy(group.phi)
+            if torus_bundle:
                 detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
                 return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
             return not_icc(
                 witness,
                 Citation("Finite class witness", "the orbit of the vector under the action is finite"),
             )
-        if group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1:
-            return icc_torus_bundle(group.phi)
         return unknown(
             Citation(
                 "Outside scope",

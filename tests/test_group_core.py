@@ -95,6 +95,31 @@ def test_semidirect_power_cache_is_bounded():
     assert mat_mul(g.phi_power(-2000), g.phi_power(2000)) == ((1, 0), (0, 1))
 
 
+def test_semidirect_inverts_its_monodromy_at_the_first_negative_power(monkeypatch):
+    import iccdec.groups.semidirect as semidirect
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return mat_inverse_unimodular(matrix)
+
+    monkeypatch.setattr(semidirect, "mat_inverse_unimodular", counted)
+    g = SemidirectZnByZ(2, [[2, 1], [1, 1]])
+    assert calls == []
+    x = g.element(((1, 2), 3))
+    for m in (1, 2, 5, 70):
+        g.phi_power(m)
+    assert (x * x).payload[1] == 6
+    assert calls == []
+    assert mat_mul(g.phi_power(-5), g.phi_power(5)) == ((1, 0), (0, 1))
+    assert calls == [((2, 1), (1, 1))]
+    assert g.phi_inv == g.phi_power(-1) == ((1, -1), (-1, 2))
+    assert (~x).payload[1] == -3
+    assert mat_mul(g.phi_power(-70), g.phi_power(70)) == ((1, 0), (0, 1))
+    assert len(calls) == 1
+
+
 def test_dihedral_sandwich(dihedral):
     # a (ab) a reduces to ba; cross-checked with an independent reducer below
     a = dihedral.generator_element("a")

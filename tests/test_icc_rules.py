@@ -1,5 +1,6 @@
 """The ICC decision combinators and their contracts."""
 
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -31,7 +32,9 @@ from iccdec.groups import (
     free_group,
     reduce_word,
 )
-from iccdec.groups.semidirect import mat_det
+from iccdec.descriptors import parse_descriptor_data
+from iccdec.groups.semidirect import mat_det, mat_mul
+from iccdec.manifolds import decide_icc_orientable
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates
 from iccdec.rules import (
     MonodromyClass,
@@ -505,6 +508,108 @@ def test_torus_bundle_trace_minus_two_witness():
     assert report.stabilized
     assert report.counts_by_radius[-1] == 2
     assert {c.payload for c in report.conjugates} == {((1, 0), 0), ((-1, 0), 0)}
+
+
+def _sl2z_words(seed, count):
+    """Products of 1 to 8 of S, T and T^-1, each an element of SL2(Z)."""
+    rng = random.Random(seed)
+    letters = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))
+    for _ in range(count):
+        m = ((1, 0), (0, 1))
+        for _ in range(rng.randint(1, 8)):
+            m = mat_mul(m, rng.choice(letters))
+        yield m
+
+
+def _torus_bundle_documents(phi):
+    matrix = [list(row) for row in phi]
+    group = {"schema_version": 1, "type": "group",
+             "construction": {"semidirect_zn_by_z": {"rank": 2, "matrix": matrix}}}
+    manifold = {"schema_version": 1, "type": "manifold", "orientable": True,
+                "pieces": [{"kind": "torus_bundle", "monodromy": matrix}]}
+    return group, manifold
+
+
+def test_torus_bundle_group_and_manifold_agree(monkeypatch):
+    import iccdec.rules as rules
+
+    searched = []
+    search = rules._semidirect_finite_orbit_witness
+    monkeypatch.setattr(
+        rules, "_semidirect_finite_orbit_witness", lambda g: searched.append(g.phi) or search(g)
+    )
+    kinds = set()
+    for phi in _sl2z_words(2105, 300):
+        group, manifold = (parse_descriptor_data(d) for d in _torus_bundle_documents(phi))
+        searched.clear()
+        by_group = decide_structured_group(group.group)
+        by_manifold = decide_icc_orientable(manifold.manifold)
+        kind = classify_monodromy(phi)
+        kinds.add(kind)
+        expected = Status.ICC if kind is MonodromyClass.HYPERBOLIC else Status.NOT_ICC
+        assert by_group.status is by_manifold.status is expected, phi
+        for verdict in (by_group, by_manifold):
+            assert verdict.reasons[0].label == "Lemma 10"
+            assert verdict.reasons[0].detail.startswith(kind.value.lower())
+        if kind is MonodromyClass.HYPERBOLIC:
+            # no root-of-unity eigenvalue: the finite-orbit search is skipped
+            assert by_group == by_manifold and searched == []
+        else:
+            assert searched == [phi] and by_group.witness.element is not None
+    assert kinds == set(MonodromyClass)
+
+
+# the decide --json witness text as recorded before hyperbolic monodromies
+# bypassed the finite-orbit search: (matrix, group witness, manifold witness)
+_PINNED_TORUS_BUNDLE_WITNESSES = [
+    (((1, 0), (0, 1)), "lattice vector ((0, 0), 1) with finite monodromy orbit",
+     "lattice eigenvector ((1, 0), 0) with conjugacy class {v}"),
+    (((-1, 0), (0, -1)), "lattice vector ((0, 0), 2) with finite monodromy orbit",
+     "lattice eigenvector ((1, 0), 0) with conjugacy class {v, -v}"),
+    (((1, 1), (0, 1)), "lattice vector ((1, 0), 0) with finite monodromy orbit",
+     "lattice eigenvector ((1, 0), 0) with conjugacy class {v}"),
+    (((-1, 1), (0, -1)), "lattice vector ((1, 0), 0) with finite monodromy orbit",
+     "lattice eigenvector ((1, 0), 0) with conjugacy class {v, -v}"),
+    (((0, -1), (1, 0)), "lattice vector ((0, 0), 4) with finite monodromy orbit",
+     "regular fiber class h of the Seifert structure"),
+    (((0, -1), (1, 1)), "lattice vector ((0, 0), 6) with finite monodromy orbit",
+     "regular fiber class h of the Seifert structure"),
+    (((0, 1), (1, 0)), "lattice vector ((0, 0), 2) with finite monodromy orbit", None),
+]
+
+
+@pytest.mark.parametrize("phi, by_group, by_manifold", _PINNED_TORUS_BUNDLE_WITNESSES)
+def test_torus_bundle_witness_text_is_pinned(tmp_path, capsys, phi, by_group, by_manifold):
+    from iccdec.cli import main
+
+    for document, expected in zip(_torus_bundle_documents(phi), (by_group, by_manifold)):
+        if expected is None:  # det -1: no orientable torus bundle
+            continue
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(document))
+        assert main(["decide", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["description"] == expected
+
+
+@pytest.mark.parametrize(
+    "phi, status, reason",
+    [
+        (((0, 1), (1, 0)), "NotICC",
+         ["Finite class witness", "the orbit of the vector under the action is finite"]),
+        (((1, 1), (1, 0)), "Unknown",
+         ["Outside scope", "no finite-orbit vector found, but the action is outside the "
+          "orientable torus-bundle trichotomy"]),
+    ],
+)
+def test_a_det_minus_one_monodromy_is_no_torus_bundle(tmp_path, capsys, phi, status, reason):
+    from iccdec.cli import main
+
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(_torus_bundle_documents(phi)[0]))
+    main(["decide", str(path), "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == status
+    assert [[r["label"], r["detail"]] for r in data["reasons"]] == [reason]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from iccdec.manifolds import (
     decide_icc_nonorientable,
     decide_icc_orientable,
     manifold_group,
+    normalize,
     poincare_variety,
     seifert_group,
     torus_knot_group,
@@ -227,6 +228,62 @@ def test_solid_torus_group():
     sg = seifert_group(SeifertInvariants(0, True, 1))
     assert sg.realization is not None
     assert len(enumerate_ball(sg.realization, 3)) == 7  # Z on the fiber
+
+
+@pytest.fixture
+def seifert_builds(monkeypatch):
+    """How many Seifert presentations and realizations have been built."""
+    import iccdec.manifolds as manifolds
+
+    counts = {}
+    for name in ("_seifert_presentation", "_seifert_realization"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _build=getattr(manifolds, name)):
+            counts[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(manifolds, name, counted)
+    return counts
+
+
+def test_a_decision_builds_no_seifert_presentation_or_realization(seifert_builds):
+    torus_base = SeifertPiece(SeifertInvariants(1, True, 0, (), 1))
+    lens2 = SeifertPiece(SeifertInvariants(0, True, 0, (), 2))
+    multi = ManifoldDescriptor(True, (SeifertPiece(TREFOIL), lens2, torus_base))
+    assert decide_icc_orientable(multi).status is Status.ICC
+    projective_base = SeifertPiece(SeifertInvariants(1, False, 0, (), 0))
+    verdict = decide_icc_nonorientable(ManifoldDescriptor(False, (projective_base,)))
+    assert verdict.status is Status.NOT_ICC and verdict.witness.element is None
+    assert seifert_builds == {"_seifert_presentation": 0, "_seifert_realization": 0}
+    normal = normalize(multi)
+    assert all("presentation" not in vars(p.seifert) for p in normal.pieces)
+    assert seifert_builds == {"_seifert_presentation": 0, "_seifert_realization": 0}
+
+
+def test_explain_and_manifold_group_build_what_they_read_once(seifert_builds, tmp_path, capsys):
+    # a lone orientable Seifert piece's witness prints its fiber element
+    lone = ManifoldDescriptor(True, (SeifertPiece(TREFOIL),))
+    assert decide_icc_orientable(lone).witness.element is not None
+    assert seifert_builds == {"_seifert_presentation": 0, "_seifert_realization": 1}
+    sg = seifert_group(TREFOIL)
+    assert sg.realization is sg.realization and sg.fiber_element is sg.fiber_element
+    assert sg.presentation is sg.presentation
+    assert seifert_builds == {"_seifert_presentation": 1, "_seifert_realization": 2}
+    group, _ = manifold_group(lone)
+    assert group.describe() == sg.realization.describe()
+    assert seifert_builds == {"_seifert_presentation": 1, "_seifert_realization": 3}
+
+    path = tmp_path / "two_seifert_pieces.json"
+    pieces = [{"kind": "seifert", "base_genus": 0, "base_orientable": True,
+               "boundary_components": 0, "exceptional_fibers": [[2, 1], [3, 1]],
+               "euler_obstruction": b} for b in (0, 1, 2)]
+    path.write_text(json.dumps({"schema_version": 1, "type": "manifold",
+                                "orientable": True, "pieces": pieces}))
+    assert main(["explain", str(path), "--json"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert sum("presentation <" in line for line in trace) == 3
+    assert seifert_builds == {"_seifert_presentation": 4, "_seifert_realization": 3}
 
 
 # ---------------------------------------------------------------------------
