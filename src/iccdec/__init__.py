@@ -26,10 +26,8 @@ _EXPORTS = {
         "classify_monodromy",
         "decide_structured_group",
         "icc_amalgam",
-        "icc_finite_index_descend",
         "icc_free_product",
         "icc_hnn",
-        "icc_index_two_lift",
         "icc_surface",
         "icc_torus_bundle",
     ),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .groups.base import INFINITE, GroupUsageError, Record, StructuredGroup, unique_names
+from .groups.base import INFINITE, GroupUsageError, Record, StructuredGroup, ball_levels, unique_names
 
 
 class EisensteinInt(Record):
@@ -29,9 +29,6 @@ class EisensteinInt(Record):
         # (a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
 
     def __str__(self):
         if self.b == 0:
@@ -191,23 +188,15 @@ class MatrixGroupSL2Eisenstein(StructuredGroup):
         groups have elements of order 8 and 10.  So the group is finite
         exactly when the closure of the identity under right multiplication
         by the generators and their inverses stops within MAX_FINITE_ORDER
-        elements, and then the closure is the group.
+        elements, and then the closure is the group.  The closure is the
+        union of the ball's levels, so the order adds up their sizes.
         """
-        steps = self.gen_payloads + tuple(mat_inv(g) for g in self.gen_payloads)
-        seen = {MAT_IDENTITY}
-        frontier = [MAT_IDENTITY]
-        while frontier:
-            level = []
-            for x in frontier:
-                for step in steps:
-                    y = mat_mul(x, step)
-                    if y not in seen:
-                        if len(seen) == MAX_FINITE_ORDER:
-                            return INFINITE
-                        seen.add(y)
-                        level.append(y)
-            frontier = level
-        return len(seen)
+        total = 0
+        for level in ball_levels(self):
+            total += len(level)
+            if total > MAX_FINITE_ORDER:
+                return INFINITE
+        return total
 
     def describe(self):
         return f"SL2(Eisenstein)<{', '.join(self.gen_names)}>"

@@ -17,7 +17,6 @@ _EXPORTS = {
         "commutes_with_generators",
         "conjugate",
         "cyclic_table",
-        "enumerate_ball",
         "invert",
         "multiply",
         "reduce_word",

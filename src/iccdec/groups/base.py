@@ -259,16 +259,6 @@ def render_word(g: GroupElement) -> list[Letter]:
     return g.group.render_payload(g.payload)
 
 
-def enumerate_ball(group: StructuredGroup, radius: int) -> list[GroupElement]:
-    """All elements of word length <= radius over the designated generators.
-
-    Inverses of generators count as single letters.  Order: breadth-first by
-    length, then by payload key; deterministic across runs.
-    """
-    elements, _ = ball_with_lengths(group, radius)
-    return elements
-
-
 def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any, int, int]]:
     """The letters of a word of length one, each distinct payload once: the
     generators and their inverses, as (payload, inverse payload, bit,
@@ -327,7 +317,12 @@ def ball_levels(group: StructuredGroup) -> Iterator[list]:
 
 
 def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:
-    """enumerate_ball plus word length per element (same order)."""
+    """All elements of word length <= radius over the designated generators,
+    and the word length of each.
+
+    Inverses of generators count as single letters.  Order: breadth-first by
+    length, then by payload key; deterministic across runs.
+    """
     if radius < 0:
         raise GroupUsageError("radius must be nonnegative")
     elements: list[GroupElement] = []

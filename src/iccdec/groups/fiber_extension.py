@@ -55,13 +55,7 @@ class FiberExtension(StructuredGroup):
         unique_names([[fiber_name], [p.name for p in self.parts]])
 
     def signature(self):
-        sig = []
-        for p in self.parts:
-            if isinstance(p, TorsionPart):
-                sig.append(("torsion", p.name, p.order, p.fiber_carry))
-            else:
-                sig.append(("free", p.name, p.sign))
-        return ("fiber_extension", tuple(sig), self.fiber_name)
+        return ("fiber_extension", self.parts, self.fiber_name)
 
     def identity_payload(self):
         return (0, ())

@@ -204,6 +204,9 @@ class SemidirectZnByZ(StructuredGroup):
         out.append((self.exponent_name, ((0,) * self.rank, 1)))
         return out
 
+    def generator_names(self):
+        return [*self.basis_names, self.exponent_name]
+
     def payload_key(self, payload):
         v, m = payload
         return (abs(m) + sum(abs(x) for x in v), m, v)

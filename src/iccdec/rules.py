@@ -168,40 +168,6 @@ def icc_hnn(group: groups.hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Ve
     )
 
 
-def icc_finite_index_descend(super_verdict: Verdict) -> Verdict:
-    """Lemma 4: finite-index subgroups inherit ICC."""
-    if super_verdict.status is not Status.ICC:
-        raise GroupUsageError("icc_finite_index_descend requires an ICC verdict")
-    return Verdict(
-        Status.ICC,
-        super_verdict.reasons + (Citation("Lemma 4", "passing to a finite-index subgroup"),),
-    )
-
-
-def icc_index_two_lift(
-    sub_verdict: Verdict, has_central_involution: bool, torsion_free: bool = False
-) -> Verdict:
-    """Lemma 6 (and Lemma 5 when the ambient group is torsion-free)."""
-    if sub_verdict.status is not Status.ICC:
-        raise GroupUsageError("icc_index_two_lift requires an ICC verdict for the subgroup")
-    if torsion_free:
-        return Verdict(
-            Status.ICC,
-            sub_verdict.reasons
-            + (Citation("Lemma 5", "the ambient group is torsion-free"),),
-        )
-    if has_central_involution:
-        return not_icc(
-            Witness(description="central involution generating the finite-class union"),
-            *sub_verdict.reasons,
-            Citation("Lemma 6", "the group splits as subgroup x Z/2"),
-        )
-    return Verdict(
-        Status.ICC,
-        sub_verdict.reasons + (Citation("Lemma 6", "no central involution"),),
-    )
-
-
 def _as_matrix(phi) -> groups.semidirect.Matrix:
     matrix = tuple(tuple(int(x) for x in row) for row in phi)
     if len(matrix) != 2 or any(len(r) != 2 for r in matrix):

@@ -239,6 +239,30 @@ def test_construction_limit_rejects_before_building(monkeypatch, data, path):
     assert "more than 64 constructions" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "matrix, status",
+    [([[1, 1], [0, 1]], "NotICC"), ([[0, -1], [1, 0]], "NotICC"), ([[2, 1], [1, 1]], "ICC")],
+    ids=["parabolic", "elliptic", "hyperbolic"],
+)
+def test_semidirect_names_its_generators_without_building_them(
+    monkeypatch, tmp_path, capsys, matrix, status
+):
+    def build(self):
+        raise AssertionError("generator payloads were built")
+
+    monkeypatch.setattr("iccdec.groups.semidirect.SemidirectZnByZ.generator_payloads", build)
+    data = {"schema_version": 1, "type": "group",
+            "construction": {"semidirect_zn_by_z": {"rank": 2, "matrix": matrix}}}
+    group = parse_descriptor_data(data).group
+    assert group.generator_names() == ["e1", "e2", "t"]
+    path = tmp_path / "semidirect.json"
+    path.write_text(json.dumps(data))
+    assert main(["decide", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"status: {status}\n")
+    assert main(["explain", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == status
+
+
 # ---------------------------------------------------------------------------
 # table size limit
 

@@ -30,7 +30,6 @@ from iccdec.groups import (
     commutes_with_generators,
     conjugate,
     cyclic_table,
-    enumerate_ball,
     free_group,
     invert,
     multiply,
@@ -207,36 +206,36 @@ def test_reduce_render_fixpoint_spot_checks(bs12, z2_star_z3):
 
 
 # ---------------------------------------------------------------------------
-# enumerate_ball
+# ball_with_lengths
 
 
 def test_dihedral_ball_radius_two(dihedral):
-    ball = enumerate_ball(dihedral, 2)
+    ball = ball_with_lengths(dihedral, 2)[0]
     assert [repr(e) for e in ball] == ["1", "a", "b", "ab", "ba"]
 
 
 def test_infinite_cyclic_ball():
-    ball = enumerate_ball(InfiniteCyclic(), 3)
+    ball = ball_with_lengths(InfiniteCyclic(), 3)[0]
     assert len(ball) == 7
     assert {e.payload for e in ball} == set(range(-3, 4))
 
 
 def test_z3_ball_counts_inverses():
-    ball = enumerate_ball(FiniteCyclic(3, "b"), 1)
+    ball = ball_with_lengths(FiniteCyclic(3, "b"), 1)[0]
     assert {e.payload for e in ball} == {0, 1, 2}
 
 
 def test_ball_monotone_and_nested(z2_star_z3, bs12):
     for group in (z2_star_z3, bs12):
-        small = {e.payload for e in enumerate_ball(group, 3)}
-        large = {e.payload for e in enumerate_ball(group, 4)}
+        small = {e.payload for e in ball_with_lengths(group, 3)[0]}
+        large = {e.payload for e in ball_with_lengths(group, 4)[0]}
         assert small <= large
-    assert len(enumerate_ball(z2_star_z3, 0)) == 1
+    assert len(ball_with_lengths(z2_star_z3, 0)[0]) == 1
 
 
 def test_ball_deterministic_order(z2_star_z3):
-    first = [e.payload for e in enumerate_ball(z2_star_z3, 5)]
-    second = [e.payload for e in enumerate_ball(z2_star_z3, 5)]
+    first = [e.payload for e in ball_with_lengths(z2_star_z3, 5)[0]]
+    second = [e.payload for e in ball_with_lengths(z2_star_z3, 5)[0]]
     assert first == second
 
 
@@ -256,7 +255,7 @@ def test_concurrent_enumeration_consistent():
     results = []
 
     def work():
-        results.append([e.payload for e in enumerate_ball(group, 5)])
+        results.append([e.payload for e in ball_with_lengths(group, 5)[0]])
 
     threads = [threading.Thread(target=work) for _ in range(4)]
     for t in threads:
@@ -309,7 +308,7 @@ def test_ball_cache_dies_with_its_group():
 
     group = free_group(["x", "y"])
     ref = weakref.ref(group)
-    enumerate_ball(group, 3)
+    ball_with_lengths(group, 3)
     del group
     gc.collect()
     assert ref() is None
@@ -373,8 +372,8 @@ def test_amalgam_with_trivial_edge_matches_free_product(z2_star_z3):
     edge = AmalgamEdge(cyclic_table(1), [0], [0])
     amalgam = Amalgam(FiniteCyclic(2, "a"), FiniteCyclic(3, "b"), edge)
     for radius in range(6):
-        assert len(enumerate_ball(amalgam, radius)) == len(
-            enumerate_ball(z2_star_z3, radius)
+        assert len(ball_with_lengths(amalgam, radius)[0]) == len(
+            ball_with_lengths(z2_star_z3, radius)[0]
         )
 
 
@@ -462,11 +461,24 @@ def test_fiber_extension_sign_inverts_fiber():
     assert (q ** 3) == h ** (-2)
 
 
+def test_fiber_extensions_are_equal_by_their_parts():
+    def parts():
+        return [FreePart("a", -1), TorsionPart("q", 3, -2)]
+
+    group = FiberExtension(parts())
+    assert group == FiberExtension(parts()) and hash(group) == hash(FiberExtension(parts()))
+    assert group.fiber() == FiberExtension(parts()).fiber()
+    assert group != FiberExtension(parts(), fiber_name="z")
+    assert group != FiberExtension([FreePart("a", 1), TorsionPart("q", 3, -2)])
+    assert TorsionPart("x", 2, 1) != FreePart("x")
+    assert FiberExtension([TorsionPart("x", 2, 1)]) != FiberExtension([FreePart("x")])
+
+
 def test_surface_group_realizations():
     assert SurfaceGroup(1, True, 1).realization().describe() == "(Z * Z)"
     mobius = SurfaceGroup(1, False, 1)
     assert mobius.order() == float("inf")
-    assert len(enumerate_ball(mobius, 2)) == 5  # Z ball of radius 2
+    assert len(ball_with_lengths(mobius, 2)[0]) == 5  # Z ball of radius 2
     assert SurfaceGroup(1, False, 0).order() == 2  # projective plane
     closed = SurfaceGroup(2, True, 0)
     with pytest.raises(NotEnumerableError):
@@ -654,8 +666,8 @@ def test_flat_free_products_order_words_as_the_left_nested_chain(corpus_dir):
         assert nested.describe() == name
         # the balls list the same words in the same order
         radius = 4 if len(group.generator_payloads()) <= 3 else 3
-        flat = [render_word(g) for g in enumerate_ball(group, radius)]
-        assert flat == [render_word(g) for g in enumerate_ball(nested, radius)], name
+        flat = [render_word(g) for g in ball_with_lengths(group, radius)[0]]
+        assert flat == [render_word(g) for g in ball_with_lengths(nested, radius)[0]], name
         # and so do long words sorted by key
         letters = [(n, e) for n, _ in group.generator_payloads() for e in (1, -1)]
         words = [rng.choices(letters, k=rng.randint(8, 24)) for _ in range(80)]

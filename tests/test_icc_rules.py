@@ -41,10 +41,8 @@ from iccdec.rules import (
     classify_monodromy,
     decide_structured_group,
     icc_amalgam,
-    icc_finite_index_descend,
     icc_free_product,
     icc_hnn,
-    icc_index_two_lift,
     icc_surface,
     icc_torus_bundle,
     _integer_kernel_vector,
@@ -399,34 +397,12 @@ def test_hnn_edge_index_and_normality_scan_agree_with_brute_force(group):
 # finite index up and down
 
 
-def test_finite_index_descend(z2_star_z3):
-    verdict = icc_finite_index_descend(decide_structured_group(z2_star_z3))
-    assert verdict.status is Status.ICC
-    assert verdict.labels()[-1] == "Lemma 4"
-
-
 def test_finite_index_descend_matches_free_subgroup_growth(f2):
     # the rank-2 free subgroup of finite index in Z/2 * Z/3: its classes
     # grow, as the oracle confirms on F2 directly
     report = conjugacy_class_ball(f2, f2.generator_element("x"), 6)
     counts = report.counts_by_radius
     assert all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
-
-
-def test_finite_index_descend_requires_icc(dihedral):
-    with pytest.raises(GroupUsageError):
-        icc_finite_index_descend(decide_structured_group(dihedral))
-
-
-def test_index_two_lift(z2_star_z3):
-    sub = decide_structured_group(z2_star_z3)
-    assert icc_index_two_lift(sub, False).status is Status.ICC
-    lifted = icc_index_two_lift(sub, True)
-    assert lifted.status is Status.NOT_ICC
-    assert lifted.witness is not None and "involution" in lifted.witness.description
-    torsion_free = icc_index_two_lift(sub, True, torsion_free=True)
-    assert torsion_free.status is Status.ICC
-    assert torsion_free.labels()[-1] == "Lemma 5"
 
 
 # ---------------------------------------------------------------------------

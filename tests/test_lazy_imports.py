@@ -15,8 +15,7 @@ PACKAGE_NAMES = [
     "CITATIONS",
     "Citation", "Status", "Verdict", "Witness",
     "MonodromyClass", "classify_monodromy", "decide_structured_group", "icc_amalgam",
-    "icc_finite_index_descend", "icc_free_product", "icc_hnn", "icc_index_two_lift",
-    "icc_surface", "icc_torus_bundle",
+    "icc_free_product", "icc_hnn", "icc_surface", "icc_torus_bundle",
     "HomotopySpherePiece", "HyperbolicKnot", "HyperbolicPiece", "LinkDescriptor",
     "ManifoldDescriptor", "OtherIrreduciblePiece", "OtherKnot", "SeifertInvariants",
     "SeifertPiece", "SphereBundlePiece", "TorusBundlePiece", "TorusKnot",
@@ -31,7 +30,7 @@ PACKAGE_NAMES = [
 GROUPS_ALL = [
     "INFINITE", "FiniteGroupTable", "GroupElement", "GroupUsageError",
     "NotEnumerableError", "StructuredGroup", "ball_with_lengths",
-    "commutes_with_generators", "conjugate", "cyclic_table", "enumerate_ball", "invert",
+    "commutes_with_generators", "conjugate", "cyclic_table", "invert",
     "multiply", "reduce_word", "render_word", "FiniteCyclic", "InfiniteCyclic",
     "FreeProduct", "free_group", "Amalgam", "AmalgamEdge", "CyclicPowerEdge",
     "FiniteHnnEdge", "Hnn", "HnnEdge", "SemidirectZnByZ", "DirectWithFinite",

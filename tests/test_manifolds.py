@@ -13,9 +13,9 @@ from iccdec.cli import main
 from iccdec.groups import (
     GroupUsageError,
     INFINITE,
+    ball_with_lengths,
     commutes_with_generators,
     conjugate,
-    enumerate_ball,
 )
 from iccdec.manifolds import (
     HomotopySpherePiece,
@@ -125,7 +125,7 @@ def test_lens_orders_match_determinant_formula():
         actual = 0 if sg.order == INFINITE else sg.order
         assert actual == expected
         if sg.realization is not None and sg.fiber_element is not None and expected:
-            assert len(enumerate_ball(sg.realization, 1)) <= expected + 2
+            assert len(ball_with_lengths(sg.realization, 1)[0]) <= expected + 2
 
 
 def _lens_lattice_check(fibers, b):
@@ -163,7 +163,7 @@ def test_lens_carrier_matches_the_relation_lattice():
             h = sg.fiber_element
             assert sg.realization.gen_name == ("c" if len(exceptional) == 2 else "h")
             if order:
-                assert len(enumerate_ball(sg.realization, order)) == order
+                assert len(ball_with_lengths(sg.realization, order)[0]) == order
                 assert min(k for k in range(1, order + 1) if (h ** k).is_identity()) == h_order
             else:
                 groups_z += 1
@@ -227,7 +227,7 @@ def test_finiteness_routing():
 def test_solid_torus_group():
     sg = seifert_group(SeifertInvariants(0, True, 1))
     assert sg.realization is not None
-    assert len(enumerate_ball(sg.realization, 3)) == 7  # Z on the fiber
+    assert len(ball_with_lengths(sg.realization, 3)[0]) == 7  # Z on the fiber
 
 
 @pytest.fixture
@@ -543,7 +543,7 @@ def test_manifold_group_realizations():
     m = ManifoldDescriptor(True, (SeifertPiece(lens2), SeifertPiece(lens2)))
     group, note = manifold_group(m)
     assert "free product" in note
-    assert len(enumerate_ball(group, 2)) == 5  # infinite dihedral ball
+    assert len(ball_with_lengths(group, 2)[0]) == 5  # infinite dihedral ball
     with pytest.raises(GroupUsageError):
         manifold_group(ManifoldDescriptor(False, (HyperbolicPiece(True),)))
     with pytest.raises(GroupUsageError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iccdec import eisenstein
 from iccdec.cli import main
 from iccdec.eisenstein import (
     E_OMEGA,
@@ -27,7 +28,6 @@ from iccdec.groups import (
     GroupUsageError,
     SemidirectZnByZ,
     ball_with_lengths,
-    enumerate_ball,
 )
 from iccdec.groups.semidirect import CACHED_POWERS
 from iccdec.rules import decide_structured_group
@@ -37,19 +37,9 @@ from iccdec.verdict import FINITE_GROUP_WITNESS, Status
 def test_ring_law_examples():
     one_plus_w = EisensteinInt(1, 1)
     assert one_plus_w * one_plus_w == E_OMEGA
-    assert EisensteinInt(2, 1).norm() == 3
     assert EisensteinInt(1, 0) + EisensteinInt(0, 1) == one_plus_w
     assert -EisensteinInt(3, -2) == EisensteinInt(-3, 2)
     assert E_OMEGA * E_OMEGA == EisensteinInt(-1, -1)  # w^2 = -1 - w
-
-
-def test_norm_multiplicative_random():
-    rng = random.Random(41)
-    for _ in range(300):
-        x = EisensteinInt(rng.randint(-9, 9), rng.randint(-9, 9))
-        y = EisensteinInt(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert (x * y).norm() == x.norm() * y.norm()
-        assert x.norm() >= 0
 
 
 def test_arbitrary_precision():
@@ -315,7 +305,7 @@ def test_matrix_group_order_and_verdict_agree_with_the_ball(generators):
     group = MatrixGroupSL2Eisenstein(generators)
     radius, size = 0, 1
     while size <= MAX_FINITE_ORDER:
-        grown = len(enumerate_ball(group, radius + 1))
+        grown = len(ball_with_lengths(group, radius + 1)[0])
         if grown == size:
             break
         radius, size = radius + 1, grown
@@ -334,6 +324,32 @@ def test_matrix_group_order_is_computed_on_first_use():
     assert "_order" not in vars(group)
     assert group.order() == INFINITE
     assert "_order" in vars(group)
+
+
+# [[1, k], [0, 1]] for k = 1..7 and [[1, k w], [0, 1]] for k = 1..6
+_WIDE = [(((1, 0), (k, 0)), ((0, 0), (1, 0))) for k in range(1, 8)] + [
+    (((1, 0), (0, k)), ((0, 0), (1, 0))) for k in range(1, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "generators, order, products",
+    [
+        (figure8_group().gen_payloads, INFINITE, 52),
+        ([_S, _PARABOLIC], INFINITE, 48),
+        (_WIDE, INFINITE, 26),  # 13 parabolic generators: level 1 alone passes the bound
+        ([_S], 4, 4),
+        ([_T, _ORDER6], MAX_FINITE_ORDER, 48),
+    ],
+    ids=["figure-eight", "SL2(Z)", "13 parabolic", "order 4", "binary tetrahedral"],
+)
+def test_matrix_group_order_stops_at_the_level_that_passes_the_bound(
+    monkeypatch, generators, order, products
+):
+    calls = []
+    monkeypatch.setattr(eisenstein, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    assert MatrixGroupSL2Eisenstein(list(generators)).order() == order
+    assert len(calls) == products
 
 
 def _decide_json(tmp_path, capsys, construction):

@@ -32,9 +32,9 @@ from iccdec.groups import (
     InfiniteCyclic,
     SurfaceGroup,
     TorsionPart,
+    ball_with_lengths,
     conjugate,
     cyclic_table,
-    enumerate_ball,
     free_group,
 )
 from iccdec.groups.base import KEY_MEMO_ENTRIES
@@ -404,7 +404,7 @@ def test_large_finite_factor_is_not_enumerated():
 
 def test_step_memos_hold_at_most_their_key_space():
     group = GROUPS["s3_amalgam_s3"]
-    enumerate_ball(group, 5)
+    ball_with_lengths(group, 5)
     edge = group.edge.table.size
     for side, factor in enumerate(group.factors):
         # keys: (edge index, same-side top or None, factor payload)
@@ -500,4 +500,4 @@ def test_trivial_factor_generator_is_the_identity():
     a, b = group.generator_element("A"), group.generator_element("b")
     assert a == group.identity()
     assert a * b == b * a == b
-    assert len(enumerate_ball(group, 3)) == 2
+    assert len(ball_with_lengths(group, 3)[0]) == 2

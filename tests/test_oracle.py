@@ -13,7 +13,6 @@ from iccdec.groups import (
     ball_with_lengths,
     commutes_with_generators,
     cyclic_table,
-    enumerate_ball,
 )
 from iccdec.cli import _decide, main
 from iccdec.groups.base import ball_levels
@@ -129,7 +128,7 @@ def test_ball_search_skips_each_step_back(monkeypatch, corpus_dir):
     # each of the 25 elements of levels 0 to 3 (100)
     group = load_corpus_descriptor(corpus_dir, "group_z2_lattice.json").group
     products = _count_products(monkeypatch, group)
-    elements = enumerate_ball(group, 4)
+    elements = ball_with_lengths(group, 4)[0]
     assert len(elements) == 41
     assert len(products) == 64
 
@@ -179,7 +178,7 @@ def test_central_proven_agrees_with_the_generator_test(manifest, corpus_dir):
     # its NotICC witness (a central fiber or a finite-class element)
     central = 0
     for name, descriptor, group in enumerable_corpus_groups(manifest, corpus_dir):
-        elements = enumerate_ball(group, 2)
+        elements = ball_with_lengths(group, 2)[0]
         witness = _decide(descriptor).witness
         if witness is not None and witness.element is not None and witness.element.group == group:
             elements.append(witness.element)
@@ -268,14 +267,14 @@ def test_fc_direct_product_central_involution(f2):
 def test_fc_abelian_whole_punctured_ball():
     z2 = SemidirectZnByZ(1, [[1]])  # Z^2
     candidates = fc_center_candidates(z2, 4, 3)
-    punctured = [g for g in enumerate_ball(z2, 1) if not g.is_identity()]
+    punctured = [g for g in ball_with_lengths(z2, 1)[0] if not g.is_identity()]
     assert {c.payload for c in candidates} == {g.payload for g in punctured}
 
 
 def _stabilized_reference(group, radius, window):
     return [
         g
-        for g in enumerate_ball(group, radius - window)
+        for g in ball_with_lengths(group, radius - window)[0]
         if not g.is_identity() and conjugacy_class_ball(group, g, radius, window).stabilized
     ]
 
@@ -310,7 +309,7 @@ def test_fc_early_stop_matches_full_class_balls_on_the_corpus(manifest, corpus_d
 def _inverse_pairs(group, radius):
     return {
         frozenset((g.payload, group.invert_payload(g.payload)))
-        for g in enumerate_ball(group, radius)
+        for g in ball_with_lengths(group, radius)[0]
         if not g.is_identity()
     }
 
@@ -346,12 +345,12 @@ def test_fc_searches_each_inverse_pair_once(monkeypatch, corpus_dir, name, stabi
     payloads = {g.payload for g in candidates}
     assert all(group.invert_payload(p) in payloads for p in payloads)
     if stabilized == "all":
-        assert len(candidates) == len(enumerate_ball(group, 3)) - 1
+        assert len(candidates) == len(ball_with_lengths(group, 3)[0]) - 1
         assert all(group.invert_payload(p) != p for p in payloads)
     elif stabilized == "none":
         assert candidates == []
     else:
-        assert 0 < len(candidates) < len(enumerate_ball(group, 3)) - 1
+        assert 0 < len(candidates) < len(ball_with_lengths(group, 3)[0]) - 1
 
 
 # ---------------------------------------------------------------------------
