@@ -14,8 +14,8 @@ a CLI call executes only the modules its command and descriptor kind need.
 
 from ._lazy import exports
 
-# Executed eagerly all the same: a program that forks workers after set-up
-# would otherwise compile the oracle again in every worker.
+# Executed eagerly all the same: perfbench's ForkedWorkload.execute imports the
+# oracle inside each forked, timed request, which would compile it every time.
 from . import oracle
 
 _EXPORTS = {

@@ -274,46 +274,53 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any, int, int]]:
     return [(s, s_inv, bits[s], bits[s_inv]) for s, s_inv in letters.items()]
 
 
-def ball_levels(group: StructuredGroup) -> Iterator[list]:
-    """Level 0, 1, 2, ... of the ball, as payloads: level r holds the
-    payloads of word length r in payload-key order.  Ends after the last
-    nonempty level of a finite group.  Each search owns its generator; the
-    group keeps nothing.
+def search_levels(group: StructuredGroup, start, conjugate: bool) -> Iterator[list]:
+    """Level 0, 1, 2, ... of a breadth-first search from the payload start,
+    whose step by a letter s is x -> x * s (a ball, when start is the
+    identity) or, with conjugate, x -> s x s^-1 (a conjugation orbit), for s
+    over generator_steps.  Level r holds the payloads first reached by r
+    steps; it is built from level r - 1 alone, since every word of length r
+    is a word of length r - 1 and one more letter.  Ends after the last
+    nonempty level.  A ball level comes sorted and is expanded in
+    payload-key order; an orbit level comes in the order found, which its
+    readers sort or only count.  Each search owns its generator; the group
+    keeps nothing.
 
-    Each edge between found payloads is crossed once.  A found payload's
-    value in its level dict is a one-item list, so that marking it hashes
-    nothing more, holding a bit mask of its steps that lead to a found
-    payload: when g * s reaches x, found before or just now, x marks the
-    step s^-1, because x * s^-1 = g, and x never takes a marked step.  A
-    skipped step only lands on a found payload, so every level is the same
-    set as without skipping, and it is sorted the same.  The steps are
-    closed under inverses, so a neighbour of level r lies in level r - 1, r
-    or r + 1, and each step from level r back to level r - 1 is marked by
-    the time level r is expanded: the level r - 1 end of that edge was
-    expanded first, while its marks came only from payloads expanded before
-    it, none of them in level r, so it crossed the edge and marked the level
-    r end.  The dict of level r and the one being built are therefore the
-    only lookups.
+    Each edge between found payloads is crossed once.  The value of a found
+    payload in `seen` is a one-item list, so that marking it hashes nothing
+    more, holding a bit mask of its steps that lead to a found payload: when
+    the step s from g reaches x, found before or just now, x marks the step
+    s^-1, which leads from x back to g (x * s^-1 = g, or s^-1 x s = g), and x
+    never takes a marked step.  A skipped step only lands on a found
+    payload, so every level is the same set, in the same order, as without
+    skipping.
     """
     mul = group.multiply_payloads
     steps = generator_steps(group)
-    current = {group.identity_payload(): [0]}
-    while current:
-        level = sorted(current, key=group.payload_key)
+    seen = {start: [0]}
+    level = [start]
+    while level:
         yield level
-        fresh = {}
+        fresh = []
         for g in level:
-            skip = current[g][0]
-            for s, _, bit, back in steps:
+            skip = seen[g][0]
+            for s, s_inv, bit, back in steps:
                 if skip & bit:
                     continue
-                x = mul(g, s)
-                marks = current.get(x) or fresh.get(x)
+                x = mul(mul(s, g), s_inv) if conjugate else mul(g, s)
+                marks = seen.get(x)
                 if marks is None:
-                    fresh[x] = [back]
+                    seen[x] = [back]
+                    fresh.append(x)
                 else:
                     marks[0] |= back
-        current = fresh
+        level = fresh if conjugate else sorted(fresh, key=group.payload_key)
+
+
+def ball_levels(group: StructuredGroup) -> Iterator[list]:
+    """The levels of the ball, as payloads: level r holds the payloads of
+    word length r in payload-key order (see search_levels)."""
+    return search_levels(group, group.identity_payload(), False)
 
 
 def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:

@@ -13,7 +13,7 @@ when the orbit has closed.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .groups.base import (
@@ -23,7 +23,7 @@ from .groups.base import (
     StructuredGroup,
     ball_levels,
     ball_with_lengths,
-    generator_steps,
+    search_levels,
 )
 
 MAX_SEARCH_RADIUS = 10_000
@@ -47,48 +47,15 @@ class ClassBallReport(Record):
 
 
 def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
-    """Breadth-first search of the conjugation orbit c -> s c s^-1 of the
-    payload g, with s over the generators and their distinct inverses.
+    """The nonempty levels among 0..depth of the conjugation orbit of the
+    payload g (see search_levels): level r holds the payloads of the
+    conjugates whose shortest conjugator has length r, in the order found,
+    and an empty level ends the orbit.  Level depth is never expanded.
 
-    Level r holds the payloads of the conjugates whose shortest conjugator
-    has length r, unordered.  Every word of length r is s*w' with |w'| =
-    r-1, and a conjugate first reached at r+1 is s c s^-1 for some c first
-    reached at r, so level r+1 is built from level r alone and an empty
-    level ends the orbit.  Returns the nonempty levels among 0..depth.
-
-    Each edge between found conjugates is crossed once.  The value of a
-    conjugate in `seen` is a one-item list, so that marking it hashes
-    nothing more, holding a bit mask of its steps that lead to a found
-    conjugate: when s c s^-1 reaches x, found before or just now, x marks
-    the step s^-1, because s^-1 x s = c, and x never takes a marked step.
-    A skipped step only lands on a found conjugate, so every level is the
-    same set, found in the same order, as without skipping.
-
-    The one orbit search: conjugacy_class_ball sorts the levels it returns,
-    and fc_center_candidates only counts them.
+    conjugacy_class_ball sorts the levels it returns, and
+    fc_center_candidates only counts them.
     """
-    mul = group.multiply_payloads
-    steps = generator_steps(group)
-    levels = [[g]]
-    seen = {g: [0]}
-    while len(levels) <= depth:
-        fresh = []
-        for c in levels[-1]:
-            skip = seen[c][0]
-            for s, s_inv, bit, back in steps:
-                if skip & bit:
-                    continue
-                x = mul(mul(s, c), s_inv)
-                marks = seen.get(x)
-                if marks is None:
-                    seen[x] = [back]
-                    fresh.append(x)
-                else:
-                    marks[0] |= back
-        if not fresh:
-            break
-        levels.append(fresh)
-    return levels
+    return list(islice(search_levels(group, g, True), depth + 1))
 
 
 def conjugacy_class_ball(
@@ -209,7 +176,7 @@ def strong_icc_witness(
     gives some target no new conjugate while every conjugate of it reached
     so far is kept.  Conjugates reached by words of length <= r are closed
     under the generators once level r adds none (the argument of
-    _class_levels), so they are the whole class of that target, and every
+    search_levels), so they are the whole class of that target, and every
     later candidate would repeat a kept conjugate of it.
     """
     if k < 1:
