@@ -25,10 +25,6 @@ _EXPORTS = {
         "MonodromyClass",
         "classify_monodromy",
         "decide_structured_group",
-        "icc_amalgam",
-        "icc_free_product",
-        "icc_hnn",
-        "icc_surface",
         "icc_torus_bundle",
     ),
     "manifolds": (

@@ -116,10 +116,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.payload == self.group.identity_payload()
 
-    def key(self):
-        """Deterministic total-order key within the owning group."""
-        return self.group.payload_key(self.payload)
-
     def __repr__(self):
         return self.group.payload_str(self.payload)
 

@@ -161,10 +161,6 @@ class SemidirectZnByZ(StructuredGroup):
     def signature(self):
         return ("semidirect_zn_by_z", self.rank, self.phi, self.exponent_name, self.basis_names)
 
-    @property
-    def phi_inv(self) -> Matrix:
-        return self.phi_power(-1)
-
     def phi_power(self, m: int) -> Matrix:
         """phi^m by repeated squaring (O(log |m|) products, no recursion),
         cached for |m| <= CACHED_POWERS.  phi^-1 is computed on the first

@@ -1,8 +1,8 @@
-"""ICC decision combinators for structured groups.
+"""ICC decision rules for structured groups, one per construction.
 
-The combinators implement sufficient conditions; where a rule's hypotheses
-fail the verdict is Unknown, never a negation.  NotICC verdicts carry a
-witness with a finite conjugacy class (or the finite-group marker).
+The rules implement sufficient conditions; where a rule's hypotheses fail
+the verdict is Unknown, never a negation.  NotICC verdicts carry a witness
+with a finite conjugacy class (or the finite-group marker).
 """
 
 from __future__ import annotations
@@ -41,19 +41,41 @@ class MonodromyClass(Enum):
     HYPERBOLIC = "Hyperbolic"
 
 
-def icc_free_product(order_left, order_right) -> Verdict:
-    """Prop 3(i) plus the infinite dihedral exception for orders (2, 2)."""
-    for order in (order_left, order_right):
-        if order != INFINITE and (not isinstance(order, int) or order < 2):
-            raise GroupUsageError("free product factors must have order >= 2")
-    if order_left == 2 and order_right == 2:
+def _finite_cyclic(group) -> Verdict:
+    detail = "trivial group" if group.n == 1 else f"finite cyclic of order {group.n}"
+    return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
+
+
+def _infinite_cyclic(group) -> Verdict:
+    return not_icc(
+        Witness(description=f"generator {group.gen_name}", element=group.element(1)),
+        Citation("Abelian infinite"),
+    )
+
+
+def _free_product(group) -> Verdict:
+    """Prop 3(i) plus the infinite dihedral exception for orders (2, 2),
+    decided as ((G0 * G1) * G2) * ...: order-1 factors drop out, and the
+    factors before the last remaining one form its left factor."""
+    orders = [f.order() for f in group.factors]
+    sides = [side for side, order in enumerate(orders) if order != 1]
+    if len(sides) <= 1:
+        side = sides[0] if sides else len(orders) - 1
+        inner = decide_structured_group(group.factors[side])
+        witness = inner.witness
+        if witness is not None and witness.kind == "element":
+            witness = Witness(witness.description, group.embed(side, witness.element))
+        return Verdict(inner.status, inner.reasons, witness)
+    last = sides[-1]
+    left = INFINITE if len(sides) > 2 else orders[sides[0]]
+    if left == orders[last] == 2:
+        right = group.embed(last, group.factors[last].generators()[0][1])
+        element = multiply(group.generators()[0][1], right)  # left factor's first generator
         return not_icc(
-            Witness(description="translation generator (product of the two involutions)"),
+            Witness(f"translation {element!r} (conjugacy class of size 2)", element),
             Citation("Infinite dihedral", "both factors have order 2"),
         )
-    return icc(
-        Citation("Prop 3(i)", f"factor orders {order_left} and {order_right}")
-    )
+    return icc(Citation("Prop 3(i)", f"factor orders {left} and {orders[last]}"))
 
 
 def _normal_edge_subgroup(table, sides) -> int:
@@ -79,13 +101,9 @@ def _is_normal_under_generators(ambient: StructuredGroup, payloads: list) -> boo
     )
 
 
-def icc_amalgam(
-    group: groups.amalgam.Amalgam,
-    factor_verdicts: tuple[Optional[Verdict], Optional[Verdict]] = (None, None),
-) -> Verdict:
+def _amalgam(group) -> Verdict:
     """Prop 3(ii)/(iii) for amalgams over finite edge subgroups."""
-    if not isinstance(group, groups.amalgam.Amalgam):
-        raise GroupUsageError("icc_amalgam requires an amalgam construction")
+    factor_verdicts = [decide_structured_group(f) for f in group.factors]
     indices = (group.factor_index(0), group.factor_index(1))
     if not (
         (indices[0] >= 3 and indices[1] >= 2) or (indices[1] >= 3 and indices[0] >= 2)
@@ -96,9 +114,8 @@ def icc_amalgam(
                 f"edge indices {indices[0]} and {indices[1]} do not reach (3, 2)",
             )
         )
-    for side in (0, 1):
-        verdict = factor_verdicts[side]
-        if verdict is not None and verdict.status is Status.ICC:
+    for side, verdict in enumerate(factor_verdicts):
+        if verdict.status is Status.ICC:
             return Verdict(
                 Status.ICC,
                 verdict.reasons + (Citation("Prop 3(ii)", f"factor {side + 1} is ICC"),),
@@ -120,16 +137,15 @@ def icc_amalgam(
     )
 
 
-def icc_hnn(group: groups.hnn.Hnn, base_verdict: Optional[Verdict] = None) -> Verdict:
+def _hnn(group) -> Verdict:
     """Prop 3(iv)/(v) for HNN extensions."""
-    if not isinstance(group, groups.hnn.Hnn):
-        raise GroupUsageError("icc_hnn requires an HNN construction")
+    base_verdict = decide_structured_group(group.base)
     proper = group.edge.proper_sides(group.base)
     if not (proper[0] or proper[1]):
         return unknown(
             Citation("Hypotheses not met", "neither associated subgroup is proper in the base")
         )
-    if base_verdict is not None and base_verdict.status is Status.ICC:
+    if base_verdict.status is Status.ICC:
         return Verdict(
             Status.ICC, base_verdict.reasons + (Citation("Prop 3(iv)", "the base group is ICC"),)
         )
@@ -241,64 +257,6 @@ def icc_torus_bundle(phi) -> Verdict:
     )
 
 
-def icc_surface(genus: int, orientable: bool, boundary_components: int) -> Verdict:
-    """The surface-group rule from the classification of surfaces."""
-    if genus < 0 or boundary_components < 0:
-        raise GroupUsageError("genus and boundary count must be nonnegative")
-    if not orientable and genus < 1:
-        raise GroupUsageError("a non-orientable surface has genus >= 1")
-    g, b = genus, boundary_components
-    if b > 0:
-        rank = 2 * g + b - 1 if orientable else g + b - 1
-        if rank == 0:
-            return not_icc(
-                FINITE_GROUP_WITNESS,
-                Citation("Surface classification", "disk: trivial group"),
-            )
-        if rank == 1:
-            name = "annulus" if orientable else "Moebius band"
-            return not_icc(
-                Witness(description="core curve generator of the infinite cyclic group"),
-                Citation("Surface classification", name),
-                Citation("Abelian infinite"),
-            )
-        return icc(
-            Citation("Surface classification", f"free group of rank {rank}"),
-            Citation("Prop 3(i)"),
-        )
-    if orientable:
-        if g == 0:
-            return not_icc(
-                FINITE_GROUP_WITNESS, Citation("Surface classification", "sphere: trivial group")
-            )
-        if g == 1:
-            return not_icc(
-                Witness(description="any nontrivial element of Z^2"),
-                Citation("Surface classification", "torus"),
-                Citation("Abelian infinite"),
-            )
-        return icc(
-            Citation("Surface classification", f"closed orientable surface of genus {g}"),
-            Citation("Prop 3(ii)"),
-        )
-    if g == 1:
-        return not_icc(
-            FINITE_GROUP_WITNESS,
-            Citation("Surface classification", "projective plane: group of order 2"),
-        )
-    if g == 2:
-        return not_icc(
-            Witness(
-                description="the orientation-true generator a (conjugacy class {a, a^-1})"
-            ),
-            Citation("Surface classification", "Klein bottle"),
-        )
-    return icc(
-        Citation("Surface classification", f"closed non-orientable surface of genus {g}"),
-        Citation("Prop 3(ii)"),
-    )
-
-
 def _semidirect_finite_orbit_witness(
     group: groups.semidirect.SemidirectZnByZ,
 ) -> Optional[GroupElement]:
@@ -350,131 +308,160 @@ def _integer_kernel_vector(m: groups.semidirect.Matrix) -> Optional[tuple[int, .
     return None
 
 
-def decide_structured_group(group: StructuredGroup) -> Verdict:
-    """Route a structured group through the applicable combinators.
+def _semidirect(group) -> Verdict:
+    torus_bundle = group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1
+    kind = classify_monodromy(group.phi) if torus_bundle else None
+    if kind is MonodromyClass.HYPERBOLIC:
+        # no root-of-unity eigenvalue, so no vector has a finite orbit
+        return icc_torus_bundle(group.phi)
+    # an elliptic or parabolic monodromy always has a finite-orbit vector
+    element = _semidirect_finite_orbit_witness(group)
+    if element is not None:
+        witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
+        if torus_bundle:
+            detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
+            return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
+        return not_icc(
+            witness,
+            Citation("Finite class witness", "the orbit of the vector under the action is finite"),
+        )
+    return unknown(
+        Citation(
+            "Outside scope",
+            "no finite-orbit vector found, but the action is outside the "
+            "orientable torus-bundle trichotomy",
+        )
+    )
 
-    A group routes by the name of its nearest class defined in this package,
-    so a subclass decides as its construction does, and no test executes
-    the module of a construction the group does not hold."""
+
+def _direct_with_finite(group) -> Verdict:
+    if group.f.size == 1:
+        return decide_structured_group(group.h)
+    try:
+        element = group.finite_element(1)
+    except NotEnumerableError:
+        # h has no normal form to write its identity in; it is 1
+        witness = Witness(f"finite-factor element (1, {group.f.names[1]})")
+    else:
+        witness = Witness(f"finite-factor element {element!r}", element)
+    return not_icc(
+        witness, Citation("Finite direct factor", f"finite factor of order {group.f.size}")
+    )
+
+
+def _first_generator(group, description: str) -> Witness:
+    """The first generator of a surface's realization, as the witness the
+    description names; read only where that generator has a finite class."""
+    element = group.element(group.generator_payloads()[0][1])
+    return Witness(f"{description}: {element!r}", element)
+
+
+def _surface(group) -> Verdict:
+    """The surface-group rule from the classification of surfaces."""
+    g, b = group.genus, group.boundary_components
+    if b > 0:
+        rank = 2 * g + b - 1 if group.orientable else g + b - 1
+        if rank == 0:
+            return not_icc(
+                FINITE_GROUP_WITNESS,
+                Citation("Surface classification", "disk: trivial group"),
+            )
+        if rank == 1:
+            name = "annulus" if group.orientable else "Moebius band"
+            return not_icc(
+                _first_generator(group, "core curve generator of the infinite cyclic group"),
+                Citation("Surface classification", name),
+                Citation("Abelian infinite"),
+            )
+        return icc(
+            Citation("Surface classification", f"free group of rank {rank}"),
+            Citation("Prop 3(i)"),
+        )
+    if group.orientable:
+        if g == 0:
+            return not_icc(
+                FINITE_GROUP_WITNESS, Citation("Surface classification", "sphere: trivial group")
+            )
+        if g == 1:
+            return not_icc(
+                _first_generator(group, "any nontrivial element of Z^2"),
+                Citation("Surface classification", "torus"),
+                Citation("Abelian infinite"),
+            )
+        return icc(
+            Citation("Surface classification", f"closed orientable surface of genus {g}"),
+            Citation("Prop 3(ii)"),
+        )
+    if g == 1:
+        return not_icc(
+            FINITE_GROUP_WITNESS,
+            Citation("Surface classification", "projective plane: group of order 2"),
+        )
+    if g == 2:
+        return not_icc(
+            _first_generator(
+                group, "the orientation-true generator a (conjugacy class {a, a^-1})"
+            ),
+            Citation("Surface classification", "Klein bottle"),
+        )
+    return icc(
+        Citation("Surface classification", f"closed non-orientable surface of genus {g}"),
+        Citation("Prop 3(ii)"),
+    )
+
+
+def _fiber_extension(group) -> Verdict:
+    closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
+    return not_icc(
+        Witness(
+            description=f"fiber generator h (conjugacy class within {closure})",
+            element=group.fiber(),
+        ),
+        Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
+        Citation("Prop 2"),
+    )
+
+
+def _matrix_group(group) -> Verdict:
+    order = group.order()
+    if order != INFINITE:
+        detail = "trivial group" if order == 1 else f"finite matrix group of order {order}"
+        return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
+    return unknown(
+        Citation(
+            "Outside scope",
+            "matrix groups are oracle evidence carriers; use enumerate/witness "
+            "for desk-scale evidence",
+        )
+    )
+
+
+# the rule of each construction, by the name of its class
+_RULES = {
+    "FiniteCyclic": _finite_cyclic,
+    "InfiniteCyclic": _infinite_cyclic,
+    "FreeProduct": _free_product,
+    "Amalgam": _amalgam,
+    "Hnn": _hnn,
+    "SemidirectZnByZ": _semidirect,
+    "DirectWithFinite": _direct_with_finite,
+    "SurfaceGroup": _surface,
+    "FiberExtension": _fiber_extension,
+    "MatrixGroupSL2Eisenstein": _matrix_group,
+}
+
+
+def decide_structured_group(group: StructuredGroup) -> Verdict:
+    """Decide a structured group by the rule of its construction.
+
+    A group is decided by the rule of its nearest class defined in this
+    package, found by name, so a subclass decides as its construction does,
+    and no test executes the module of a construction the group does not
+    hold.  A rule that decides a factor or a base calls this function."""
     for cls in type(group).__mro__:
         if cls.__module__.startswith("iccdec."):
             break
-    construction = cls.__name__
-    if construction == "FiniteCyclic":
-        detail = "trivial group" if group.n == 1 else f"finite cyclic of order {group.n}"
-        return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
-    if construction == "InfiniteCyclic":
-        return not_icc(
-            Witness(
-                description=f"generator {group.gen_name}",
-                element=group.element(1),
-            ),
-            Citation("Abelian infinite"),
-        )
-    if construction == "FreeProduct":
-        # decided as ((G0 * G1) * G2) * ...: order-1 factors drop out, and
-        # the factors before the last remaining one form its left factor
-        orders = [f.order() for f in group.factors]
-        sides = [side for side, order in enumerate(orders) if order != 1]
-        if len(sides) <= 1:
-            side = sides[0] if sides else len(orders) - 1
-            inner = decide_structured_group(group.factors[side])
-            witness = inner.witness
-            if witness is not None and witness.kind == "element":
-                witness = Witness(witness.description, group.embed(side, witness.element))
-            return Verdict(inner.status, inner.reasons, witness)
-        last = sides[-1]
-        verdict = icc_free_product(INFINITE if len(sides) > 2 else orders[sides[0]], orders[last])
-        if verdict.status is Status.NOT_ICC:
-            right = group.embed(last, group.factors[last].generators()[0][1])
-            element = multiply(group.generators()[0][1], right)  # left factor's first generator
-            witness = Witness(f"translation {element!r} (conjugacy class of size 2)", element)
-            return Verdict(verdict.status, verdict.reasons, witness)
-        return verdict
-    if construction == "Amalgam":
-        factor_verdicts = tuple(decide_structured_group(f) for f in group.factors)
-        return icc_amalgam(group, factor_verdicts)
-    if construction == "Hnn":
-        return icc_hnn(group, decide_structured_group(group.base))
-    if construction == "SemidirectZnByZ":
-        torus_bundle = group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1
-        kind = classify_monodromy(group.phi) if torus_bundle else None
-        if kind is MonodromyClass.HYPERBOLIC:
-            # no root-of-unity eigenvalue, so no vector has a finite orbit
-            return icc_torus_bundle(group.phi)
-        # an elliptic or parabolic monodromy always has a finite-orbit vector
-        element = _semidirect_finite_orbit_witness(group)
-        if element is not None:
-            witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
-            if torus_bundle:
-                detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
-                return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
-            return not_icc(
-                witness,
-                Citation("Finite class witness", "the orbit of the vector under the action is finite"),
-            )
-        return unknown(
-            Citation(
-                "Outside scope",
-                "no finite-orbit vector found, but the action is outside the "
-                "orientable torus-bundle trichotomy",
-            )
-        )
-    if construction == "DirectWithFinite":
-        if group.f.size == 1:
-            return decide_structured_group(group.h)
-        try:
-            element = group.finite_element(1)
-        except NotEnumerableError:
-            # h has no normal form to write its identity in; it is 1
-            witness = Witness(f"finite-factor element (1, {group.f.names[1]})")
-        else:
-            witness = Witness(f"finite-factor element {element!r}", element)
-        return not_icc(
-            witness, Citation("Finite direct factor", f"finite factor of order {group.f.size}")
-        )
-    if construction == "SurfaceGroup":
-        verdict = icc_surface(group.genus, group.orientable, group.boundary_components)
-        realization = group.realization()
-        if (
-            verdict.status is Status.NOT_ICC
-            and verdict.witness is not None
-            and verdict.witness.kind == "symbolic"
-            and realization is not None
-        ):
-            gens = realization.generator_payloads()
-            if gens:
-                element = group.element(gens[0][1])
-                verdict = Verdict(
-                    verdict.status,
-                    verdict.reasons,
-                    Witness(
-                        description=f"{verdict.witness.description}: {element!r}",
-                        element=element,
-                    ),
-                )
-        return verdict
-    if construction == "FiberExtension":
-        fiber = group.fiber()
-        closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
-        return not_icc(
-            Witness(
-                description=f"fiber generator h (conjugacy class within {closure})",
-                element=fiber,
-            ),
-            Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),
-            Citation("Prop 2"),
-        )
-    if construction == "MatrixGroupSL2Eisenstein":
-        order = group.order()
-        if order != INFINITE:
-            detail = "trivial group" if order == 1 else f"finite matrix group of order {order}"
-            return not_icc(FINITE_GROUP_WITNESS, Citation("ICC definition", detail))
-        return unknown(
-            Citation(
-                "Outside scope",
-                "matrix groups are oracle evidence carriers; use enumerate/witness "
-                "for desk-scale evidence",
-            )
-        )
-    raise GroupUsageError(f"no decision rule for construction {type(group).__name__}")
+    rule = _RULES.get(cls.__name__)
+    if rule is None:
+        raise GroupUsageError(f"no decision rule for construction {type(group).__name__}")
+    return rule(group)

@@ -1,14 +1,20 @@
-"""The ICC decision combinators and their contracts."""
+"""The ICC decision rules and their contracts."""
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import random
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iccdec.groups
 from iccdec.citations import CITATIONS
 from iccdec.groups import (
     Amalgam,
@@ -23,7 +29,6 @@ from iccdec.groups import (
     Hnn,
     INFINITE,
     InfiniteCyclic,
-    SemidirectZnByZ,
     StructuredGroup,
     SurfaceGroup,
     ball_with_lengths,
@@ -40,37 +45,37 @@ from iccdec.rules import (
     MonodromyClass,
     classify_monodromy,
     decide_structured_group,
-    icc_amalgam,
-    icc_free_product,
-    icc_hnn,
-    icc_surface,
     icc_torus_bundle,
+    _RULES,
     _integer_kernel_vector,
     _normal_edge_subgroup,
 )
-from iccdec.verdict import Status, Verdict, Witness, Citation
+from iccdec.verdict import Status, Verdict, Citation
 
 
 # ---------------------------------------------------------------------------
 # free products
 
 
+def _free_product_of_orders(left, right):
+    """Z/left * Z/right, with Z for an INFINITE order."""
+    return FreeProduct(*(
+        InfiniteCyclic(name) if order == INFINITE else FiniteCyclic(order, name)
+        for order, name in ((left, "a"), (right, "b"))
+    ))
+
+
 def test_free_product_dihedral_case():
-    verdict = icc_free_product(2, 2)
+    verdict = decide_structured_group(_free_product_of_orders(2, 2))
     assert verdict.status is Status.NOT_ICC
     assert verdict.witness is not None
     assert "Infinite dihedral" in verdict.labels()
 
 
 def test_free_product_icc_cases():
-    assert icc_free_product(2, 3).status is Status.ICC
-    assert icc_free_product(INFINITE, 2).status is Status.ICC
-    assert "Prop 3(i)" in icc_free_product(3, 2).labels()
-
-
-def test_free_product_order_one_rejected():
-    with pytest.raises(GroupUsageError):
-        icc_free_product(1, 5)
+    assert decide_structured_group(_free_product_of_orders(2, 3)).status is Status.ICC
+    assert decide_structured_group(_free_product_of_orders(INFINITE, 2)).status is Status.ICC
+    assert "Prop 3(i)" in decide_structured_group(_free_product_of_orders(3, 2)).labels()
 
 
 def test_free_product_symmetry():
@@ -78,7 +83,8 @@ def test_free_product_symmetry():
     for _ in range(50):
         left = rng.choice([2, 3, 4, 7, INFINITE])
         right = rng.choice([2, 3, 4, 7, INFINITE])
-        assert icc_free_product(left, right).status is icc_free_product(right, left).status
+        forward = decide_structured_group(_free_product_of_orders(left, right))
+        assert forward.status is decide_structured_group(_free_product_of_orders(right, left)).status
 
 
 # Z/n for n in 1..4, or Z for None
@@ -153,11 +159,11 @@ def psl2z_shaped():
 def test_amalgam_trivial_edge_is_icc():
     edge = AmalgamEdge(cyclic_table(1), [0], [0])
     group = Amalgam(FiniteCyclic(2, "a"), FiniteCyclic(3, "b"), edge)
-    assert icc_amalgam(group).status is Status.ICC
+    assert decide_structured_group(group).status is Status.ICC
 
 
 def test_amalgam_with_central_edge_is_unknown():
-    verdict = icc_amalgam(psl2z_shaped())
+    verdict = decide_structured_group(psl2z_shaped())
     assert verdict.status is Status.UNKNOWN
     assert "Prop 3(iii)" in verdict.labels()
 
@@ -166,7 +172,7 @@ def test_amalgam_edge_normal_in_neither_factor_is_icc(corpus_dir):
     from conftest import load_corpus_descriptor
 
     descriptor = load_corpus_descriptor(corpus_dir, "group_s3_amalgam_s3.json")
-    verdict = icc_amalgam(descriptor.group)
+    verdict = decide_structured_group(descriptor.group)
     assert verdict.status is Status.ICC
     assert "Prop 3(iii)" in verdict.labels()
 
@@ -175,7 +181,7 @@ def test_amalgam_index_hypotheses():
     # [Z/4 : Z/2] = 2 on both sides: the (3, 2) index hypothesis fails
     edge = AmalgamEdge(cyclic_table(2), [0, 2], [0, 2])
     group = Amalgam(FiniteCyclic(4, "p"), FiniteCyclic(4, "q"), edge)
-    verdict = icc_amalgam(group)
+    verdict = decide_structured_group(group)
     assert verdict.status is Status.UNKNOWN
     assert "Hypotheses not met" in verdict.labels()
 
@@ -185,15 +191,9 @@ def test_amalgam_prop3ii_uses_factor_verdict():
     other = FiniteCyclic(5, "c")
     edge = AmalgamEdge(cyclic_table(1), [f2.identity_payload()], [0])
     group = Amalgam(f2, other, edge)
-    factor_verdicts = (decide_structured_group(f2), decide_structured_group(other))
-    verdict = icc_amalgam(group, factor_verdicts)
+    verdict = decide_structured_group(group)
     assert verdict.status is Status.ICC
     assert "Prop 3(ii)" in verdict.labels()
-
-
-def test_amalgam_requires_amalgam():
-    with pytest.raises(GroupUsageError):
-        icc_amalgam(FiniteCyclic(3))
 
 
 @st.composite
@@ -224,17 +224,17 @@ def test_amalgam_verdicts_agree_with_the_oracle(group):
 def test_hnn_icc_base_route(z2_star_z3):
     edge = FiniteHnnEdge(cyclic_table(1), [z2_star_z3.identity_payload()], [z2_star_z3.identity_payload()])
     group = Hnn(z2_star_z3, edge)
-    verdict = icc_hnn(group, decide_structured_group(z2_star_z3))
+    verdict = decide_structured_group(group)
     assert verdict.status is Status.ICC
     assert verdict.labels()[-1] == "Prop 3(iv)"
 
 
 def test_hnn_trivial_edge_vacuous(bs12):
     f2_shaped = Hnn(InfiniteCyclic("a"), FiniteHnnEdge(cyclic_table(1), [0], [0]))
-    verdict = icc_hnn(f2_shaped)
+    verdict = decide_structured_group(f2_shaped)
     assert verdict.status is Status.ICC
     assert "Prop 3(v)" in verdict.labels()
-    assert icc_hnn(bs12).status is Status.ICC
+    assert decide_structured_group(bs12).status is Status.ICC
 
 
 def test_hnn_normal_finite_edge_subgroup_unknown():
@@ -244,20 +244,20 @@ def test_hnn_normal_finite_edge_subgroup_unknown():
         [base.identity_payload(), (0, 1)],
         [base.identity_payload(), (0, 1)],
     )
-    verdict = icc_hnn(Hnn(base, edge))
+    verdict = decide_structured_group(Hnn(base, edge))
     assert verdict.status is Status.UNKNOWN
     assert "Prop 3(v)" in verdict.labels()
 
 
 def test_hnn_equal_power_edges_unknown():
     klein_shaped = Hnn(InfiniteCyclic("a"), CyclicPowerEdge(2, -2))
-    verdict = icc_hnn(klein_shaped)
+    verdict = decide_structured_group(klein_shaped)
     assert verdict.status is Status.UNKNOWN
 
 
 def test_hnn_properness_precondition():
     whole = Hnn(InfiniteCyclic("a"), CyclicPowerEdge(1, 1))
-    verdict = icc_hnn(whole)
+    verdict = decide_structured_group(whole)
     assert verdict.status is Status.UNKNOWN
     assert "Hypotheses not met" in verdict.labels()
 
@@ -362,7 +362,7 @@ def test_amalgam_edge_index_and_normality_scan_agree_with_brute_force(group):
         sides.append((factor, images, conjugators))
     expected = _brute_normal_edge_subgroup(edge.table, sides)
     assert _normal_edge_subgroup(edge.table, [side[:2] for side in sides]) == expected
-    verdict = icc_amalgam(group)
+    verdict = decide_structured_group(group)
     if verdict.labels() == ["Prop 3(iii)"]:
         assert verdict.status is (Status.UNKNOWN if expected else Status.ICC)
 
@@ -384,20 +384,24 @@ def test_hnn_edge_index_and_normality_scan_agree_with_brute_force(group):
     conjugators = [t, ~t] + [group.element(((), e.payload)) for e in base_elements]
     images = [((), p) for p in edge.embeds[0]]
     expected = _brute_normal_edge_subgroup(edge.table, [(group, images, conjugators)])
-    verdict = icc_hnn(group)
-    if index > 1:
+    assert _normal_edge_subgroup(edge.table, [(group, images)]) == expected
+    # an ICC base decides the extension by Prop 3(iv), before the scan
+    verdict = decide_structured_group(group)
+    if index == 1:
+        assert verdict.labels() == ["Hypotheses not met"]
+    elif decide_structured_group(group.base).status is Status.ICC:
+        assert verdict.status is Status.ICC and verdict.labels()[-1] == "Prop 3(iv)"
+    else:
         assert verdict.labels() == ["Prop 3(v)"]
         assert verdict.status is (Status.UNKNOWN if expected else Status.ICC)
         assert (f"of order {expected} " in verdict.reasons[0].detail) == bool(expected)
-    else:
-        assert verdict.labels() == ["Hypotheses not met"]
 
 
 # ---------------------------------------------------------------------------
-# finite index up and down
+# free groups
 
 
-def test_finite_index_descend_matches_free_subgroup_growth(f2):
+def test_free_group_classes_grow_with_the_radius(f2):
     # the rank-2 free subgroup of finite index in Z/2 * Z/3: its classes
     # grow, as the oracle confirms on F2 directly
     report = conjugacy_class_ball(f2, f2.generator_element("x"), 6)
@@ -637,9 +641,11 @@ def test_integer_kernel_vector_examples():
 
 
 def test_surface_rule_examples():
-    assert icc_surface(1, True, 0).status is Status.NOT_ICC  # torus
-    assert icc_surface(2, True, 0).status is Status.ICC  # closed genus 2
-    disk = icc_surface(0, True, 1)
+    torus = decide_structured_group(SurfaceGroup(1, True, 0))
+    assert torus.status is Status.NOT_ICC
+    assert torus.witness.description == "any nontrivial element of Z^2: ((1), 0)"
+    assert decide_structured_group(SurfaceGroup(2, True, 0)).status is Status.ICC  # closed genus 2
+    disk = decide_structured_group(SurfaceGroup(0, True, 1))
     assert disk.status is Status.NOT_ICC
     assert disk.witness.kind == "finite"
 
@@ -660,7 +666,12 @@ def test_surface_rule_examples():
     ],
 )
 def test_surface_exceptional_list(genus, orientable, boundary, expected):
-    assert icc_surface(genus, orientable, boundary).status is expected
+    verdict = decide_structured_group(SurfaceGroup(genus, orientable, boundary))
+    assert verdict.status is expected
+    if expected is Status.NOT_ICC and not verdict.witness.finite:
+        # an infinite NotICC surface group has a realization, and its
+        # witness is the realization's first generator
+        assert verdict.witness.kind == "element"
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +725,41 @@ def test_decide_structured_group_dispatch(dihedral, z2_star_z3, f2, bs12):
     assert surface.status is Status.ICC
     matrix_unknown = decide_structured_group(__import__("iccdec").figure8_group())
     assert matrix_unknown.status is Status.UNKNOWN
+
+
+_RUN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def _benchmarked_constructions():
+    """The CONSTRUCTIONS tuple of perfbench/run.py, read from its source."""
+    for node in ast.parse(_RUN_PATH.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CONSTRUCTIONS":
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/run.py assigns no CONSTRUCTIONS")
+
+
+def _construction_classes():
+    """The names of the concrete structured groups the package defines."""
+    modules = [
+        importlib.import_module(f"iccdec.groups.{info.name}")
+        for info in pkgutil.iter_modules(iccdec.groups.__path__)
+    ] + [importlib.import_module("iccdec.eisenstein")]
+    return {
+        cls.__name__
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and issubclass(cls, StructuredGroup)
+        and not inspect.isabstract(cls)
+    }
+
+
+def test_every_construction_has_a_rule_and_a_benchmark_count():
+    # a construction with no rule fails only when it is decided, and one
+    # the benchmark does not list drops out of its multiply_payloads counts
+    assert set(_RULES) == _construction_classes()
+    assert set(_RULES) == _benchmarked_constructions()
 
 
 class _Generator(InfiniteCyclic):
@@ -782,6 +828,6 @@ def test_amalgam_index_three_two_edge_not_normal_in_large_factor():
     )
     group = Amalgam(s3, z4, edge)
     assert (group.factor_index(0), group.factor_index(1)) == (3, 2)
-    verdict = icc_amalgam(group)
+    verdict = decide_structured_group(group)
     assert verdict.status is Status.ICC
     assert "Prop 3(iii)" in verdict.labels()

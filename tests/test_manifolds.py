@@ -186,6 +186,14 @@ def test_lens_group_z_prints_the_fiber_as_the_positive_power(tmp_path, capsys):
     assert "witness: fiber class h = c^3 (" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fibers, h", [(((2, 1), (3, 1)), "c^2"), (((3, 1), (2, 1)), "c^3")])
+def test_lens_fiber_class_is_c_to_the_first_fiber_order(fibers, h):
+    # h = c^a1, and Z/11 tells the two fiber orders apart; a group Z cannot,
+    # since b1/a1 + b2/a2 is then an integer, which forces a1 = a2
+    sg = seifert_group(SeifertInvariants(0, True, 0, fibers, -1))
+    assert (sg.realization.describe(), repr(sg.fiber_element)) == ("Z/11", h)
+
+
 def test_enumerate_accepts_the_fiber_name_decide_prints(tmp_path, capsys):
     # S^3 as Seifert data beside the trefoil complement: the S^3 piece is
     # dropped, so the lone kept piece's carrier is not suffixed

@@ -153,11 +153,12 @@ def _reference_powers(group, bound):
     """phi^m for |m| <= bound by repeated multiplication."""
     n = group.rank
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    assert _int_mat_mul(group.phi, group.phi_inv) == identity
+    inverse = group.phi_power(-1)
+    assert _int_mat_mul(group.phi, inverse) == identity
     powers = {0: identity}
     for m in range(1, bound + 1):
         powers[m] = _int_mat_mul(powers[m - 1], group.phi)
-        powers[-m] = _int_mat_mul(powers[1 - m], group.phi_inv)
+        powers[-m] = _int_mat_mul(powers[1 - m], inverse)
     return powers
 
 

@@ -30,7 +30,7 @@ def _reference_class_ball(group, g, radius, window):
     for w, length in zip(ball, lengths):
         c = w * g * ~w
         if c.payload not in first:
-            first[c.payload] = (length, c.key())
+            first[c.payload] = (length, group.payload_key(c.payload))
     payloads = sorted(first, key=first.get)
     counts = [sum(1 for length, _ in first.values() if length <= r) for r in range(radius + 1)]
     return counts, payloads, counts[-1] == counts[-1 - window]
