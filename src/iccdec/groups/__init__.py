@@ -25,7 +25,7 @@ _EXPORTS = {
     "cyclic": ("FiniteCyclic", "InfiniteCyclic"),
     "free_product": ("FreeProduct", "free_group"),
     "amalgam": ("Amalgam", "AmalgamEdge"),
-    "hnn": ("CyclicPowerEdge", "FiniteHnnEdge", "Hnn", "HnnEdge"),
+    "hnn": ("CyclicPowerEdge", "FiniteHnnEdge", "Hnn"),
     "semidirect": ("SemidirectZnByZ",),
     "direct_product": ("DirectWithFinite",),
     "fiber_extension": ("FiberExtension", "FreePart", "TorsionPart"),

@@ -15,7 +15,6 @@ representatives are decidable by divisibility).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from functools import cached_property, partial
 
 from .base import (
@@ -30,40 +29,7 @@ from .base import (
 from .cyclic import InfiniteCyclic
 
 
-class HnnEdge(ABC):
-    """Associated subgroup pair A, B of the base, with iso phi: A -> B.
-
-    Its operations are indexed by side, as a FiniteEdge's are: side 0 is the
-    domain A, where t^-1 pinches, and side 1 is the range B, where t pinches.
-    """
-
-    @abstractmethod
-    def validate_against(self, base: StructuredGroup) -> None:
-        ...
-
-    @abstractmethod
-    def signature(self) -> tuple:
-        ...
-
-    @abstractmethod
-    def contains(self, side: int, payload) -> bool:
-        """Whether payload lies in the side's subgroup."""
-
-    @abstractmethod
-    def carry(self, side: int, payload):
-        """phi(a) for a in A on side 0, phi^-1(b) for b in B on side 1."""
-
-    @abstractmethod
-    def rep(self, base, side: int, payload):
-        """(rep, residual) with payload = rep * residual, residual in the
-        side's subgroup."""
-
-    @abstractmethod
-    def proper_sides(self, base) -> tuple[bool, bool]:
-        """(A proper in base, B proper in base)."""
-
-
-class FiniteHnnEdge(FiniteEdge, HnnEdge):
+class FiniteHnnEdge(FiniteEdge):
     """A and B are copies of a finite table group inside the base.
 
     iso[i] gives the index of phi(domain[i]) among the range images, i.e.
@@ -108,7 +74,7 @@ class FiniteHnnEdge(FiniteEdge, HnnEdge):
         return (self.index(base) > 1,) * 2
 
 
-class CyclicPowerEdge(HnnEdge):
+class CyclicPowerEdge:
     """Base Z = <a>; A = <a^m>, B = <a^n> with phi(a^(m k)) = a^(n k).
 
     domain_power m >= 1 and range_power n != 0 (a negative n encodes an
@@ -152,9 +118,23 @@ class CyclicPowerEdge(HnnEdge):
 
 class Hnn(StructuredGroup):
     """HNN extension of a base group.  Payload: (syllables, tail base
-    payload) with syllables a tuple of (coset representative payload, eps)."""
+    payload) with syllables a tuple of (coset representative payload, eps).
 
-    def __init__(self, base: StructuredGroup, edge: HnnEdge, stable_letter: str = "t"):
+    The edge, a FiniteHnnEdge or a CyclicPowerEdge, holds the associated
+    subgroups A, B of the base and the iso phi: A -> B.  Both kinds answer
+    validate_against(base), signature(), contains(side, p),
+    carry(side, p) (phi(a) on side 0, phi^-1(b) on side 1),
+    rep(base, side, p) ((rep, residual) with p = rep * residual and the
+    residual in the side's subgroup) and proper_sides(base) ((A proper,
+    B proper)).  Side 0 is the domain A, where t^-1 pinches, and side 1 is
+    the range B, where t pinches."""
+
+    def __init__(
+        self,
+        base: StructuredGroup,
+        edge: FiniteHnnEdge | CyclicPowerEdge,
+        stable_letter: str = "t",
+    ):
         self.base = base
         self.edge = edge
         self.stable_letter = stable_letter

@@ -237,10 +237,6 @@ class SeifertGroupResult(Record):
             self.order_kind == "exact" and self.order != INFINITE
         )
 
-    @property
-    def trivial(self) -> bool:
-        return self.order_kind == "exact" and self.order == 1
-
     def order_class(self) -> object:
         """1, 2, or "3+" (covering both large finite and infinite groups)."""
         if self.order_kind == "exact" and self.order in (1, 2):
@@ -505,12 +501,6 @@ def _multi_piece_verdict(kept: list[NormalPiece]) -> Verdict:
 
 
 def _seifert_piece_verdict(sg: SeifertGroupResult, orientable_manifold: bool) -> Verdict:
-    if sg.trivial:
-        return not_icc(
-            FINITE_GROUP_WITNESS,
-            Citation("Prop 2", "simply connected Seifert data"),
-            Citation("ICC definition"),
-        )
     if sg.visibly_finite:
         return not_icc(
             FINITE_GROUP_WITNESS,

@@ -209,17 +209,6 @@ def classify_monodromy(phi) -> MonodromyClass:
     return MonodromyClass.PARABOLIC if trace == 0 else MonodromyClass.HYPERBOLIC
 
 
-def _primitive_kernel_vector(m: groups.semidirect.Matrix) -> Optional[tuple[int, int]]:
-    """A primitive integer kernel vector of a singular 2x2 matrix, or None."""
-    if groups.semidirect.mat_det(m) != 0:
-        return None
-    for p, q in m:
-        if (p, q) != (0, 0):
-            g = gcd(abs(p), abs(q))
-            return (q // g, -p // g)
-    return (1, 0)  # zero matrix
-
-
 def icc_torus_bundle(phi) -> Verdict:
     """Lemma 10's trichotomy for orientable torus bundles."""
     matrix = _as_matrix(phi)
@@ -238,7 +227,7 @@ def icc_torus_bundle(phi) -> Verdict:
         shifted = tuple(
             tuple(matrix[i][j] - (sign if i == j else 0) for j in range(2)) for i in range(2)
         )
-        vector = _primitive_kernel_vector(shifted)
+        vector = _integer_kernel_vector(shifted)
         group = groups.semidirect.SemidirectZnByZ(2, matrix)
         element = group.element((vector, 0))
         size = "{v}" if sign == 1 else "{v, -v}"
@@ -411,10 +400,11 @@ def _surface(group) -> Verdict:
 
 
 def _fiber_extension(group) -> Verdict:
-    closure = "{h}" if group.fiber_is_central() else "{h, h^-1}"
+    h = group.fiber_name
+    closure = f"{{{h}}}" if group.fiber_is_central() else f"{{{h}, {h}^-1}}"
     return not_icc(
         Witness(
-            description=f"fiber generator h (conjugacy class within {closure})",
+            description=f"fiber generator {h} (conjugacy class within {closure})",
             element=group.fiber(),
         ),
         Citation("Lemma 1", "the fiber generates a cyclic normal subgroup"),

@@ -21,9 +21,11 @@ from iccdec.groups import (
     AmalgamEdge,
     CyclicPowerEdge,
     DirectWithFinite,
+    FiberExtension,
     FiniteCyclic,
     FiniteGroupTable,
     FiniteHnnEdge,
+    FreePart,
     FreeProduct,
     GroupUsageError,
     Hnn,
@@ -31,6 +33,7 @@ from iccdec.groups import (
     InfiniteCyclic,
     StructuredGroup,
     SurfaceGroup,
+    TorsionPart,
     ball_with_lengths,
     conjugate,
     cyclic_table,
@@ -518,7 +521,7 @@ def test_torus_bundle_group_and_manifold_agree(monkeypatch):
     monkeypatch.setattr(
         rules, "_semidirect_finite_orbit_witness", lambda g: searched.append(g.phi) or search(g)
     )
-    kinds = set()
+    kinds, parabolic = set(), 0
     for phi in _sl2z_words(2105, 300):
         group, manifold = (parse_descriptor_data(d) for d in _torus_bundle_documents(phi))
         searched.clear()
@@ -536,7 +539,21 @@ def test_torus_bundle_group_and_manifold_agree(monkeypatch):
             assert by_group == by_manifold and searched == []
         else:
             assert searched == [phi] and by_group.witness.element is not None
+        if kind is MonodromyClass.PARABOLIC and phi[0][1] | phi[1][0]:
+            # phi != +-I: both forms name the same eigenvector v, and its
+            # class is the one the manifold text states
+            element = by_manifold.witness.element
+            assert by_group.witness.element.payload == element.payload, phi
+            vector, _ = element.payload
+            stated = {vector}
+            if by_manifold.witness.description.endswith("{v, -v}"):
+                stated.add(tuple(-x for x in vector))
+            report = conjugacy_class_ball(element.group, element, 6)
+            assert report.stabilized
+            assert {c.payload for c in report.conjugates} == {(v, 0) for v in stated}, phi
+            parabolic += 1
     assert kinds == set(MonodromyClass)
+    assert parabolic >= 100
 
 
 # the decide --json witness text as recorded before hyperbolic monodromies
@@ -672,6 +689,26 @@ def test_surface_exceptional_list(genus, orientable, boundary, expected):
         # an infinite NotICC surface group has a realization, and its
         # witness is the realization's first generator
         assert verdict.witness.kind == "element"
+
+
+# ---------------------------------------------------------------------------
+# fiber extensions
+
+
+@pytest.mark.parametrize(
+    "parts, closure",
+    [
+        ([TorsionPart("x", 2, 1), TorsionPart("y", 3, 1)], "{z}"),
+        ([FreePart("x", -1), FreePart("y")], "{z, z^-1}"),
+    ],
+)
+def test_fiber_extension_witness_names_its_fiber(parts, closure):
+    # the rule once wrote h whatever the fiber was called
+    group = FiberExtension(parts, fiber_name="z")
+    verdict = decide_structured_group(group)
+    assert verdict.status is Status.NOT_ICC
+    assert verdict.witness.description == f"fiber generator z (conjugacy class within {closure})"
+    assert verdict.witness.element == group.fiber() and repr(verdict.witness.element) == "z"
 
 
 # ---------------------------------------------------------------------------

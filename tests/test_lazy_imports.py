@@ -33,7 +33,7 @@ GROUPS_ALL = [
     "commutes_with_generators", "conjugate", "cyclic_table", "invert",
     "multiply", "reduce_word", "render_word", "FiniteCyclic", "InfiniteCyclic",
     "FreeProduct", "free_group", "Amalgam", "AmalgamEdge", "CyclicPowerEdge",
-    "FiniteHnnEdge", "Hnn", "HnnEdge", "SemidirectZnByZ", "DirectWithFinite",
+    "FiniteHnnEdge", "Hnn", "SemidirectZnByZ", "DirectWithFinite",
     "FiberExtension", "FreePart", "TorsionPart", "SurfaceGroup",
 ]
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -219,9 +220,9 @@ def test_enumerate_accepts_the_fiber_name_decide_prints(tmp_path, capsys):
 
 def test_finiteness_routing():
     poincare = seifert_group(SeifertInvariants(0, True, 0, ((2, 1), (3, 1), (5, 1)), -1))
-    assert poincare.visibly_finite and not poincare.trivial
+    assert poincare.visibly_finite and poincare.order_class() != 1
     s3 = seifert_group(SeifertInvariants(0, True, 0, ((2, 1), (3, 1)), 1))
-    assert s3.trivial
+    assert s3.order_class() == 1
     # S^2 base with no exceptional fibers and b = 0 has infinite group Z:
     # positive orbifold Euler characteristic alone must not imply finite
     s2xs1 = seifert_group(SeifertInvariants(0, True, 0, (), 0))
@@ -495,7 +496,7 @@ def test_seifert_fiber_class_within_h_and_inverse(manifest, corpus_dir):
             if not isinstance(piece, SeifertPiece):
                 continue
             sg = seifert_group(piece.invariants)
-            if sg.realization is None or sg.fiber_element is None or sg.trivial:
+            if sg.realization is None or sg.fiber_element is None or sg.order_class() == 1:
                 continue
             report = conjugacy_class_ball(sg.realization, sg.fiber_element, 6)
             allowed = {sg.fiber_element.payload, (~sg.fiber_element).payload}
@@ -574,3 +575,14 @@ def test_three_fiber_signs_match_exact_fractions():
             expected = "finite_ge_3" if chi > 0 and euler_number != 0 else "exact"
             result = seifert_group(SeifertInvariants(0, True, 0, fibers, b))
             assert result.order_kind == expected, (fibers, b)
+
+
+def test_readme_library_example_runs_as_printed(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    verdict, counts = capsys.readouterr().out.splitlines()
+    assert verdict.startswith("NotICC | witness: fiber class h")
+    assert verdict == str(namespace["verdict"])
+    assert counts == str((1,) + (2,) * 10)
