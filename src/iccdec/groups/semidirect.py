@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from math import log2
+
 from .base import INFINITE, GroupUsageError, StructuredGroup
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -51,6 +54,15 @@ def mat_inverse_unimodular(a: Matrix) -> Matrix:
 def _minor(a: Matrix, i: int, j: int) -> Matrix:
     """a without row i and column j."""
     return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i)
+
+
+def _printable_power(matrix: Matrix, m: int) -> Matrix:
+    """matrix, a factor of phi^m; a GroupUsageError once an entry would
+    print past Python's limit on the digits of an int-to-str conversion."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(x.bit_length() for row in matrix for x in row) > limit * log2(10):
+        raise GroupUsageError(f"phi^{m} has an entry of {limit} or more digits, too long to print")
+    return matrix
 
 
 # phi^m is cached for |m| up to this bound and recomputed beyond it: a
@@ -130,6 +142,9 @@ def _invert3(group, a):
 
 
 _RANK_OPS = {1: (_multiply1, _invert1), 2: (_multiply2, _invert2), 3: (_multiply3, _invert3)}
+# the identity matrix and the default basis names of each rank
+_IDENTITY = {n: identity_matrix(n) for n in _RANK_OPS}
+_BASIS_NAMES = {n: tuple(f"e{i + 1}" for i in range(n)) for n in _RANK_OPS}
 
 
 class SemidirectZnByZ(StructuredGroup):
@@ -149,13 +164,11 @@ class SemidirectZnByZ(StructuredGroup):
         self.rank = rank
         self.phi = matrix
         self.exponent_name = exponent_name
-        if basis_names is None:
-            basis_names = tuple(f"e{i + 1}" for i in range(rank))
-        basis_names = tuple(basis_names)
+        basis_names = _BASIS_NAMES[rank] if basis_names is None else tuple(basis_names)
         if len(basis_names) != rank or len(set(basis_names)) != rank or exponent_name in basis_names:
             raise GroupUsageError("basis names must be distinct and exclude the exponent name")
         self.basis_names = basis_names
-        self._power_cache: dict[int, Matrix] = {0: identity_matrix(rank)}
+        self._power_cache: dict[int, Matrix] = {0: _IDENTITY[rank]}
         self._multiply, self._invert = _RANK_OPS[rank]
 
     def signature(self):
@@ -175,10 +188,10 @@ class SemidirectZnByZ(StructuredGroup):
             n = abs(m)
             while n:
                 if n & 1:
-                    result = step if result is None else mat_mul(result, step)
+                    result = step if result is None else _printable_power(mat_mul(result, step), m)
                 n >>= 1
                 if n:
-                    step = mat_mul(step, step)
+                    step = _printable_power(mat_mul(step, step), m)
             if -CACHED_POWERS <= m <= CACHED_POWERS:
                 self._power_cache[m] = result
         return result

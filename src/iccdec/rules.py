@@ -209,28 +209,32 @@ def classify_monodromy(phi) -> MonodromyClass:
     return MonodromyClass.PARABOLIC if trace == 0 else MonodromyClass.HYPERBOLIC
 
 
+# the order of a finite-order matrix in SL2(Z), by its trace (Cayley-Hamilton)
+_FINITE_ORDER = {-2: 2, -1: 3, 0: 4, 1: 6, 2: 1}
+
+
+def _parabolic_vector(matrix, trace: int) -> tuple[int, ...]:
+    """For phi in SL2(Z) of trace +-2, the kernel vector v of phi - (trace / 2) I: phi v = +-v."""
+    (a, b), (c, d) = matrix
+    return _integer_kernel_vector(((a - trace // 2, b), (c, d - trace // 2)))
+
+
 def icc_torus_bundle(phi) -> Verdict:
-    """Lemma 10's trichotomy for orientable torus bundles."""
+    """Lemma 10's trichotomy for orientable torus bundles, read from the trace."""
     matrix = _as_matrix(phi)
     if groups.semidirect.mat_det(matrix) != 1:
         raise GroupUsageError(
             "torus bundle monodromy must have determinant +1 (orientable bundle)"
         )
-    kind = classify_monodromy(matrix)
-    if kind is MonodromyClass.HYPERBOLIC:
+    trace = matrix[0][0] + matrix[1][1]
+    if abs(trace) > 2:
         return icc(
             Citation("Lemma 10", "hyperbolic monodromy, no eigenvector in Z^2")
         )
-    if kind is MonodromyClass.PARABOLIC:
-        trace = matrix[0][0] + matrix[1][1]
-        sign = 1 if trace == 2 else -1
-        shifted = tuple(
-            tuple(matrix[i][j] - (sign if i == j else 0) for j in range(2)) for i in range(2)
-        )
-        vector = _integer_kernel_vector(shifted)
+    if abs(trace) == 2:
         group = groups.semidirect.SemidirectZnByZ(2, matrix)
-        element = group.element((vector, 0))
-        size = "{v}" if sign == 1 else "{v, -v}"
+        element = group.element((_parabolic_vector(matrix, trace), 0))
+        size = "{v}" if trace == 2 else "{v, -v}"
         return not_icc(
             Witness(
                 description=f"lattice eigenvector {element!r} with conjugacy class {size}",
@@ -298,22 +302,28 @@ def _integer_kernel_vector(m: groups.semidirect.Matrix) -> Optional[tuple[int, .
 
 
 def _semidirect(group) -> Verdict:
-    torus_bundle = group.rank == 2 and groups.semidirect.mat_det(group.phi) == 1
-    kind = classify_monodromy(group.phi) if torus_bundle else None
-    if kind is MonodromyClass.HYPERBOLIC:
-        # no root-of-unity eigenvalue, so no vector has a finite orbit
-        return icc_torus_bundle(group.phi)
-    # an elliptic or parabolic monodromy always has a finite-orbit vector
-    element = _semidirect_finite_orbit_witness(group)
-    if element is not None:
-        witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
-        if torus_bundle:
-            detail = f"{kind.value.lower()} monodromy, the bundle is Seifert"
-            return not_icc(witness, Citation("Lemma 10", detail), Citation("Finite class witness"))
-        return not_icc(
-            witness,
+    phi = group.phi
+    if group.rank == 2 and groups.semidirect.mat_det(phi) == 1:
+        trace = phi[0][0] + phi[1][1]
+        if abs(trace) > 2:
+            # no root-of-unity eigenvalue, so no vector has a finite orbit
+            return icc_torus_bundle(phi)
+        # Lemma 10 from the trace, with no matrix power: t^k when phi has
+        # finite order k, else v with phi v = +-v, as the search would find
+        if abs(trace) < 2 or not (phi[0][1] or phi[1][0]):
+            element = group.element(((0, 0), _FINITE_ORDER[trace]))
+        else:
+            element = group.element((_parabolic_vector(phi, trace), 0))
+        detail = f"{'elliptic' if abs(trace) < 2 else 'parabolic'} monodromy, the bundle is Seifert"
+        reasons = (Citation("Lemma 10", detail), Citation("Finite class witness"))
+    else:
+        element = _semidirect_finite_orbit_witness(group)
+        reasons = (
             Citation("Finite class witness", "the orbit of the vector under the action is finite"),
         )
+    if element is not None:
+        witness = Witness(f"lattice vector {element!r} with finite monodromy orbit", element)
+        return not_icc(witness, *reasons)
     return unknown(
         Citation(
             "Outside scope",

@@ -543,6 +543,33 @@ def test_cli_enumerate_trefoil_central(tmp_path, capsys):
     assert "[1, 1, 1, 1, 1, 1, 1]" in out
 
 
+@pytest.mark.parametrize(
+    "name", ["group_torus_bundle_hyperbolic", "manifold_torus_bundle_hyperbolic"]
+)
+@pytest.mark.parametrize("word", ["t^11000", "t^9000 t^9000", "t^100000", "t^10000000"])
+@pytest.mark.parametrize("command, option", [("enumerate", "--element"), ("witness", "--set")])
+def test_cli_hyperbolic_power_past_the_printing_limit_is_one_error_line(
+    corpus_dir, capsys, name, word, command, option
+):
+    # phi^m of a hyperbolic monodromy has entries of O(m) digits: the power
+    # is refused where it is built, before any report line is printed
+    path = corpus_path(corpus_dir, f"{name}.json")
+    extra = ["--window", "1"] if command == "enumerate" else ["--length", "2"]
+    code = main([command, path, option, word, "--radius", "2", *extra])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: phi^") and "or more digits" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["group_torus_bundle_parabolic", "group_torus_bundle_elliptic",
+                                  "manifold_torus_bundle_parabolic"])
+def test_cli_non_hyperbolic_power_answers(corpus_dir, capsys, name):
+    path = corpus_path(corpus_dir, f"{name}.json")
+    code = main(["enumerate", path, "--element", "t^100000", "--radius", "2", "--window", "1"])
+    assert code == 0
+    assert "canonical form ((0, 0), 100000)" in capsys.readouterr().out
+
+
 def test_cli_enumerate_free_group_growth(corpus_dir, capsys):
     code = main([
         "enumerate",

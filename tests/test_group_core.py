@@ -3,11 +3,13 @@
 import functools
 import json
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
 from iccdec.groups import (
+    INFINITE,
     Amalgam,
     AmalgamEdge,
     CyclicPowerEdge,
@@ -92,6 +94,27 @@ def test_semidirect_power_cache_is_bounded():
     half = g.phi_power(1000)
     assert g.phi_power(2000) == mat_mul(half, half)
     assert mat_mul(g.phi_power(-2000), g.phi_power(2000)) == ((1, 0), (0, 1))
+
+
+def test_semidirect_power_stops_at_the_int_printing_limit(monkeypatch):
+    # the entries of phi^m for the cat map reach 4,300 digits at m = 10287;
+    # from m = 10288 their bit length rules out fewer digits, and the power
+    # is refused before a vector it moves fails to print
+    g = SemidirectZnByZ(2, [[2, 1], [1, 1]])
+    assert len(str(g.phi_power(10287)[0][0])) == 4300
+    for m in (10288, 11000, -11000):
+        with pytest.raises(GroupUsageError, match=rf"^phi\^{m} has an entry of 4300 or more"):
+            g.phi_power(m)
+    # a huge exponent fails at the first square past the limit, not at the end
+    with pytest.raises(GroupUsageError, match=r"^phi\^10000000 "):
+        g.phi_power(10_000_000)
+    # the bound is the interpreter's: with no limit the power is built
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert mat_mul(g.phi_power(11000), g.phi_power(-11000)) == ((1, 0), (0, 1))
+    # parabolic and elliptic powers stay small whatever the limit
+    monkeypatch.undo()
+    assert SemidirectZnByZ(2, [[1, 1], [0, 1]]).phi_power(10**9) == ((1, 10**9), (0, 1))
+    assert SemidirectZnByZ(2, [[0, -1], [1, 0]]).phi_power(10**9) == ((1, 0), (0, 1))
 
 
 def test_semidirect_inverts_its_monodromy_at_the_first_negative_power(monkeypatch):
@@ -353,6 +376,15 @@ def test_free_product_alternating_word_nontrivial(z2_star_z3):
             assert all(sides[i] != sides[i + 1] for i in range(len(sides) - 1))
 
 
+def test_free_product_embeds_a_factor_identity_as_the_empty_word(z2_star_z3):
+    for side, factor in enumerate(z2_star_z3.factors):
+        assert z2_star_z3.embed(side, factor.identity()).payload == ()
+        b = factor.generators()[0][1]
+        assert z2_star_z3.embed(side, b).payload == ((side, b.payload),)
+    with pytest.raises(GroupUsageError):
+        z2_star_z3.embed(1, z2_star_z3.factors[0].identity())
+
+
 def test_britton_soundness_and_no_pinch(bs12):
     rng = random.Random(17)
     edge = bs12.edge
@@ -459,6 +491,7 @@ def test_fiber_extension_sign_inverts_fiber():
     assert conjugate(h, q) == h
     assert not group.fiber_is_central()
     assert (q ** 3) == h ** (-2)
+    assert group.order() == INFINITE
 
 
 def test_fiber_extensions_are_equal_by_their_parts():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import json
 import pkgutil
 import random
@@ -31,6 +32,7 @@ from iccdec.groups import (
     Hnn,
     INFINITE,
     InfiniteCyclic,
+    SemidirectZnByZ,
     StructuredGroup,
     SurfaceGroup,
     TorsionPart,
@@ -534,11 +536,12 @@ def test_torus_bundle_group_and_manifold_agree(monkeypatch):
         for verdict in (by_group, by_manifold):
             assert verdict.reasons[0].label == "Lemma 10"
             assert verdict.reasons[0].detail.startswith(kind.value.lower())
+        # Lemma 10 reads every torus bundle from its trace: no search
+        assert searched == []
         if kind is MonodromyClass.HYPERBOLIC:
-            # no root-of-unity eigenvalue: the finite-orbit search is skipped
-            assert by_group == by_manifold and searched == []
+            assert by_group == by_manifold
         else:
-            assert searched == [phi] and by_group.witness.element is not None
+            assert by_group.witness.element is not None
         if kind is MonodromyClass.PARABOLIC and phi[0][1] | phi[1][0]:
             # phi != +-I: both forms name the same eigenvector v, and its
             # class is the one the manifold text states
@@ -554,6 +557,54 @@ def test_torus_bundle_group_and_manifold_agree(monkeypatch):
             parabolic += 1
     assert kinds == set(MonodromyClass)
     assert parabolic >= 100
+
+
+def _det_one_matrices(bound):
+    entries = range(-bound, bound + 1)
+    for a, b, c, d in itertools.product(entries, repeat=4):
+        if a * d - b * c == 1:
+            yield ((a, b), (c, d))
+
+
+def test_lemma10_witness_is_the_one_the_finite_orbit_search_finds():
+    import iccdec.rules as rules
+
+    kinds = {}
+    for phi in [*_det_one_matrices(6), *_sl2z_words(2807, 300)]:
+        group = SemidirectZnByZ(2, phi)
+        searched = rules._semidirect_finite_orbit_witness(group)
+        verdict = decide_structured_group(group)
+        kind = classify_monodromy(phi)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind is MonodromyClass.HYPERBOLIC:
+            assert searched is None and verdict.status is Status.ICC, phi
+        else:
+            assert verdict.witness.element.payload == searched.payload, phi
+    assert set(kinds) == set(MonodromyClass) and kinds[MonodromyClass.PARABOLIC] >= 100
+
+
+def test_torus_bundle_decisions_make_no_matrix_product(monkeypatch):
+    # Lemma 10 reads the trace: parse and decide of a rank-2, det-1 group or
+    # of a torus-bundle manifold multiplies no matrices, and building the
+    # group reads its identity matrix from a table
+    import iccdec.groups.semidirect as semidirect
+
+    calls = {"mat_mul": 0, "identity_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(semidirect, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(semidirect, name, counted)
+    matrices = [((2, 1), (1, 1)), ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 1), (0, 1)),
+                ((-1, 1), (0, -1)), ((0, -1), (1, -1)), ((0, -1), (1, 0)), ((0, -1), (1, 1))]
+    for phi in matrices:
+        group, manifold = (parse_descriptor_data(d) for d in _torus_bundle_documents(phi))
+        hyperbolic = classify_monodromy(phi) is MonodromyClass.HYPERBOLIC
+        expected = Status.ICC if hyperbolic else Status.NOT_ICC
+        assert decide_structured_group(group.group).status is expected
+        assert decide_icc_orientable(manifold.manifold).status is expected
+        SemidirectZnByZ(2, phi)
+    assert calls == {"mat_mul": 0, "identity_matrix": 0}
 
 
 # the decide --json witness text as recorded before hyperbolic monodromies
