@@ -195,17 +195,22 @@ def _cmd_enumerate(args) -> int:
         }
         _print_json(data)
         return 0
-    print(f"group: {group.describe()} ({note})")
-    print(f"element: {args.element} (canonical form {element!r})")
-    print(f"counts_by_radius: {list(report.counts_by_radius)}")
-    print(f"stabilized: {report.stabilized} (window {report.window})")
+    # every line is rendered before any is written, so an element that
+    # cannot print leaves no partial report
+    lines = [
+        f"group: {group.describe()} ({note})",
+        f"element: {args.element} (canonical form {element!r})",
+        f"counts_by_radius: {list(report.counts_by_radius)}",
+        f"stabilized: {report.stabilized} (window {report.window})",
+    ]
     if report.central_proven:
-        print("note: central (symbolically verified against the generating set)")
+        lines.append("note: central (symbolically verified against the generating set)")
     if len(report.conjugates) <= 50:
-        print(f"conjugates ({len(report.conjugates)}): "
-              + ", ".join(repr(c) for c in report.conjugates))
+        lines.append(f"conjugates ({len(report.conjugates)}): "
+                     + ", ".join(repr(c) for c in report.conjugates))
     else:
-        print(f"conjugates: {len(report.conjugates)} (not listed, more than 50)")
+        lines.append(f"conjugates: {len(report.conjugates)} (not listed, more than 50)")
+    print("\n".join(lines))
     return 0
 
 
@@ -232,9 +237,8 @@ def _cmd_witness(args) -> int:
         }
         _print_json(data)
         return 0
-    print(f"group: {group.describe()} ({note})")
-    print(f"targets: {', '.join(repr(t) for t in result.target_set)}")
-    print(result.summary())
+    targets = ", ".join(repr(t) for t in result.target_set)
+    print(f"group: {group.describe()} ({note})\ntargets: {targets}\n{result.summary()}")
     return 0
 
 

@@ -69,12 +69,21 @@ def parse_word(text: str) -> list[Letter]:
                 f"bad word token {token!r}: expected NAME, NAME', or NAME^k"
             )
         name, inverse, power = match.groups()
-        exponent = int(power) if power is not None else 1
+        exponent = 1 if power is None else _exponent(name, power)
         if inverse:
             exponent = -exponent
         if exponent:
             letters.append((name, exponent))
     return letters
+
+
+def _exponent(name: str, power: str) -> int:
+    """int(power), or a GroupUsageError when it has more digits than Python
+    converts from a string (no check when that limit is 0)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(power.lstrip("-")) > limit:
+        raise GroupUsageError(f"exponent of {name!r} has more than {limit} digits")
+    return int(power)
 
 
 def format_word(letters: list[Letter]) -> str:

@@ -9,6 +9,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -117,7 +118,17 @@ class GroupElement:
         return self.payload == self.group.identity_payload()
 
     def __repr__(self):
-        return self.group.payload_str(self.payload)
+        try:
+            return self.group.payload_str(self.payload)
+        except ValueError as exc:
+            # only Python's limit on the digits of an int-to-str conversion
+            # is renamed; a GroupUsageError passes unchanged
+            if "integer string conversion" not in str(exc):
+                raise
+        limit = sys.get_int_max_str_digits()
+        raise GroupUsageError(
+            f"element has an integer of more than {limit} digits, too long to print"
+        )
 
 
 class StructuredGroup(ABC):

@@ -4,7 +4,7 @@ forms ordered as in the left-nested product ((G0 * G1) * G2) * ..."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 
 from .base import (
     INFINITE,
@@ -77,28 +77,21 @@ class FreeProduct(StructuredGroup):
     def payload_key(self, payload):
         if len(self.factors) == 2:
             return (len(payload), tuple(map(self._syllable_keys.__getitem__, payload)))
-        return self._chain_key(payload, len(self.factors) - 1)
+        return self._nested_key(payload, len(self.factors) - 1)
 
-    def _chain_key(self, payload, top):
-        """The key of payload in the left-nested product of factors 0..top,
-        as one flat tuple: the number of items, then each item's key spliced
-        in.  The items are the syllables of factor top, keyed (top, key), and
-        the maximal runs of lower sides between them, keyed 0 and then the
-        run's key in the product of factors 0..top-1; below factors 0..1
-        every syllable is an item.  A key leads with its item count, so no
-        key is a prefix of another and the flat keys compare as the nested
-        keys do."""
-        items = []
-        for lower, run in groupby(payload, lambda syllable: syllable[0] < top):
-            if lower and top > 1:
-                run = tuple(run)
-                inner = max(1, *(side for side, _ in run))
-                # in the products of factors 0..t, inner < t < top, the run
-                # is the one item: each of those levels adds (1, 0)
-                items.append((0, *(1, 0) * (top - 1 - inner), *self._chain_key(run, inner)))
-            else:
-                items.append(self._syllable_keys[next(run)])
-        return (len(items), *chain.from_iterable(items))
+    def _nested_key(self, payload, top):
+        """The key of payload in the left-nested product of factors 0..top.
+        Its items are the syllables of factor top, keyed (top, key), and the
+        maximal runs of lower sides between them, keyed 0 and then the run's
+        key in the product of factors 0..top-1; below factors 0..1 every
+        syllable is an item, so factors 0..1 key as a binary product does."""
+        items = [
+            (0, self._nested_key(tuple(run), top - 1))
+            if lower and top > 1
+            else self._syllable_keys[next(run)]
+            for lower, run in groupby(payload, lambda syllable: syllable[0] < top)
+        ]
+        return (len(items), tuple(items))
 
     def render_payload(self, payload):
         letters = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from math import log2
+from operator import mul
 
 from .base import INFINITE, GroupUsageError, StructuredGroup
 
@@ -72,8 +73,8 @@ CACHED_POWERS = 64
 
 
 # Payload products (v, m)(w, k) = (v + phi^m w, m + k) and inverses
-# (v, m)^-1 = (-phi^-m v, -m), one definition per rank with the matrix and
-# vector entries unpacked.
+# (v, m)^-1 = (-phi^-m v, -m): ranks 1 and 2, which the workloads run, with
+# the matrix and vector entries unpacked, and one plain pair for rank 3.
 
 
 def _multiply1(group, a, b):
@@ -110,38 +111,18 @@ def _invert2(group, a):
     return ((-v0, -v1), 0)
 
 
-def _multiply3(group, a, b):
-    (v0, v1, v2), m = a
-    (w0, w1, w2), k = b
-    if m:
-        (p, q, r), (s, t, u), (x, y, z) = group.phi_power(m)
-        return (
-            (
-                v0 + p * w0 + q * w1 + r * w2,
-                v1 + s * w0 + t * w1 + u * w2,
-                v2 + x * w0 + y * w1 + z * w2,
-            ),
-            m + k,
-        )
-    return ((v0 + w0, v1 + w1, v2 + w2), k)
+def _multiply_n(group, a, b):
+    v, m = a
+    w, k = b
+    return (tuple(x + sum(map(mul, row, w)) for x, row in zip(v, group.phi_power(m))), m + k)
 
 
-def _invert3(group, a):
-    (v0, v1, v2), m = a
-    if m:
-        (p, q, r), (s, t, u), (x, y, z) = group.phi_power(-m)
-        return (
-            (
-                -p * v0 - q * v1 - r * v2,
-                -s * v0 - t * v1 - u * v2,
-                -x * v0 - y * v1 - z * v2,
-            ),
-            -m,
-        )
-    return ((-v0, -v1, -v2), 0)
+def _invert_n(group, a):
+    v, m = a
+    return (tuple(-sum(map(mul, row, v)) for row in group.phi_power(-m)), -m)
 
 
-_RANK_OPS = {1: (_multiply1, _invert1), 2: (_multiply2, _invert2), 3: (_multiply3, _invert3)}
+_RANK_OPS = {1: (_multiply1, _invert1), 2: (_multiply2, _invert2), 3: (_multiply_n, _invert_n)}
 # the identity matrix and the default basis names of each rank
 _IDENTITY = {n: identity_matrix(n) for n in _RANK_OPS}
 _BASIS_NAMES = {n: tuple(f"e{i + 1}" for i in range(n)) for n in _RANK_OPS}

@@ -27,24 +27,28 @@ class SurfaceGroup(StructuredGroup):
         self.genus = genus
         self.orientable = orientable
         self.boundary_components = boundary_components
-        self._realization = self._build_realization()
+        self.name, self._realization = self._classify()
 
-    def _build_realization(self) -> Optional[StructuredGroup]:
+    def _classify(self) -> tuple[str, Optional[StructuredGroup]]:
+        """The surface's name in the classification of surfaces, and the
+        group that realizes its pi1 (None for a closed surface of negative
+        Euler characteristic)."""
         g, b = self.genus, self.boundary_components
         if b > 0:
             rank = 2 * g + b - 1 if self.orientable else g + b - 1
-            return free_group([f"x{i + 1}" for i in range(rank)])
-        if self.orientable:
-            if g == 0:
-                return FiniteCyclic(1)
-            if g == 1:
-                return SemidirectZnByZ(1, [[1]])  # Z^2
-            return None
-        if g == 1:
-            return FiniteCyclic(2)  # projective plane
-        if g == 2:
-            return SemidirectZnByZ(1, [[-1]])  # Klein bottle
-        return None
+            names = {0: "disk", 1: "annulus" if self.orientable else "Moebius band"}
+            name = names.get(rank, f"free group of rank {rank}")
+            return name, free_group([f"x{i + 1}" for i in range(rank)])
+        if self.orientable and g == 0:
+            return "sphere", FiniteCyclic(1)
+        if self.orientable and g == 1:
+            return "torus", SemidirectZnByZ(1, [[1]])  # Z^2
+        if not self.orientable and g == 1:
+            return "projective plane", FiniteCyclic(2)
+        if not self.orientable and g == 2:
+            return "Klein bottle", SemidirectZnByZ(1, [[-1]])
+        kind = "orientable" if self.orientable else "non-orientable"
+        return f"closed {kind} surface of genus {g}", None
 
     def realization(self) -> Optional[StructuredGroup]:
         return self._realization

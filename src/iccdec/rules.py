@@ -348,65 +348,38 @@ def _direct_with_finite(group) -> Verdict:
     )
 
 
-def _first_generator(group, description: str) -> Witness:
-    """The first generator of a surface's realization, as the witness the
-    description names; read only where that generator has a finite class."""
-    element = group.element(group.generator_payloads()[0][1])
-    return Witness(f"{description}: {element!r}", element)
+# the surfaces whose group is finite, with the group
+_FINITE_SURFACES = {
+    "disk": "trivial group",
+    "sphere": "trivial group",
+    "projective plane": "group of order 2",
+}
+# the infinite surfaces whose group has a finite conjugacy class: how the
+# witness, the realization's first generator, is described, and the
+# citations beyond the classification
+_CORE_CURVE = ("core curve generator of the infinite cyclic group", Citation("Abelian infinite"))
+_FC_SURFACES = {
+    "annulus": _CORE_CURVE,
+    "Moebius band": _CORE_CURVE,
+    "torus": ("any nontrivial element of Z^2", Citation("Abelian infinite")),
+    "Klein bottle": ("the orientation-true generator a (conjugacy class {a, a^-1})",),
+}
 
 
 def _surface(group) -> Verdict:
-    """The surface-group rule from the classification of surfaces."""
-    g, b = group.genus, group.boundary_components
-    if b > 0:
-        rank = 2 * g + b - 1 if group.orientable else g + b - 1
-        if rank == 0:
-            return not_icc(
-                FINITE_GROUP_WITNESS,
-                Citation("Surface classification", "disk: trivial group"),
-            )
-        if rank == 1:
-            name = "annulus" if group.orientable else "Moebius band"
-            return not_icc(
-                _first_generator(group, "core curve generator of the infinite cyclic group"),
-                Citation("Surface classification", name),
-                Citation("Abelian infinite"),
-            )
-        return icc(
-            Citation("Surface classification", f"free group of rank {rank}"),
-            Citation("Prop 3(i)"),
-        )
-    if group.orientable:
-        if g == 0:
-            return not_icc(
-                FINITE_GROUP_WITNESS, Citation("Surface classification", "sphere: trivial group")
-            )
-        if g == 1:
-            return not_icc(
-                _first_generator(group, "any nontrivial element of Z^2"),
-                Citation("Surface classification", "torus"),
-                Citation("Abelian infinite"),
-            )
-        return icc(
-            Citation("Surface classification", f"closed orientable surface of genus {g}"),
-            Citation("Prop 3(ii)"),
-        )
-    if g == 1:
+    """The surface-group rule, from the classification the group made."""
+    name = group.name
+    if name in _FINITE_SURFACES:
         return not_icc(
             FINITE_GROUP_WITNESS,
-            Citation("Surface classification", "projective plane: group of order 2"),
+            Citation("Surface classification", f"{name}: {_FINITE_SURFACES[name]}"),
         )
-    if g == 2:
-        return not_icc(
-            _first_generator(
-                group, "the orientation-true generator a (conjugacy class {a, a^-1})"
-            ),
-            Citation("Surface classification", "Klein bottle"),
-        )
-    return icc(
-        Citation("Surface classification", f"closed non-orientable surface of genus {g}"),
-        Citation("Prop 3(ii)"),
-    )
+    classified = Citation("Surface classification", name)
+    if name in _FC_SURFACES:
+        description, *cited = _FC_SURFACES[name]
+        element = group.element(group.generator_payloads()[0][1])
+        return not_icc(Witness(f"{description}: {element!r}", element), classified, *cited)
+    return icc(classified, Citation("Prop 3(i)" if group.boundary_components else "Prop 3(ii)"))
 
 
 def _fiber_extension(group) -> Verdict:

@@ -6,6 +6,7 @@ error text is pinned, JSON path included.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -224,6 +225,11 @@ CASES = {
     "words: bad token": (
         amalgam(embed_left=["1", "a^"]),
         "$.construction.amalgam.edge.embed_left[1]: bad word token 'a^': expected NAME, NAME', or NAME^k",
+    ),
+    "words: exponent past the digit limit": (
+        amalgam(embed_left=["1", "a^" + "9" * (sys.get_int_max_str_digits() + 1)]),
+        "$.construction.amalgam.edge.embed_left[1]: exponent of 'a' has more than "
+        f"{sys.get_int_max_str_digits()} digits",
     ),
     "words: unknown generator": (
         amalgam(embed_left=["1", "q"]),

@@ -190,6 +190,58 @@ def test_bad_embed_word_token_reported_at_the_word(corpus_dir, tmp_path, capsys)
     )
 
 
+# words with more digits than Python converts between int and str (4300 by
+# default): an exponent past the limit, and a product that prints past it
+_PAST_LIMIT = "9" * (sys.get_int_max_str_digits() + 700)
+_AT_LIMIT = "9" * sys.get_int_max_str_digits()
+
+
+def _assert_one_error_line(capsys, code, message):
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_embed_word_exponent_past_the_digit_limit_is_an_error_at_the_word(
+    corpus_dir, tmp_path, capsys
+):
+    raw = json.loads((corpus_dir / "group_psl2z_amalgam.json").read_text())
+    raw["construction"]["amalgam"]["edge"]["embed_left"][1] = f"p^{_PAST_LIMIT}"
+    path = tmp_path / "big_exponent.json"
+    path.write_text(json.dumps(raw))
+    message = (f"$.construction.amalgam.edge.embed_left[1]: exponent of 'p' has more than "
+               f"{sys.get_int_max_str_digits()} digits")
+    _assert_one_error_line(capsys, main(["decide", str(path)]), message)
+
+
+@pytest.mark.parametrize("command, option", [("enumerate", "--element"), ("witness", "--set")])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_word_exponent_past_the_digit_limit_is_one_error_line(
+    corpus_dir, capsys, command, option, json_flag
+):
+    path = corpus_path(corpus_dir, "group_free_rank2.json")
+    code = main([command, path, option, f"x^{_PAST_LIMIT}", "--radius", "1", *json_flag])
+    message = f"exponent of 'x' has more than {sys.get_int_max_str_digits()} digits"
+    _assert_one_error_line(capsys, code, message)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("enumerate", ["--element", f"x^{_AT_LIMIT} x^{_AT_LIMIT}", "--window", "1"]),
+     ("witness", ["--set", f"x^{_AT_LIMIT} x^{_AT_LIMIT}"])],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_element_past_the_printing_limit_leaves_no_partial_report(
+    corpus_dir, capsys, command, extra, json_flag
+):
+    # each exponent parses, but their sum has one digit more than prints
+    path = corpus_path(corpus_dir, "group_free_rank2.json")
+    code = main([command, path, *extra, "--radius", "1", *json_flag])
+    message = (f"element has an integer of more than {sys.get_int_max_str_digits()} digits, "
+               "too long to print")
+    _assert_one_error_line(capsys, code, message)
+
+
 # ---------------------------------------------------------------------------
 # construction limit
 

@@ -450,26 +450,58 @@ def test_table_subgroups_are_closed_and_complete(table, count):
         assert all(table.inv(a) in s for a in s)
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _random_unimodular(rng, n):
+    """A product of random elementary and sign-flip n x n matrices."""
+    m = _identity(n)
+    for _ in range(rng.randint(0, 8)):
+        step = [list(row) for row in _identity(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            step[i][i] = rng.choice((1, -1))
+        else:
+            step[i][j] = rng.randint(-3, 3)
+        m = mat_mul(m, tuple(map(tuple, step)))
+    return m
+
+
 def test_unimodular_inverse_of_ranks_one_to_three():
     rng = random.Random(13)
     for n in (1, 2, 3):
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for _ in range(300):
-            # a product of random elementary and sign-flip matrices
-            m = identity
-            for _ in range(rng.randint(0, 8)):
-                step = [list(row) for row in identity]
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i == j:
-                    step[i][i] = rng.choice((1, -1))
-                else:
-                    step[i][j] = rng.randint(-3, 3)
-                m = mat_mul(m, tuple(map(tuple, step)))
+            m = _random_unimodular(rng, n)
             inverse = mat_inverse_unimodular(m)
-            assert mat_mul(inverse, m) == identity
-            assert mat_mul(m, inverse) == identity
+            assert mat_mul(inverse, m) == _identity(n)
+            assert mat_mul(m, inverse) == _identity(n)
     with pytest.raises(GroupUsageError):
         mat_inverse_unimodular(((2, 0), (0, 1)))
+
+
+def test_semidirect_products_of_ranks_one_to_three_follow_the_definition():
+    # (v, m)(w, k) = (v + phi^m w, m + k), with phi^m a product of |m|
+    # copies of phi or its inverse; and a payload times its inverse is 1
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            phi = _random_unimodular(rng, n)
+            group = SemidirectZnByZ(n, phi)
+            for _ in range(10):
+                (v, m), (w, k) = [
+                    (tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-6, 6))
+                    for _ in range(2)
+                ]
+                power = _identity(n)
+                for _ in range(abs(m)):
+                    power = mat_mul(power, phi if m > 0 else mat_inverse_unimodular(phi))
+                moved = [sum(p * x for p, x in zip(row, w)) for row in power]
+                expected = (tuple(x + y for x, y in zip(v, moved)), m + k)
+                assert group.multiply_payloads((v, m), (w, k)) == expected
+                inverse = group.invert_payload((v, m))
+                assert group.multiply_payloads((v, m), inverse) == group.identity_payload()
+                assert group.multiply_payloads(inverse, (v, m)) == group.identity_payload()
 
 
 def test_fiber_extension_trefoil_relations():

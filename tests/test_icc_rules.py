@@ -1,6 +1,7 @@
 """The ICC decision rules and their contracts."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import iccdec.groups
 from iccdec.citations import CITATIONS
+from iccdec.cli import _verdict_data
 from iccdec.groups import (
     Amalgam,
     AmalgamEdge,
@@ -740,6 +742,44 @@ def test_surface_exceptional_list(genus, orientable, boundary, expected):
         # an infinite NotICC surface group has a realization, and its
         # witness is the realization's first generator
         assert verdict.witness.kind == "element"
+
+
+# every surface the parser accepts, against its Euler characteristic:
+# genus 0-64 orientable and 1-64 non-orientable, each with boundary 0-64
+# (MAX_SURFACE_COUNT)
+ALL_SURFACES = [
+    (genus, orientable, boundary)
+    for orientable in (True, False)
+    for genus in range(0 if orientable else 1, 65)
+    for boundary in range(65)
+]
+# sha256 of the verdict data of every surface in ALL_SURFACES, one JSON line
+# each, as `decide --json` prints it
+ALL_SURFACES_DIGEST = "7b4acd07846c4caaa22938c71cba2da66c8d0fa2e85f54c3b7d56c74eb7e9e3d"
+
+
+def _parsed_surface(genus, orientable, boundary):
+    body = {"genus": genus, "orientable": orientable, "boundary_components": boundary}
+    data = {"schema_version": 1, "type": "group", "construction": {"surface_group": body}}
+    return parse_descriptor_data(data).group
+
+
+def test_every_surface_decides_by_its_euler_characteristic():
+    lines = []
+    for genus, orientable, boundary in ALL_SURFACES:
+        group = _parsed_surface(genus, orientable, boundary)
+        verdict = decide_structured_group(group)
+        chi = 2 - (2 * genus if orientable else genus) - boundary
+        if chi > 0:
+            assert verdict.status is Status.NOT_ICC and verdict.witness.kind == "finite"
+        elif chi == 0:
+            assert verdict.status is Status.NOT_ICC and verdict.witness.kind == "element"
+            assert conjugacy_class_ball(group, verdict.witness.element, 4, 2).stabilized
+        else:
+            assert verdict.status is Status.ICC
+        lines.append(json.dumps(_verdict_data(verdict), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ALL_SURFACES_DIGEST
 
 
 # ---------------------------------------------------------------------------
