@@ -281,33 +281,37 @@ def generator_steps(group: StructuredGroup) -> list[tuple[Any, Any, int, int]]:
     return [(s, s_inv, bits[s], bits[s_inv]) for s, s_inv in letters.items()]
 
 
-def search_levels(group: StructuredGroup, start, conjugate: bool) -> Iterator[list]:
+def search_levels(group: StructuredGroup, start, conjugate: bool, seen=None, cut=0) -> Iterator[list]:
     """Level 0, 1, 2, ... of a breadth-first search from the payload start,
     whose step by a letter s is x -> x * s (a ball, when start is the
     identity) or, with conjugate, x -> s x s^-1 (a conjugation orbit), for s
     over generator_steps.  Level r holds the payloads first reached by r
     steps; it is built from level r - 1 alone, since every word of length r
     is a word of length r - 1 and one more letter.  Ends after the last
-    nonempty level.  A ball level comes sorted and is expanded in
-    payload-key order; an orbit level comes in the order found, which its
-    readers sort or only count.  Each search owns its generator; the group
-    keeps nothing.
+    nonempty level, or, with cut = r >= 1, at the first payload found on
+    level r, which comes as a level of its own.  A ball level comes sorted
+    and is expanded in payload-key order; an orbit level comes in the order
+    found, which its readers sort or only count.  Each search owns its
+    generator; the group keeps nothing.
 
     Each edge between found payloads is crossed once.  The value of a found
-    payload in `seen` is a one-item list, so that marking it hashes nothing
-    more, holding a bit mask of its steps that lead to a found payload: when
-    the step s from g reaches x, found before or just now, x marks the step
-    s^-1, which leads from x back to g (x * s^-1 = g, or s^-1 x s = g), and x
-    never takes a marked step.  A skipped step only lands on a found
-    payload, so every level is the same set, in the same order, as without
-    skipping.
+    payload in `seen` (new, or the caller's empty dict) is a one-item list,
+    so that marking it hashes nothing more, holding a bit mask of its steps
+    that lead to a found payload: when the step s from g reaches x, found
+    before or just now, x marks the step s^-1, which leads from x back to g
+    (x * s^-1 = g, or s^-1 x s = g), and x never takes a marked step.  A
+    skipped step only lands on a found payload, so every level is the same
+    set, in the same order, as without skipping.  While level r is yielded,
+    its payloads have marked exactly the steps that lead to level r - 1.
     """
     mul = group.multiply_payloads
     steps = generator_steps(group)
-    seen = {start: [0]}
+    seen = {} if seen is None else seen
+    seen[start] = [0]
     level = [start]
     while level:
         yield level
+        cut -= 1
         fresh = []
         for g in level:
             skip = seen[g][0]
@@ -317,6 +321,9 @@ def search_levels(group: StructuredGroup, start, conjugate: bool) -> Iterator[li
                 x = mul(mul(s, g), s_inv) if conjugate else mul(g, s)
                 marks = seen.get(x)
                 if marks is None:
+                    if not cut:
+                        yield [x]
+                        return
                     seen[x] = [back]
                     fresh.append(x)
                 else:
@@ -324,10 +331,10 @@ def search_levels(group: StructuredGroup, start, conjugate: bool) -> Iterator[li
         level = fresh if conjugate else sorted(fresh, key=group.payload_key)
 
 
-def ball_levels(group: StructuredGroup) -> Iterator[list]:
+def ball_levels(group: StructuredGroup, seen=None) -> Iterator[list]:
     """The levels of the ball, as payloads: level r holds the payloads of
     word length r in payload-key order (see search_levels)."""
-    return search_levels(group, group.identity_payload(), False)
+    return search_levels(group, group.identity_payload(), False, seen)
 
 
 def ball_with_lengths(group: StructuredGroup, radius: int) -> tuple[list[GroupElement], list[int]]:

@@ -17,6 +17,8 @@ lifted powers xj^0..xj^(alpha_j - 1) as coset representatives.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import INFINITE, GroupElement, GroupUsageError, Record, StructuredGroup, unique_names
 
 
@@ -63,36 +65,39 @@ class FiberExtension(StructuredGroup):
     def fiber(self) -> GroupElement:
         return self.element((1, ()))
 
-    def _syllable_sign(self, j: int, e: int) -> int:
-        part = self.parts[j]
-        if isinstance(part, FreePart) and part.sign == -1 and e % 2:
-            return -1
-        return 1
+    @cached_property
+    def _tables(self) -> tuple:
+        """By part index: whether the part inverts h (None when none does),
+        and a torsion part's (order, fiber_carry), else None."""
+        parts = self.parts
+        flips = tuple(isinstance(p, FreePart) and p.sign == -1 for p in parts)
+        torsion = tuple((p.order, p.fiber_carry) if isinstance(p, TorsionPart) else None for p in parts)
+        return (flips if any(flips) else None), torsion
 
     def _chi(self, word) -> int:
-        sign = 1
-        for j, e in word:
-            sign *= self._syllable_sign(j, e)
-        return sign
+        """The sign h picks up crossing word; read when a part inverts h."""
+        flips = self._tables[0]
+        return -1 if sum(e for j, e in word if flips[j]) % 2 else 1
 
     def multiply_payloads(self, a, b):
         k1, w1 = a
         k2, w2 = b
+        flips, torsion = self._tables
         # h^k2 moves to the front across w1, picking up its sign character
         # chi(w1); the carry h^c of a torsion relation crosses only w1[:end],
         # whose character is chi(w1) * sign, sign being the character of the
         # syllables taken off w1's end.  shift collects both, so chi(w1) is
-        # computed once, and only if something crosses.
+        # computed once, and only if something crosses and a part inverts h.
         shift, sign, end = k2, 1, len(w1)
         for i, (j, e) in enumerate(w2):
             if end and w1[end - 1][0] == j:
                 end -= 1
-                sign *= self._syllable_sign(j, w1[end][1])
+                if flips and flips[j] and w1[end][1] % 2:
+                    sign = -sign
                 e += w1[end][1]
-            part = self.parts[j]
-            if isinstance(part, TorsionPart):
-                carry, e = divmod(e, part.order)
-                shift += part.fiber_carry * carry * sign
+            if t := torsion[j]:
+                carry, e = divmod(e, t[0])
+                shift += t[1] * carry * sign
             if e:
                 # w2's next syllable is another part's, already reduced: the
                 # rest of w2 is appended unchanged
@@ -100,10 +105,11 @@ class FiberExtension(StructuredGroup):
                 break
         else:
             word = w1[:end]
-        return (k1 + self._chi(w1) * shift if shift else k1, word)
+        return (k1 + shift * self._chi(w1) if shift and flips else k1 + shift, word)
 
     def invert_payload(self, a):
         k, w = a
+        flips, torsion = self._tables
         # (h^k x1^e1 ... xm^em)^-1 = xm^-em ... x1^-e1 h^-k.  Neighbouring
         # syllables belong to different parts, so none merge.  A torsion
         # syllable x^-e is x^(order - e) x^-order, and x^-order = h^-c moves
@@ -111,12 +117,12 @@ class FiberExtension(StructuredGroup):
         # all of them.
         shift, sign, out = 0, 1, []
         for j, e in reversed(w):
-            part = self.parts[j]
             e = -e
-            if isinstance(part, TorsionPart):
-                carry, e = divmod(e, part.order)
-                shift += part.fiber_carry * carry * sign
-            sign *= self._syllable_sign(j, e)
+            if t := torsion[j]:
+                carry, e = divmod(e, t[0])
+                shift += t[1] * carry * sign
+            if flips and flips[j] and e % 2:
+                sign = -sign
             out.append((j, e))
         return (shift - k * sign, tuple(out))
 

@@ -199,7 +199,7 @@ class SemidirectZnByZ(StructuredGroup):
 
     def payload_key(self, payload):
         v, m = payload
-        return (abs(m) + sum(abs(x) for x in v), m, v)
+        return (abs(m) + sum(map(abs, v)), m, v)
 
     def render_payload(self, payload):
         v, m = payload

@@ -46,16 +46,17 @@ class ClassBallReport(Record):
     central_proven: bool
 
 
-def _class_levels(group: StructuredGroup, g, depth: int) -> list[list]:
+def _class_levels(group: StructuredGroup, g, depth: int, whole: bool = True) -> list[list]:
     """The nonempty levels among 0..depth of the conjugation orbit of the
     payload g (see search_levels): level r holds the payloads of the
     conjugates whose shortest conjugator has length r, in the order found,
-    and an empty level ends the orbit.  Level depth is never expanded.
+    and an empty level ends the orbit.  Level depth is never expanded, and
+    unless whole it stops at its first payload.
 
     conjugacy_class_ball sorts the levels it returns, and
     fc_center_candidates only counts them.
     """
-    return list(islice(search_levels(group, g, True), depth + 1))
+    return list(islice(search_levels(group, g, True, cut=0 if whole else depth), depth + 1))
 
 
 def conjugacy_class_ball(
@@ -106,10 +107,11 @@ def fc_center_candidates(
     Orbit levels are nested (an empty level stays empty), so a class ball
     stabilizes by `radius` exactly when its orbit level radius - window + 1
     is empty, which is when _class_levels to that depth returns at most
-    `depth` levels; each orbit search stops there.  Conjugation commutes
-    with inversion, s g^-1 s^-1 = (s g s^-1)^-1, so the orbit of g^-1 has
-    the level sizes of the orbit of g.  The ball is closed under inverses,
-    and one search answers for both elements of an inverse pair.
+    `depth` levels; each orbit search stops at the first payload of that
+    level.  Conjugation commutes with inversion, s g^-1 s^-1 =
+    (s g s^-1)^-1, so the orbit of g^-1 has the level sizes of the orbit of
+    g.  The ball is closed under inverses, and one search answers for both
+    elements of an inverse pair.
     """
     if window < 1 or radius < window:
         raise GroupUsageError("need radius >= window >= 1")
@@ -122,7 +124,7 @@ def fc_center_candidates(
     for g in nontrivial:
         if g.payload not in closes:
             closes[g.payload] = closes[inv(g.payload)] = (
-                len(_class_levels(group, g.payload, depth)) <= depth
+                len(_class_levels(group, g.payload, depth, False)) <= depth
             )
     return [g for g in nontrivial if closes[g.payload]]
 
@@ -178,6 +180,11 @@ def strong_icc_witness(
     under the generators once level r adds none (the argument of
     search_levels), so they are the whole class of that target, and every
     later candidate would repeat a kept conjugate of it.
+
+    A candidate p = q s, with q one level down and s a step that commutes
+    with every target, is skipped: p f p^-1 = q f q^-1 was reached by q (or
+    by what q was skipped for), so p is never kept.  search_levels marks
+    s^-1 on p, and a level-1 candidate fixing every target marks its inverse.
     """
     if k < 1:
         raise GroupUsageError("sequence length k must be >= 1")
@@ -198,11 +205,18 @@ def strong_icc_witness(
     reached = [set() for _ in targets]  # conjugates by every scanned element
     gammas: list[GroupElement] = []
     used_radius = 0
-    for depth, level in zip(range(search_radius + 1), ball_levels(group)):
+    seen: dict = {}
+    commuting = 0  # the bits of the steps that commute with every target
+    for depth, level in zip(range(search_radius + 1), ball_levels(group, seen)):
         sizes = [len(r) for r in reached]
         for p in level:
+            marks = seen[p][0]
+            if marks & commuting:
+                continue
             p_inv = inv(p)
             conjugates = [mul(mul(p, f), p_inv) for f in payloads]
+            if depth == 1 and conjugates == payloads:
+                commuting |= marks  # the bit of p^-1
             for c, r in zip(conjugates, reached):
                 r.add(c)
             if any(c in taken for c, taken in zip(conjugates, kept)):

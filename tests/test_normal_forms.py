@@ -387,6 +387,23 @@ def test_conjugation_cost_does_not_grow_with_the_word(name, cycle, by, factor_ki
     assert short == long
 
 
+def test_fiber_crossing_reads_no_sign_when_no_part_inverts_h():
+    # every part of the trefoil group commutes with h, so moving h across a
+    # word reads the sign of none of its syllables, whatever its length
+    group = BUILDERS["trefoil"]()
+    h = group.fiber()
+    read = []
+    chi = group._chi
+    group._chi = lambda word: read.extend(word) or chi(word)
+    counts = []
+    for n in (10, 200):
+        c = group.reduce_letters([("xy"[i % 2], 1) for i in range(n)])
+        assert len(c.payload[1]) == n
+        assert conjugate(c, h).payload == ref_mul(group, ref_mul(group, h.payload, c.payload), (-1, ()))
+        counts.append(len(read))
+    assert counts == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # the memoized reduction steps of amalgams and HNN extensions
 

@@ -14,8 +14,8 @@ from iccdec.groups import (
     commutes_with_generators,
     cyclic_table,
 )
-from iccdec.cli import _decide, main
-from iccdec.groups.base import ball_levels
+from iccdec.cli import _decide, _enumerable_group, main
+from iccdec.groups.base import ball_levels, generator_steps, search_levels
 from iccdec.descriptors import parse_word
 from iccdec import oracle
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates, strong_icc_witness
@@ -112,6 +112,23 @@ def test_class_levels_match_the_naive_search_on_the_corpus(manifest, corpus_dir)
             assert not any(expected[len(levels):]), (name, g)
 
 
+def test_marks_name_the_steps_to_the_previous_level_on_the_corpus(manifest, corpus_dir):
+    # when a level is yielded, each of its payloads carries the bits of
+    # exactly the steps that lead one level down, for balls and orbits alike
+    for name, _, group in enumerable_corpus_groups(manifest, corpus_dir):
+        mul, inv = group.multiply_payloads, group.invert_payload
+        steps = [(s, bit) for s, _, bit, _ in generator_steps(group)]
+        searches = [(group.identity_payload(), False, mul)]
+        searches += [(s, True, lambda x, u: mul(mul(u, x), inv(u))) for s, _ in steps[:1]]
+        for start, conjugate, step in searches:
+            seen, below = {}, set()
+            for _, level in zip(range(5), search_levels(group, start, conjugate, seen)):
+                for p in level:
+                    expected = sum(bit for u, bit in steps if step(p, u) in below)
+                    assert seen[p][0] == expected, (name, conjugate, p)
+                below = set(level)
+
+
 def test_orbit_search_skips_each_step_back(monkeypatch, f2):
     # levels of sizes 1, 3, 8, 24: the naive search pays 4 conjugations for
     # each of the 12 expanded conjugates (96 products); the step back along
@@ -131,6 +148,16 @@ def test_ball_search_skips_each_step_back(monkeypatch, corpus_dir):
     elements = ball_with_lengths(group, 4)[0]
     assert len(elements) == 41
     assert len(products) == 64
+
+
+def test_fc_stops_each_orbit_at_its_first_far_conjugate(monkeypatch, corpus_dir):
+    # (5, 2) on F2: 40 inverse pairs of ball(3), none stabilizes; each orbit
+    # search stops at the first conjugate of level 4 instead of building
+    # that level whole (6,228 products when it did)
+    group = load_corpus_descriptor(corpus_dir, "group_free_rank2.json").group
+    products = _count_products(monkeypatch, group)
+    assert fc_center_candidates(group, 5, 2) == []
+    assert len(products) == 2176
 
 
 @pytest.mark.parametrize(
@@ -397,6 +424,60 @@ def test_witness_scan_matches_full_ball_reference(manifest, corpus_dir):
                 assert [g.payload for g in result.gammas] == [p for p, _ in prefix], case
                 assert result.verified == (len(full) >= k), case
                 assert result.used_radius == prefix[-1][1], case
+
+
+@pytest.mark.parametrize(
+    "name, words",
+    [
+        # z is central, x commutes with the first target set only
+        ("group_f2_x_z2.json", ["x"]),
+        ("group_f2_x_z2.json", ["x", "y"]),
+        ("group_f2_x_z2.json", ["x z"]),
+        # central fiber h; x commutes with itself
+        ("knot_trefoil.json", ["x"]),
+        ("knot_trefoil.json", ["x y", "y"]),
+        # e1 is fixed by the parabolic monodromy, so central
+        ("group_torus_bundle_parabolic.json", ["e2"]),
+        ("group_torus_bundle_parabolic.json", ["t", "e1 e2"]),
+    ],
+)
+def test_witness_skip_matches_full_ball_reference(monkeypatch, corpus_dir, name, words):
+    group, _ = _enumerable_group(load_corpus_descriptor(corpus_dir, name))
+    targets = [group.reduce_letters(parse_word(w)) for w in words]
+    for radius in (0, 1, 2, 3):
+        full = _reference_witness(group, targets, radius)
+        # every k, so that some sequences end on a level where skips occur
+        for k in range(1, len(full) + 2):
+            result = strong_icc_witness(group, targets, k, radius)
+            prefix = full[:k]
+            case = (radius, k)
+            assert [g.payload for g in result.gammas] == [p for p, _ in prefix], case
+            assert result.verified == (len(full) >= k), case
+            assert result.used_radius == prefix[-1][1], case
+    # a candidate one commuting step past the previous level is never
+    # conjugated: the scan inverts fewer payloads than the ball holds
+    inverted = []
+    inv = group.invert_payload
+    monkeypatch.setattr(group, "invert_payload", lambda a: inverted.append(a) or inv(a))
+    strong_icc_witness(group, targets, 10**6, 3)
+    monkeypatch.undo()
+    ball = {g.payload for g in ball_with_lengths(group, 3)[0]}
+    assert ball - set(inverted)
+
+
+def test_witness_skips_candidates_past_commuting_steps_on_the_trefoil(monkeypatch, corpus_dir):
+    # x commutes with x and with the central fiber h, so a candidate one x,
+    # x^-1, h or h^-1 past the previous level is skipped: 1,348 products and
+    # 107 inverses, where conjugating every candidate took 2,040 and 453
+    group, _ = _enumerable_group(load_corpus_descriptor(corpus_dir, "knot_trefoil.json"))
+    x = group.generator_element("x")
+    products = _count_products(monkeypatch, group)
+    inverted = []
+    inv = group.invert_payload
+    monkeypatch.setattr(group, "invert_payload", lambda a: inverted.append(a) or inv(a))
+    result = strong_icc_witness(group, [x], 40, 8)
+    assert (result.verified, result.used_radius) == (True, 7)
+    assert (len(products), len(inverted)) == (1348, 107)
 
 
 def test_witness_free_group_first_hit(f2):
