@@ -77,21 +77,23 @@ class FreeProduct(StructuredGroup):
     def payload_key(self, payload):
         if len(self.factors) == 2:
             return (len(payload), tuple(map(self._syllable_keys.__getitem__, payload)))
-        return self._nested_key(payload, len(self.factors) - 1)
+        return self._top_key(payload)
 
-    def _nested_key(self, payload, top):
-        """The key of payload in the left-nested product of factors 0..top.
-        Its items are the syllables of factor top, keyed (top, key), and the
+    def _top_key(self, payload):
+        """(top, item count, items), top the highest side of payload: its
+        items are the syllables of side top, keyed (top, key), and the
         maximal runs of lower sides between them, keyed 0 and then the run's
-        key in the product of factors 0..top-1; below factors 0..1 every
-        syllable is an item, so factors 0..1 key as a binary product does."""
+        own key; the empty payload keys ().  This orders words as the
+        left-nested product does, where a word whose highest side is lower
+        sorts first, and a key nests at most one level per distinct side."""
+        if not payload:
+            return ()
+        top = max(side for side, _ in payload)
         items = [
-            (0, self._nested_key(tuple(run), top - 1))
-            if lower and top > 1
-            else self._syllable_keys[next(run)]
+            (0, self._top_key(tuple(run))) if lower else self._syllable_keys[next(run)]
             for lower, run in groupby(payload, lambda syllable: syllable[0] < top)
         ]
-        return (len(items), tuple(items))
+        return (top, len(items), tuple(items))
 
     def render_payload(self, payload):
         letters = []

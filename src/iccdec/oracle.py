@@ -1,10 +1,10 @@
-"""Brute-force conjugacy evidence at desk scale.
+"""Conjugacy classes searched breadth-first at desk scale.
 
-Everything here is evidence, not proof, with one exception: when an element
-commutes with every designated generator, that is an exact proof that its
-conjugacy class is the singleton {g} (generators generate).  Class-ball
-counts are lower bounds for the true class sizes, because conjugates are
-distinct canonical forms.
+A class ball's counts are lower bounds for the class sizes, because
+conjugates are distinct canonical forms.  They are exact once a radius adds
+no conjugate: the orbit is then closed under conjugation by every generator
+and inverse, so it is the whole class, and finite.  A stabilized ball, a
+central element and every fc candidate rest on that one test.
 
 A search radius is at most MAX_SEARCH_RADIUS, checked before any work: a
 class ball lists one count per radius, so a larger radius costs memory even
@@ -35,15 +35,31 @@ def _check_radius(radius: int) -> None:
 
 
 class ClassBallReport(Record):
-    """Conjugates of an element reachable with conjugators of bounded length."""
+    """Conjugates of an element reachable with conjugators of bounded length.
+    Its flags are read from closed_at, and a closed orbit is the exact finite
+    class: stabilized means closed by radius - window + 1 (no count changed
+    over the last `window` radii), central_proven means closed at 1."""
 
     element: GroupElement
     radius: int
     window: int
     conjugates: tuple[GroupElement, ...]
     counts_by_radius: tuple[int, ...]
-    stabilized: bool
-    central_proven: bool
+
+    @property
+    def closed_at(self) -> int | None:
+        """The first radius >= 1 that adds no conjugate, else None: its orbit
+        level is empty, which ends the search (see _class_levels)."""
+        counts = self.counts_by_radius
+        return next((r for r in range(1, len(counts)) if counts[r] == counts[r - 1]), None)
+
+    @property
+    def stabilized(self) -> bool:
+        return self.closed_at in range(1, self.radius - self.window + 2)
+
+    @property
+    def central_proven(self) -> bool:
+        return self.closed_at == 1
 
 
 def _class_levels(group: StructuredGroup, g, depth: int, whole: bool = True) -> list[list]:
@@ -69,9 +85,7 @@ def conjugacy_class_ball(
     radius ball: level r of the orbit is exactly the set of conjugates first
     reached with a conjugator of length r.
 
-    stabilized is True when the conjugate set did not change over the last
-    `window` radius increments.  Deterministic output order: first radius of
-    appearance, then payload key.
+    Deterministic output order: first radius of appearance, then payload key.
     """
     if g.group != group:
         raise GroupUsageError("element does not belong to the given group")
@@ -81,28 +95,22 @@ def conjugacy_class_ball(
     key = g.group.payload_key
     levels = [sorted(level, key=key) for level in _class_levels(g.group, g.payload, radius)]
     sizes = [len(level) for level in levels] + [0] * (radius + 1 - len(levels))
-    counts_by_radius = tuple(accumulate(sizes))
-    stabilized = counts_by_radius[-1] == counts_by_radius[-1 - window]
     return ClassBallReport(
         element=g,
         radius=radius,
         window=window,
         conjugates=tuple(GroupElement(g.group, c) for level in levels for c in level),
-        counts_by_radius=counts_by_radius,
-        stabilized=stabilized,
-        # radius >= 1 builds orbit level 1, which is empty exactly when
-        # every generator and every inverse fixes g, that is when g is central
-        central_proven=len(levels) == 1,
+        counts_by_radius=tuple(accumulate(sizes)),
     )
 
 
 def fc_center_candidates(
     group: StructuredGroup, radius: int, window: int
 ) -> list[GroupElement]:
-    """Nontrivial elements of ball(radius - window) whose class ball
-    stabilized by `radius`, in ball order: an over-approximation of the
-    finite-class union restricted to the ball.  Evidence only, never proof
-    of finiteness.
+    """Nontrivial elements of ball(radius - window) whose class ball at
+    (radius, window) would be stabilized, in ball order.  Each candidate's
+    orbit closed, so its class is proven finite: the candidates
+    under-approximate the finite-class elements of the ball.
 
     Orbit levels are nested (an empty level stays empty), so a class ball
     stabilizes by `radius` exactly when its orbit level radius - window + 1

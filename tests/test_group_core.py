@@ -1,6 +1,7 @@
 """Element arithmetic, normal forms, and ball enumeration."""
 
 import functools
+import itertools
 import json
 import random
 import sys
@@ -753,6 +754,71 @@ def test_key_memo_stops_storing_at_its_cap():
     for payload in payloads:
         assert group.payload_key(payload) == _reference_key(group, payload)
     assert len(group._syllable_keys) == KEY_MEMO_ENTRIES
+
+
+def _level_nested_key(group, payload, top):
+    """The key FreeProduct once gave a product of three or more factors:
+    the key of payload in the left-nested product of factors 0..top, one
+    level per factor.  Kept as the reference for the order of the key led
+    by the highest side."""
+    items = [
+        (0, _level_nested_key(group, tuple(run), top - 1))
+        if lower and top > 1
+        else (lambda side, p: (side, group.factors[side].payload_key(p)))(*next(run))
+        for lower, run in itertools.groupby(payload, lambda syllable: syllable[0] < top)
+    ]
+    return (len(items), tuple(items))
+
+
+def _key_levels(key):
+    """How many keys nest in a key led by the highest side, itself included:
+    below a top side past 0, an item led by 0 is a run's key."""
+    if not key:
+        return 0
+    top, _, items = key
+    return 1 + max((_key_levels(item[1]) for item in items if top and not item[0]), default=0)
+
+
+def test_top_side_keys_order_words_as_the_level_nested_keys():
+    rng = random.Random(31)
+    sorted_payloads = 0
+    for _ in range(60):
+        group = _random_free_product(rng, rng.randint(2, 9))
+        letters = [(n, e) for n, _ in group.generator_payloads() for e in (1, -1)]
+        payloads = {group.reduce_letters(rng.choices(letters, k=rng.randint(0, 16))).payload
+                    for _ in range(300)}
+        top = len(group.factors) - 1
+        reference = sorted(payloads, key=lambda p: _level_nested_key(group, p, top))
+        assert sorted(payloads, key=group._top_key) == reference, group.describe()
+        assert sorted(payloads, key=group.payload_key) == reference, group.describe()
+        assert len({group._top_key(p) for p in payloads}) == len(payloads)
+        for p in payloads:
+            # one level per distinct side, where the level-nested key took
+            # one per factor
+            assert _key_levels(group._top_key(p)) <= len({side for side, _ in p}), p
+        sorted_payloads += len(payloads)
+    assert sorted_payloads > 10_000
+
+
+def test_a_191_factor_free_product_keys_its_radius_1_class_ball(tmp_path, capsys):
+    # an orientable genus-64 surface with 64 boundary components is free of
+    # rank 191, within the parser's limits; its level-nested keys were 190
+    # levels deep, and this class ball took over a second to sort
+    from iccdec.cli import main
+
+    surface = {"genus": 64, "orientable": True, "boundary_components": 64}
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(
+        {"schema_version": 1, "type": "group", "construction": {"surface_group": surface}}
+    ))
+    command = ["enumerate", str(path), "--element", "x1", "--radius", "1", "--window", "1"]
+    assert main(command + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts_by_radius"] == [1, 381]
+    group = SurfaceGroup(64, True, 64).realization()
+    x1 = group.generator_element("x1")
+    for _, s in group.generators():
+        key = group.payload_key(conjugate(x1, s).payload)
+        assert _key_levels(key) <= 2, key
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from iccdec.groups import (
 )
 from iccdec.descriptors import parse_descriptor_data
 from iccdec.groups.semidirect import mat_det, mat_mul
-from iccdec.manifolds import decide_icc_orientable
+from iccdec.manifolds import SeifertInvariants, decide_icc_orientable, seifert_group, torus_knot_group
 from iccdec.oracle import conjugacy_class_ball, fc_center_candidates
 from iccdec.rules import (
     MonodromyClass,
@@ -959,3 +959,85 @@ def test_amalgam_index_three_two_edge_not_normal_in_large_factor():
     verdict = decide_structured_group(group)
     assert verdict.status is Status.ICC
     assert "Prop 3(iii)" in verdict.labels()
+
+
+# ---------------------------------------------------------------------------
+# the oracle on the constructions the rules decide by their own data
+
+
+def _assert_verdict_agrees_with_the_oracle(group):
+    """The ICC check above, and a NotICC element witness has a class ball
+    stabilized at (8, 3): its orbit closed, so its class is proven finite.
+    Every witness drawn here has a class of at most 6 elements, and an orbit
+    adds at least one conjugate per level until it closes.  The witness is
+    searched in its own group: a product with the trivial group answers with
+    its other factor's witness."""
+    _assert_icc_agrees_with_the_oracle(group)
+    verdict = decide_structured_group(group)
+    g = verdict.witness.element if verdict.status is Status.NOT_ICC else None
+    if g is not None:
+        report = conjugacy_class_ball(g.group, g, 8, 3)
+        assert report.stabilized and len(report.conjugates) <= 6, verdict.witness.description
+    return verdict.status
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 3))
+def test_semidirect_verdicts_agree_with_the_oracle(rng, n):
+    from test_group_core import _random_unimodular
+
+    _assert_verdict_agrees_with_the_oracle(SemidirectZnByZ(n, _random_unimodular(rng, n)))
+
+
+_DIRECT_BASES = {
+    "Z": lambda: InfiniteCyclic("x"),
+    "F2": lambda: free_group(["x", "y"]),
+    "Z/2 * Z/3": lambda: FreeProduct(FiniteCyclic(2, "a"), FiniteCyclic(3, "b")),
+    "Klein bottle": lambda: SemidirectZnByZ(1, [[-1]]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(sorted(_DIRECT_BASES)), size=st.integers(1, 4))
+def test_direct_with_finite_verdicts_agree_with_the_oracle(base, size):
+    group = DirectWithFinite(_DIRECT_BASES[base](), cyclic_table(size))
+    status = _assert_verdict_agrees_with_the_oracle(group)
+    assert (status is Status.ICC) == (size == 1 and base in ("F2", "Z/2 * Z/3"))
+
+
+@st.composite
+def _bounded_seifert_invariants(draw):
+    """Bounded Seifert data with at most four generators in its carrier."""
+    orientable = draw(st.booleans())
+    genus = draw(st.integers(0 if orientable else 1, 1))
+    boundary = draw(st.integers(1, 2))
+    fibers = draw(st.lists(
+        st.tuples(st.integers(2, 5), st.integers(-4, 4)).filter(lambda f: gcd(*f) == 1),
+        max_size=2,
+    ))
+    return SeifertInvariants(genus, orientable, boundary, tuple(fibers))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inv=_bounded_seifert_invariants())
+def test_seifert_carrier_verdicts_agree_with_the_oracle(inv):
+    group = seifert_group(inv).realization
+    assert isinstance(group, FiberExtension)
+    assert _assert_verdict_agrees_with_the_oracle(group) is Status.NOT_ICC
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(2, 7), q=st.integers(2, 7))
+def test_torus_knot_group_verdicts_agree_with_the_oracle(p, q):
+    if gcd(p, q) == 1:
+        group, _ = torus_knot_group(p, q)
+        assert _assert_verdict_agrees_with_the_oracle(group) is Status.NOT_ICC
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(orientable=st.booleans(), genus=st.integers(0, 2), boundary=st.integers(0, 2))
+def test_surface_verdicts_agree_with_the_oracle(orientable, genus, boundary):
+    if orientable or genus:
+        group = SurfaceGroup(genus, orientable, boundary)
+        if group.realization() is not None:
+            _assert_verdict_agrees_with_the_oracle(group)

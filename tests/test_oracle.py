@@ -12,6 +12,7 @@ from iccdec.groups import (
     TorsionPart,
     ball_with_lengths,
     commutes_with_generators,
+    conjugate,
     cyclic_table,
 )
 from iccdec.cli import _decide, _enumerable_group, main
@@ -269,6 +270,48 @@ def test_orbit_search_matches_ball_reference(manifest, corpus_dir):
             assert list(report.counts_by_radius) == counts, (name, g)
             assert [c.payload for c in report.conjugates] == payloads, (name, g)
             assert report.stabilized == stabilized, (name, g)
+
+
+def _closed_under_generators(group, conjugates):
+    """Whether conjugating each element of conjugates by every generator and
+    every inverse stays in the set, checked with groups.conjugate."""
+    found = {c.payload for c in conjugates}
+    steps = [s for _, g in group.generators() for s in (g, ~g)]
+    return all(conjugate(c, s).payload in found for c in conjugates for s in steps)
+
+
+def test_a_closed_orbit_is_a_whole_class_on_the_corpus(manifest, corpus_dir):
+    # the manifest words and the radius-1 ball of every enumerable corpus
+    # group: a closed orbit is closed under every generator and inverse, so
+    # it is the whole class, and it is central exactly when it is {g}
+    reports = closed = 0
+    for name, group, words in _enumerable_corpus(manifest, corpus_dir):
+        for g in words + ball_with_lengths(group, 1)[0]:
+            for radius, window in ((4, 2), (6, 3)):
+                report = conjugacy_class_ball(group, g, radius, window)
+                case = (name, g, radius)
+                reports += 1
+                assert report.central_proven == (report.conjugates == (g,)), case
+                if report.closed_at is not None:
+                    closed += 1
+                    assert _closed_under_generators(group, report.conjugates), case
+                    assert len(report.conjugates) == report.counts_by_radius[report.closed_at - 1]
+        for c in fc_center_candidates(group, 5, 2):
+            report = conjugacy_class_ball(group, c, 5, 2)
+            assert report.stabilized, (name, c)
+            assert _closed_under_generators(group, report.conjugates), (name, c)
+    assert 0 < closed < reports
+
+
+def test_flags_are_read_from_the_closing_radius(dihedral, f2):
+    ab = dihedral.reduce_letters([("a", 1), ("b", 1)])
+    # counts 1, 2, 2, ...: the orbit closes at radius 2
+    report = conjugacy_class_ball(dihedral, ab, 4, 3)
+    assert (report.closed_at, report.stabilized, report.central_proven) == (2, True, False)
+    assert not conjugacy_class_ball(dihedral, ab, 4, 4).stabilized
+    x = f2.generator_element("x")
+    assert conjugacy_class_ball(f2, x, 3, 1).closed_at is None
+    assert conjugacy_class_ball(f2, f2.identity(), 1, 1).closed_at == 1
 
 
 # ---------------------------------------------------------------------------
